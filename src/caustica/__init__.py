@@ -36,7 +36,6 @@ from .errors import (
     EigenFailure,
     NegativeArgument,
     NoConvergence,
-    OutOfRange,
     PartnerNotFound,
     RayDivergence,
     StepUnderflow,

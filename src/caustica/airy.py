@@ -1,10 +1,10 @@
 """Airy functions and the caustic recovery factor.
 
-Self-contained evaluation of Ai and Bi on the real line (Maclaurin series
-in the central region, asymptotic expansions outside) plus the scaled
-variants needed to build overflow-free fold corrections.  The recovery
-factor R interpolates between 0 at the caustic and 1 deep in the
-Gaussian-saddle regime.
+Thin wrappers over ``scipy.special.airy`` and ``airye``; this is the only
+module in caustica that decides how Ai and Bi are evaluated.  There is no
+range limit: the scaled variants stay finite for any x >= 0, which is what
+overflow-free fold corrections need.  The recovery factor R interpolates
+between 0 at the caustic and 1 deep in the Gaussian-saddle regime.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import NegativeArgument, OutOfRange
+from scipy.special import airy, airye
+
+from .errors import NegativeArgument
 
 __all__ = [
     "AiryKind",
@@ -20,15 +22,9 @@ __all__ = [
     "airy_bi",
     "airy_ai_scaled",
     "airy_bi_scaled",
+    "airy_ai_scaled_pair",
     "recovery_factor",
 ]
-
-_SERIES_CUT = 6.0
-_XMAX = 100.0
-
-# Ai(0) = 3^{-2/3}/Gamma(2/3), -Ai'(0) = 3^{-1/3}/Gamma(1/3)
-_C1 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_C2 = 3.0 ** (-1.0 / 3.0) / math.gamma(1.0 / 3.0)
 
 
 class AiryKind(enum.Enum):
@@ -36,166 +32,46 @@ class AiryKind(enum.Enum):
 
     RECESSIVE = "recessive"  # standard Ai
     DOMINANT = "dominant"    # standard Bi
-    # Placeholder for the solution a user-supplied contour selects; must be
-    # resolved to one of the two above before numeric use.
-    CONTOUR = "contour"
-
-
-def _series_pair(x: float) -> tuple[float, float]:
-    """Maclaurin basis f(x), g(x) with Ai = c1*f - c2*g, Bi = sqrt(3)*(c1*f + c2*g)."""
-    x3 = x * x * x
-    f_terms = [1.0]
-    g_terms = [x]
-    tf, tg = 1.0, x
-    k = 0
-    while True:
-        tf *= x3 / ((3 * k + 2) * (3 * k + 3))
-        tg *= x3 / ((3 * k + 3) * (3 * k + 4))
-        f_terms.append(tf)
-        g_terms.append(tg)
-        k += 1
-        if abs(tf) < 1e-20 and abs(tg) < 1e-20:
-            break
-        if k > 200:  # unreachable for |x| <= _SERIES_CUT
-            break
-    # fsum keeps the heavily cancelling tails at the rounding floor
-    return math.fsum(f_terms), math.fsum(g_terms)
-
-
-def _series_pair_prime(x: float) -> tuple[float, float]:
-    """Derivatives f'(x), g'(x) of the Maclaurin basis."""
-    x3 = x * x * x
-    fp_terms = []
-    gp_terms = [1.0]
-    tf, tg = 1.0, x
-    k = 0
-    # d/dx of x^{3k}-type terms
-    while True:
-        if k > 0:
-            fp_terms.append(3 * k * tf / x if x != 0.0 else 0.0)
-            gp_terms.append((3 * k + 1) * tg / x if x != 0.0 else 0.0)
-        tf *= x3 / ((3 * k + 2) * (3 * k + 3))
-        tg *= x3 / ((3 * k + 3) * (3 * k + 4))
-        k += 1
-        if abs(tf) < 1e-20 and abs(tg) < 1e-20:
-            break
-        if k > 200:
-            break
-    if x == 0.0:
-        return 0.0, 1.0
-    return math.fsum(fp_terms), math.fsum(gp_terms)
-
-
-def _asymptotic_sum(xi: float, signs: int, min_terms: int = 8) -> float:
-    """Sum_k s^k u_k / xi^k truncated at the smallest term (s = -1 or +1).
-
-    Raises OutOfRange when the first omitted term is not below 1e-10, which
-    only happens if called below the supported cut.
-    """
-    s = -1.0 if signs < 0 else 1.0
-    u = 1.0
-    term = 1.0
-    total = [1.0]
-    k = 0
-    prev = abs(term)
-    while k < 60:
-        u *= (6 * k + 1) * (6 * k + 3) * (6 * k + 5) / (216.0 * (k + 1) * (2 * k + 1))
-        k += 1
-        term = (s ** k) * u / xi ** k
-        if abs(term) > prev and k > min_terms:
-            break  # divergent tail reached
-        total.append(term)
-        prev = abs(term)
-    if prev > 1e-6:
-        raise OutOfRange(f"asymptotic expansion unreliable at xi={xi}")
-    return math.fsum(total)
-
-
-def _osc_sums(xi: float) -> tuple[float, float]:
-    """Even/odd asymptotic sums for the oscillatory (negative-x) region."""
-    us = [1.0]
-    u = 1.0
-    for k in range(16):
-        u *= (6 * k + 1) * (6 * k + 3) * (6 * k + 5) / (216.0 * (k + 1) * (2 * k + 1))
-        us.append(u)
-    even = math.fsum((-1.0) ** m * us[2 * m] / xi ** (2 * m) for m in range(6))
-    odd = math.fsum((-1.0) ** m * us[2 * m + 1] / xi ** (2 * m + 1) for m in range(6))
-    return even, odd
-
-
-def _check_range(x: float) -> None:
-    if not abs(x) <= _XMAX:
-        raise OutOfRange(f"|x| = {abs(x)} exceeds supported range {_XMAX}")
 
 
 def airy_ai(x: float) -> float:
-    """Standard recessive Airy function Ai(x) for |x| <= 100."""
-    _check_range(x)
-    if abs(x) <= _SERIES_CUT:
-        f, g = _series_pair(x)
-        return _C1 * f - _C2 * g
-    xi = (2.0 / 3.0) * abs(x) ** 1.5
-    if x > 0:
-        pre = math.exp(-xi) / (2.0 * math.sqrt(math.pi) * x ** 0.25)
-        return pre * _asymptotic_sum(xi, -1)
-    even, odd = _osc_sums(xi)
-    z = -x
-    pre = 1.0 / (math.sqrt(math.pi) * z ** 0.25)
-    return pre * (math.cos(xi - math.pi / 4.0) * even + math.sin(xi - math.pi / 4.0) * odd)
+    """Standard recessive Airy function Ai(x)."""
+    return float(airy(x)[0])
 
 
 def airy_bi(x: float) -> float:
-    """Dominant Airy function Bi(x) for |x| <= 100."""
-    _check_range(x)
-    if abs(x) <= _SERIES_CUT:
-        f, g = _series_pair(x)
-        return math.sqrt(3.0) * (_C1 * f + _C2 * g)
-    xi = (2.0 / 3.0) * abs(x) ** 1.5
-    if x > 0:
-        pre = math.exp(xi) / (math.sqrt(math.pi) * x ** 0.25)
-        return pre * _asymptotic_sum(xi, +1)
-    even, odd = _osc_sums(xi)
-    z = -x
-    pre = 1.0 / (math.sqrt(math.pi) * z ** 0.25)
-    return pre * (-math.sin(xi - math.pi / 4.0) * even + math.cos(xi - math.pi / 4.0) * odd)
+    """Dominant Airy function Bi(x)."""
+    return float(airy(x)[2])
+
+
+def _airy_ai_prime(x: float) -> float:
+    """Ai'(x)."""
+    return float(airy(x)[1])
+
+
+def _airy_bi_prime(x: float) -> float:
+    """Bi'(x)."""
+    return float(airy(x)[3])
+
+
+def airy_ai_scaled_pair(x: float) -> tuple[float, float]:
+    """(Ai(x), Ai'(x)) * exp(+(2/3) x^{3/2}) for x >= 0, from one airye call."""
+    if x < 0:
+        raise NegativeArgument("scaled Ai defined for x >= 0 only")
+    ai, aip, _, _ = airye(x)
+    return float(ai), float(aip)
 
 
 def airy_ai_scaled(x: float) -> float:
     """Ai(x) * exp(+(2/3) x^{3/2}) for x >= 0; overflow-free for large x."""
-    if x < 0:
-        raise NegativeArgument("scaled Ai defined for x >= 0 only")
-    _check_range(x)
-    if x <= _SERIES_CUT:
-        return airy_ai(x) * math.exp((2.0 / 3.0) * x ** 1.5)
-    xi = (2.0 / 3.0) * x ** 1.5
-    return _asymptotic_sum(xi, -1) / (2.0 * math.sqrt(math.pi) * x ** 0.25)
+    return airy_ai_scaled_pair(x)[0]
 
 
 def airy_bi_scaled(x: float) -> float:
     """Bi(x) * exp(-(2/3) x^{3/2}) for x >= 0; overflow-free for large x."""
     if x < 0:
         raise NegativeArgument("scaled Bi defined for x >= 0 only")
-    _check_range(x)
-    if x <= _SERIES_CUT:
-        return airy_bi(x) * math.exp(-(2.0 / 3.0) * x ** 1.5)
-    xi = (2.0 / 3.0) * x ** 1.5
-    return _asymptotic_sum(xi, +1) / (math.sqrt(math.pi) * x ** 0.25)
-
-
-def _airy_ai_prime(x: float) -> float:
-    """Ai'(x); series region only (|x| <= 6), used by the Wronskian check."""
-    if abs(x) > _SERIES_CUT:
-        raise OutOfRange("Ai' implemented for |x| <= 6 only")
-    fp, gp = _series_pair_prime(x)
-    return _C1 * fp - _C2 * gp
-
-
-def _airy_bi_prime(x: float) -> float:
-    """Bi'(x); series region only (|x| <= 6)."""
-    if abs(x) > _SERIES_CUT:
-        raise OutOfRange("Bi' implemented for |x| <= 6 only")
-    fp, gp = _series_pair_prime(x)
-    return math.sqrt(3.0) * (_C1 * fp + _C2 * gp)
+    return float(airye(x)[2])
 
 
 def recovery_factor(zeta_prime: float, kind: AiryKind = AiryKind.RECESSIVE) -> float:
@@ -211,8 +87,6 @@ def recovery_factor(zeta_prime: float, kind: AiryKind = AiryKind.RECESSIVE) -> f
     if zeta_prime == 0.0:
         return 0.0
     q = zeta_prime ** 0.25
-    if kind is AiryKind.RECESSIVE:
-        return 2.0 * math.sqrt(math.pi) * q * airy_ai_scaled(zeta_prime)
     if kind is AiryKind.DOMINANT:
         return math.sqrt(math.pi) * q * airy_bi_scaled(zeta_prime)
-    raise OutOfRange("CONTOUR kind must be resolved to RECESSIVE or DOMINANT before use")
+    return 2.0 * math.sqrt(math.pi) * q * airy_ai_scaled(zeta_prime)

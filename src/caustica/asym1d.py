@@ -22,11 +22,9 @@ import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from scipy.special import airye
-
-from .airy import AiryKind, airy_ai, airy_ai_scaled, recovery_factor
+from .airy import AiryKind, airy_ai_scaled, airy_ai_scaled_pair, recovery_factor
 from .errors import (
     CausticDivergence,
     BranchAmbiguous,
@@ -158,12 +156,6 @@ def _cube_roots(w: complex) -> list[complex]:
     return [r * cmath.exp(1j * (p + 2.0 * math.pi * k) / 3.0) for k in range(3)]
 
 
-def _airy_scaled_pair(x: float) -> tuple[float, float]:
-    """(Ai(x), Ai'(x)) * exp(+(2/3) x^{3/2}) for x >= 0, from one airye call."""
-    ai, aip, _, _ = airye(x)
-    return float(ai), float(aip)
-
-
 def _g_slope(intg: Integrand1D, z: complex) -> complex:
     """g'(z) by a central difference along the local contour direction."""
     u = intg.contour.tangent_near(z)
@@ -216,7 +208,7 @@ def approx_tilde(
     def build(k, r, zeta):
         zp = ZetaParams.from_zeta(zeta, N, branch_index=k)
         x = zp.zeta_prime
-        ai, aip = _airy_scaled_pair(x)
+        ai, aip = airy_ai_scaled_pair(x)
         quartic = f4 * r ** 4 / 24.0 * n3 * (2.0 * aip + x * x * ai)
         val = (
             intg.prefactor
@@ -340,7 +332,7 @@ def approx_cfu(
     b0 = 0.5 * (term_s - term_p) / sq
 
     big_a = 0.5 * (s.f0 + p.f0)
-    ai, aip = _airy_scaled_pair(zp.zeta_prime)
+    ai, aip = airy_ai_scaled_pair(zp.zeta_prime)
     n3 = N ** (-1.0 / 3.0)
     # exp(N*A) * Ai(zeta') evaluated log-safe: N*A - exp_shift = N f(z0^*)
     value = (

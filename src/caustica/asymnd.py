@@ -163,10 +163,7 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
     """
     rows = []
     if isinstance(intg, Integrand1D):
-        try:
-            caustic = find_caustic(intg)
-        except DegenerateCubic:
-            raise
+        caustic = find_caustic(intg)
         for a in alpha_grid:
             guess = intg.saddle_guess(a) if intg.saddle_guess else 1.0 + 0.0j
             s = find_saddle(intg, a, guess)

@@ -32,6 +32,7 @@ from .asym1d import (
     approx_saddle_form,
     approx_tilde,
     approx_wkb,
+    classify_regime,
 )
 from .errors import (
     BadParameter,
@@ -40,7 +41,6 @@ from .errors import (
     DegenerateCubic,
     NoConvergence,
     PartnerNotFound,
-    ToleranceNotMet,
     UnknownIntegrand,
 )
 from .integrand import Integrand1D, IntegrandND, registry_get
@@ -54,6 +54,11 @@ _CSV_HEADER = "# caustica-csv v1"
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_ORACLE = 4
+
+
+class _OracleFailed(Exception):
+    """A CausticaError raised inside quad_contour or cubature_nd, kept apart
+    from method and solver errors so that only it exits with EXIT_ORACLE."""
 
 
 def _fmt(x: float) -> str:
@@ -159,7 +164,10 @@ def _sweep_rows(cfg):
                     row.setdefault("branch_index", av.params.branch_index)
             row["zeta_prime"] = zp
             if cfg["oracle"]:
-                row["oracle"] = quad_contour(intg, a, N, tol=cfg["tol"]).value
+                try:
+                    row["oracle"] = quad_contour(intg, a, N, tol=cfg["tol"]).value
+                except CausticaError as exc:
+                    raise _OracleFailed(exc) from exc
             yield row
 
 
@@ -183,12 +191,13 @@ def _sweep_rows_nd(intg, cfg):
                 row["values"][m] = av.value
                 row["warnings"].extend(av.warnings)
                 zp = av.zeta_prime
-                from .asym1d import classify_regime
-
                 row["regime"] = classify_regime(zp).value
             row["zeta_prime"] = zp
             if cfg["oracle"]:
-                row["oracle"] = cubature_nd(intg, a, N, tol=max(cfg["tol"], 1e-8)).value
+                try:
+                    row["oracle"] = cubature_nd(intg, a, N, tol=max(cfg["tol"], 1e-8)).value
+                except CausticaError as exc:
+                    raise _OracleFailed(exc) from exc
             yield row
 
 
@@ -260,12 +269,12 @@ def sweep(config_path, output_path):
     with open(output_path, "w", newline="") as out:
         try:
             _write_csv(out, cfg, _sweep_rows(cfg))
-        except NoConvergence as exc:
-            trailer = f"# error: solver failed: {exc}"
-            code = EXIT_SOLVER
-        except (ToleranceNotMet, CausticaError) as exc:
+        except _OracleFailed as exc:
             trailer = f"# error: oracle failed: {exc}"
             code = EXIT_ORACLE
+        except CausticaError as exc:
+            trailer = f"# error: {type(exc).__name__}: {exc}"
+            code = EXIT_SOLVER
         if trailer:
             out.write(trailer + "\n")
     if code:
@@ -334,12 +343,11 @@ def demo_meanfield(m, gamma, n_list, output_path):
     intg = registry_get("mean-field-toy", {"m": m})
     try:
         rows = asymnd.mean_field_compare(intg, gammas, ns)
-    except NoConvergence as exc:
-        click.echo(f"solver failed: {exc}", err=True)
+    except CausticaError as exc:
+        # mean_field_compare runs no oracle: every typed error is a method or
+        # solver failure
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_SOLVER)
-    except (ToleranceNotMet, CausticaError) as exc:
-        click.echo(f"oracle failed: {exc}", err=True)
-        sys.exit(EXIT_ORACLE)
 
     cols = [
         "gamma", "N", "zeta_prime", "regime", "wkb_exponent",

@@ -57,9 +57,5 @@ class DimensionTooLarge(CausticaError):
     """Brute-force cubature requested beyond the supported dimension."""
 
 
-class OutOfRange(CausticaError):
-    """Argument outside the supported evaluation range."""
-
-
 class NegativeArgument(CausticaError):
     """Negative fold argument (two-complex-saddle side, unsupported)."""

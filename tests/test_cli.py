@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+import sys
 import textwrap
 
 import pytest
@@ -124,6 +127,77 @@ def test_sweep_unknown_method_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(tmp_path / "o.csv")])
     assert result.exit_code == 2
     assert "config error" in result.output
+
+
+def test_sweep_method_error_exit_3(runner, tmp_path):
+    # alpha < 0 is the complex-saddle side of the cubic: approx_tilde raises
+    # WrongRegime, a method failure, while no oracle runs
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = cubic
+
+        [sweep]
+        alpha = -0.2,0.5
+        N = 10
+        methods = tilde
+        oracle = false
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 3, result.output
+    trailer = out.read_text().splitlines()[-1]
+    assert trailer.startswith("# error: WrongRegime: ")
+    assert "oracle" not in trailer
+
+
+def test_sweep_airy_argument_beyond_100(runner, tmp_path):
+    # at alpha = 1, N = 1000 the fold argument zeta' exceeds 100 by rounding;
+    # the saddle form must stay exact there
+    mpmath = pytest.importorskip("mpmath")
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = cubic
+
+        [sweep]
+        alpha = 0.9:1.0:101
+        N = 1000
+        methods = saddle
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[2:]]
+    assert len(rows) == 101
+    for row in rows:
+        alpha, n = float(row["alpha"]), int(row["N"])
+        exact = complex(
+            2j * mpmath.pi * mpmath.mpf(n) ** (-mpmath.mpf(1) / 3)
+            * mpmath.airyai(alpha * mpmath.mpf(n) ** (mpmath.mpf(2) / 3))
+        )
+        value = complex(float(row["saddle_re"]), float(row["saddle_im"]))
+        assert abs(value - exact) <= 1e-10 * abs(exact), row["alpha"]
+
+
+def test_trace_targets_resolve(monkeypatch):
+    # bench/spans.py wraps these names by attribute; a rename would make
+    # the traced benchmark run fail
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    for obj, attr, _ in spans.TARGETS:
+        assert callable(getattr(obj, attr, None)), f"{obj.__name__}.{attr}"
 
 
 def test_sweep_missing_config_exit_2(runner, tmp_path):
