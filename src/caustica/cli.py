@@ -14,6 +14,11 @@ Config grammar for ``caustica sweep`` (flat key=value with section headers)::
     oracle = true
     tol = 1e-10
 
+Methods belong to the integrand's dimension: ``wkb``, ``tilde``, ``saddle``
+and ``cfu`` to one-variable integrands, ``wkb-nd`` and ``corrected-nd`` to
+n-variable ones.  Naming a method of the other dimension is a config error
+(exit 2).
+
 CSV output is byte-deterministic: fixed column order, %.17g floats, '\\n'
 line endings, alpha-major / N-minor row order, versioned header line.
 """
@@ -43,12 +48,10 @@ from .errors import (
     PartnerNotFound,
     UnknownIntegrand,
 )
-from .integrand import Integrand1D, IntegrandND, registry_get
+from .integrand import Integrand1D, registry_get
 from .oracle import cubature_nd, quad_contour
 from .saddle import find_caustic, find_partner, find_saddle, find_saddle_nd
 
-_METHODS_1D = ("wkb", "tilde", "saddle", "cfu")
-_METHODS_ND = ("wkb-nd", "corrected-nd")
 _CSV_HEADER = "# caustica-csv v1"
 
 EXIT_CONFIG = 2
@@ -59,10 +62,6 @@ EXIT_ORACLE = 4
 class _OracleFailed(Exception):
     """A CausticaError raised inside quad_contour or cubature_nd, kept apart
     from method and solver errors so that only it exits with EXIT_ORACLE."""
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _parse_range(text: str) -> list[float]:
@@ -103,10 +102,6 @@ def _parse_config(path: str) -> dict:
     methods = tuple(
         m.strip() for m in sw.get("methods", "wkb,tilde").split(",") if m.strip()
     )
-    known = set(_METHODS_1D) | set(_METHODS_ND)
-    for m in methods:
-        if m not in known:
-            raise BadParameter(f"unknown method {m!r}; known: {sorted(known)}")
     return {
         "name": name,
         "params": params,
@@ -118,129 +113,130 @@ def _parse_config(path: str) -> dict:
     }
 
 
-def _sweep_rows(cfg):
-    """Yield per-(alpha, N) dicts: method values/errors, oracle, diagnostics."""
-    intg = registry_get(cfg["name"], cfg["params"])
+class _Sweep1D:
+    """Solves the one-variable methods share: the caustic once per sweep and,
+    per alpha, the saddle (continued from the previous alpha) and, on first
+    use, its partner."""
+
+    # name -> value at one (alpha, N).  The solvers, formulas and oracle are
+    # looked up in this module at call time, so that wrappers set on these
+    # names (bench/spans.py) see every call.
+    calls = {
+        "wkb": lambda sw, a, N: approx_wkb(sw.intg, a, N, sw.saddle),
+        "tilde": lambda sw, a, N: approx_tilde(sw.intg, a, N, sw.caustic),
+        "saddle": lambda sw, a, N: approx_saddle_form(sw.intg, a, N, sw.saddle, sw.caustic),
+        "cfu": lambda sw, a, N: approx_cfu(sw.intg, a, N, sw.saddle, sw.partner()),
+        "oracle": lambda sw, a, N: quad_contour(sw.intg, a, N, tol=sw.tol).value,
+    }
+
+    def __init__(self, intg, cfg):
+        methods = set(cfg["methods"])
+        self.intg, self.tol = intg, cfg["tol"]
+        self.caustic = find_caustic(intg) if methods & {"tilde", "saddle"} else None
+        self.want_saddle = bool(methods & {"wkb", "saddle", "cfu"})
+        self.saddle = None
+
+    def solve(self, a):
+        self.alpha, self._partner = a, None
+        if self.want_saddle:
+            if self.saddle is not None:
+                guess = self.saddle.z0  # continuation across the sweep
+            else:
+                guess = self.intg.saddle_guess(a) if self.intg.saddle_guess else 0.1 + 0.0j
+            self.saddle = find_saddle(self.intg, a, guess)
+
+    def partner(self):
+        # a PartnerNotFound is kept too, so that every N of this alpha sees it
+        if self._partner is None:
+            try:
+                self._partner = find_partner(self.intg, self.alpha, self.saddle)
+            except PartnerNotFound as exc:
+                self._partner = exc
+        if isinstance(self._partner, PartnerNotFound):
+            raise self._partner
+        return self._partner
+
+
+class _SweepND:
+    """The n-variable methods share one saddle per alpha."""
+
+    calls = {
+        "wkb-nd": lambda sw, a, N: asymnd.approx_wkb_nd(sw.intg, a, N, sw.saddle),
+        "corrected-nd": lambda sw, a, N: asymnd.approx_corrected_nd(sw.intg, a, N, sw.saddle),
+        "oracle": lambda sw, a, N: cubature_nd(sw.intg, a, N, tol=max(sw.tol, 1e-8)).value,
+    }
+
+    def __init__(self, intg, cfg):
+        self.intg, self.tol = intg, cfg["tol"]
+
+    def solve(self, a):
+        g = self.intg.saddle_guess(a) if self.intg.saddle_guess else [0.0] * self.intg.dim
+        self.saddle = find_saddle_nd(self.intg, a, g)
+
+
+def _sweep_kind(intg):
+    return _Sweep1D if isinstance(intg, Integrand1D) else _SweepND
+
+
+def _sweep_rows(intg, cfg, branches):
+    """Yield one CSV row per (alpha, N), alpha-major: method values, oracle
+    and relative errors, warnings.  Adds each row's cube-root branch index,
+    when a method reports one, to ``branches``."""
+    sw = _sweep_kind(intg)(intg, cfg)
     methods = cfg["methods"]
-    if isinstance(intg, IntegrandND):
-        yield from _sweep_rows_nd(intg, cfg)
-        return
-    want_caustic = any(m in methods for m in ("tilde", "saddle"))
-    want_saddle = any(m in methods for m in ("wkb", "saddle", "cfu"))
-    caustic = find_caustic(intg) if want_caustic else None
-    guess = None
     for a in cfg["alphas"]:
-        s = None
-        if want_saddle:
-            g = guess if guess is not None else (
-                intg.saddle_guess(a) if intg.saddle_guess else 0.1 + 0.0j
-            )
-            s = find_saddle(intg, a, g)
-            guess = s.z0  # continuation across the sweep
+        sw.solve(a)
         for N in cfg["N"]:
-            row = {"alpha": a, "N": N, "values": {}, "warnings": []}
-            zp = None
+            values, warnings, zp, branch = {}, [], None, None
             for m in methods:
                 try:
-                    if m == "wkb":
-                        av = approx_wkb(intg, a, N, s)
-                    elif m == "tilde":
-                        av = approx_tilde(intg, a, N, caustic)
-                    elif m == "saddle":
-                        av = approx_saddle_form(intg, a, N, s, caustic)
-                    else:
-                        p = find_partner(intg, a, s)
-                        av = approx_cfu(intg, a, N, s, p)
+                    av = sw.calls[m](sw, a, N)
                 except (CausticDivergence, PartnerNotFound, DegenerateCubic) as exc:
-                    row["values"][m] = "divergent"
-                    row["warnings"].append(f"{m}: {exc}")
+                    warnings.append(f"{m}: {exc}")
                     continue
-                row["values"][m] = av.value
-                row["warnings"].extend(av.warnings)
+                values[m] = av.value
+                warnings.extend(av.warnings)
                 if zp is None or m == "tilde":
                     zp = av.zeta_prime
-                    row["regime"] = av.regime.value
-                if av.params is not None:
-                    row.setdefault("branch_index", av.params.branch_index)
-            row["zeta_prime"] = zp
+                params = getattr(av, "params", None)
+                if branch is None and params is not None:
+                    branch = params.branch_index
+            if branch is not None:
+                branches.add(branch)
+            row = [a, N, zp, None if zp is None else classify_regime(zp).value]
+            for m in methods:
+                v = values.get(m)
+                row += ["divergent", None] if v is None else [v.real, v.imag]
             if cfg["oracle"]:
                 try:
-                    row["oracle"] = quad_contour(intg, a, N, tol=cfg["tol"]).value
+                    o = sw.calls["oracle"](sw, a, N)
                 except CausticaError as exc:
                     raise _OracleFailed(exc) from exc
+                row += [o.real, o.imag]
+                for m in methods:
+                    v = values.get(m)
+                    row.append(None if v is None or abs(o) == 0.0 else abs(v - o) / abs(o))
+            row.append(";".join(warnings).replace(",", ";"))
             yield row
 
 
-def _sweep_rows_nd(intg, cfg):
-    for a in cfg["alphas"]:
-        g = intg.saddle_guess(a) if intg.saddle_guess else [0.0] * intg.dim
-        s = find_saddle_nd(intg, a, g)
-        for N in cfg["N"]:
-            row = {"alpha": a, "N": N, "values": {}, "warnings": []}
-            zp = None
-            for m in cfg["methods"]:
-                try:
-                    if m == "wkb-nd":
-                        av = asymnd.approx_wkb_nd(intg, a, N, s)
-                    else:
-                        av = asymnd.approx_corrected_nd(intg, a, N, s)
-                except (CausticDivergence, DegenerateCubic) as exc:
-                    row["values"][m] = "divergent"
-                    row["warnings"].append(f"{m}: {exc}")
-                    continue
-                row["values"][m] = av.value
-                row["warnings"].extend(av.warnings)
-                zp = av.zeta_prime
-                row["regime"] = classify_regime(zp).value
-            row["zeta_prime"] = zp
-            if cfg["oracle"]:
-                try:
-                    row["oracle"] = cubature_nd(intg, a, N, tol=max(cfg["tol"], 1e-8)).value
-                except CausticaError as exc:
-                    raise _OracleFailed(exc) from exc
-            yield row
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, int):
+        return "%d" % v
+    return "%.17g" % v
 
 
-def _write_csv(out, cfg, rows):
-    methods = cfg["methods"]
-    cols = ["alpha", "N", "zeta_prime", "regime"]
-    for m in methods:
-        cols += [f"{m}_re", f"{m}_im"]
-    if cfg["oracle"]:
-        cols += ["oracle_re", "oracle_im"]
-        cols += [f"rel_err_{m}" for m in methods]
-    cols.append("warnings")
+def _write_csv(out, cols, rows):
+    """The versioned header, the column line, then one line per row: None is
+    an empty cell, ints are written %d and floats %.17g."""
     out.write(_CSV_HEADER + "\n")
     out.write(",".join(cols) + "\n")
-    branch_seen = set()
     for row in rows:
-        fields = [
-            _fmt(row["alpha"]),
-            "%d" % row["N"],
-            _fmt(row["zeta_prime"]) if row.get("zeta_prime") is not None else "",
-            row.get("regime", ""),
-        ]
-        for m in methods:
-            v = row["values"].get(m)
-            if v == "divergent" or v is None:
-                fields += ["divergent", ""]
-            else:
-                fields += [_fmt(v.real), _fmt(v.imag)]
-        if cfg["oracle"]:
-            o = row["oracle"]
-            fields += [_fmt(o.real), _fmt(o.imag)]
-            for m in methods:
-                v = row["values"].get(m)
-                if v in (None, "divergent") or abs(o) == 0.0:
-                    fields.append("")
-                else:
-                    fields.append(_fmt(abs(v - o) / abs(o)))
-        fields.append(";".join(row["warnings"]).replace(",", ";"))
-        out.write(",".join(fields) + "\n")
-        if "branch_index" in row:
-            branch_seen.add(row["branch_index"])
-    if len(branch_seen) > 1:
-        out.write(f"# warning: cube-root branch flip across sweep: {sorted(branch_seen)}\n")
+        out.write(",".join(map(_cell, row)) + "\n")
 
 
 @click.group()
@@ -255,20 +251,30 @@ def sweep(config_path, output_path):
     """Run a parameter sweep and write a CSV of method values and errors."""
     try:
         cfg = _parse_config(config_path)
+        intg = registry_get(cfg["name"], cfg["params"])
+        known = [m for m in _sweep_kind(intg).calls if m != "oracle"]
+        for m in cfg["methods"]:
+            if m not in known:
+                raise BadParameter(f"method {m!r} does not apply to {cfg['name']}; known: {known}")
     except (BadParameter, UnknownIntegrand, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    try:
-        registry_get(cfg["name"], cfg["params"])
-    except (UnknownIntegrand, BadParameter) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
 
+    methods = cfg["methods"]
+    cols = ["alpha", "N", "zeta_prime", "regime"]
+    for m in methods:
+        cols += [f"{m}_re", f"{m}_im"]
+    if cfg["oracle"]:
+        cols += ["oracle_re", "oracle_im"] + [f"rel_err_{m}" for m in methods]
+    cols.append("warnings")
     code = 0
     trailer = None
+    branches = set()
     with open(output_path, "w", newline="") as out:
         try:
-            _write_csv(out, cfg, _sweep_rows(cfg))
+            _write_csv(out, cols, _sweep_rows(intg, cfg, branches))
+            if len(branches) > 1:
+                out.write(f"# warning: cube-root branch flip across sweep: {sorted(branches)}\n")
         except _OracleFailed as exc:
             trailer = f"# error: oracle failed: {exc}"
             code = EXIT_ORACLE
@@ -353,26 +359,9 @@ def demo_meanfield(m, gamma, n_list, output_path):
         "gamma", "N", "zeta_prime", "regime", "wkb_exponent",
         "corrected_exponent", "exponent_gap", "prefactor_ratio", "fold_wkb",
     ]
+    keys = ["alpha"] + cols[1:]
     with open(output_path, "w", newline="") as out:
-        out.write(_CSV_HEADER + "\n")
-        out.write(",".join(cols) + "\n")
-        for r in rows:
-            out.write(
-                ",".join(
-                    [
-                        _fmt(r["alpha"]),
-                        "%d" % r["N"],
-                        _fmt(r["zeta_prime"]),
-                        r["regime"],
-                        _fmt(r["wkb_exponent"]),
-                        _fmt(r["corrected_exponent"]),
-                        _fmt(r["exponent_gap"]),
-                        _fmt(r["prefactor_ratio"]),
-                        r["fold_wkb"],
-                    ]
-                )
-                + "\n"
-            )
+        _write_csv(out, cols, ([r[k] for k in keys] for r in rows))
     max_gap = max(r["exponent_gap"] for r in rows if not math.isnan(r["exponent_gap"]))
     window = [r for r in rows if r["fold_wkb"] == "divergent"]
     click.echo(f"rows written: {len(rows)} -> {output_path}")

@@ -55,22 +55,29 @@ class CausticInfo:
     z_tilde: complex
     alpha_hat: float
     f3_tilde: complex
-    # reserved for serving z_tilde at nearby alpha (stage b of find_caustic)
-    _intg: Integrand1D = None
+    intg: Integrand1D
 
     def z_tilde_at(self, alpha: float, tol: float = 1e-12) -> complex:
-        """z with f''(z, alpha) = 0, continued from the critical point."""
+        """z with f''(z, alpha) = 0, continued from the critical point by
+        damped Newton."""
         z = self.z_tilde
         for _ in range(_MAX_ITERS):
-            r = derive(self._intg, z, alpha, 2)
+            r = derive(self.intg, z, alpha, 2)
             if abs(r) <= tol * max(1.0, abs(self.f3_tilde)):
                 return z
-            z = z - r / derive(self._intg, z, alpha, 3)
+            f3 = derive(self.intg, z, alpha, 3)
+            if f3 == 0:
+                raise NoConvergence(f"z_tilde continuation: f''' vanishes at alpha={alpha}")
+            step = r / f3
+            # damping: never move by more than O(1), as in find_saddle
+            if abs(step) > 1.0:
+                step /= abs(step)
+            z = z - step
         raise NoConvergence(f"z_tilde continuation stalled at alpha={alpha}")
 
     def f1_tilde(self, alpha: float) -> complex:
         """f'(z_tilde(alpha), alpha) — the small fold displacement."""
-        return derive(self._intg, self.z_tilde_at(alpha), alpha, 1)
+        return derive(self.intg, self.z_tilde_at(alpha), alpha, 1)
 
 
 @dataclass(frozen=True)
@@ -99,9 +106,9 @@ def find_saddle(
 ) -> SaddleInfo:
     """Damped Newton iteration on f'(z, alpha) = 0."""
     z = complex(guess)
-    scale = max(1.0, abs(derive(intg, z, alpha, 1)))
+    f1 = derive(intg, z, alpha, 1)
+    scale = max(1.0, abs(f1))
     for it in range(1, _MAX_ITERS + 1):
-        f1 = derive(intg, z, alpha, 1)
         if abs(f1) <= tol * scale:
             return SaddleInfo(
                 z0=z,
@@ -122,6 +129,7 @@ def find_saddle(
         if abs(step) > 1.0:
             step /= abs(step)
         z = z + step
+        f1 = derive(intg, z, alpha, 1)
     raise NoConvergence(f"find_saddle: no convergence after {_MAX_ITERS} iterations")
 
 
@@ -147,21 +155,13 @@ def find_caustic(
     a = float(alpha_guess)
     da = 1e-6
 
-    def residual(z, a):
-        return np.array(
-            [
-                derive(intg, z, a, 1).real,
-                derive(intg, z, a, 1).imag,
-                derive(intg, z, a, 2).real,
-                derive(intg, z, a, 2).imag,
-            ]
-        )
-
     for _ in range(_MAX_ITERS):
-        r = residual(z, a)
-        if np.linalg.norm(r) <= tol:
-            break
+        f1 = derive(intg, z, a, 1)
         f2 = derive(intg, z, a, 2)
+        r = np.array([f1.real, f1.imag, f2.real, f2.imag])
+        res = float(np.linalg.norm(r))
+        if res <= tol:
+            break
         f3 = derive(intg, z, a, 3)
         dfa1 = (derive(intg, z, a + da, 1) - derive(intg, z, a - da, 1)) / (2 * da)
         dfa2 = (derive(intg, z, a + da, 2) - derive(intg, z, a - da, 2)) / (2 * da)
@@ -187,13 +187,12 @@ def find_caustic(
     f4 = derive(intg, z, a, 4)
     # near a cusp the solver stalls with f3 ~ f4*dz and residual ~ f4*dz^2/2,
     # so |f3|^2 below that floor means f3 is numerically zero
-    res = float(np.linalg.norm(residual(z, a)))
     floor = math.sqrt(50.0 * max(abs(f4), 1.0) * max(res, 1e-13))
     if abs(f3) < max(1e-8, floor):
         raise DegenerateCubic(
             f"f'''(z_tilde, alpha_hat) = {f3:.3e}: fold assumption violated"
         )
-    return CausticInfo(z_tilde=complex(z), alpha_hat=float(a), f3_tilde=f3, _intg=intg)
+    return CausticInfo(z_tilde=complex(z), alpha_hat=float(a), f3_tilde=f3, intg=intg)
 
 
 def find_partner(

@@ -6,7 +6,9 @@ import textwrap
 import pytest
 from click.testing import CliRunner
 
+from caustica import cli
 from caustica.cli import main
+from caustica.saddle import find_partner
 
 
 @pytest.fixture
@@ -127,6 +129,114 @@ def test_sweep_unknown_method_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(tmp_path / "o.csv")])
     assert result.exit_code == 2
     assert "config error" in result.output
+
+
+@pytest.mark.parametrize(
+    "name, methods",
+    [
+        ("cubic", "wkb,cfu,corrected-nd"),
+        ("cubic", "corrected-nd"),
+        ("nd-perturbed-cubic", "corrected-nd,tilde,cfu"),
+    ],
+)
+def test_sweep_wrong_dimension_method_exit_2(runner, tmp_path, name, methods):
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        f"""\
+        [integrand]
+        name = {name}
+
+        [sweep]
+        alpha = 0.1
+        N = 10
+        methods = {methods}
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "config error" in result.output
+    assert not out.exists()
+
+
+def test_sweep_partner_solved_once_per_alpha(runner, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return find_partner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_partner", counting)
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = cubic
+
+        [sweep]
+        alpha = 0.1,0.3
+        N = 10,20,30
+        methods = cfu
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert calls == [0.1, 0.3]
+    assert len(out.read_text().splitlines()) == 2 + 6
+
+
+def test_sweep_cfu_divergent_at_caustic(runner, tmp_path):
+    # at alpha = 0 the cubic's saddles coalesce: no partner, so every N row
+    # marks cfu divergent and says why
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = cubic
+
+        [sweep]
+        alpha = 0
+        N = 10,20,30
+        methods = cfu
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[2:]]
+    assert [r["N"] for r in rows] == ["10", "20", "30"]
+    for r in rows:
+        assert r["cfu_re"] == "divergent" and r["cfu_im"] == ""
+        assert r["warnings"].startswith("cfu: saddles have coalesced")
+
+
+def test_sweep_mean_field_below_window_exit_3(runner, tmp_path):
+    # the z_tilde continuation on the mean-field toy used to overflow in
+    # cosh here; now the sweep ends with a typed error
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = mean-field-toy
+        m = 0.1
+
+        [sweep]
+        alpha = 0.9
+        N = 50
+        methods = tilde
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 3, result.output
+    assert out.read_text().splitlines()[-1].startswith("# error: WrongRegime: ")
 
 
 def test_sweep_method_error_exit_3(runner, tmp_path):

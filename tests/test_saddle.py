@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,6 +94,32 @@ def test_z_tilde_continuation():
     assert abs(derive(intg, zt, 0.8, 2)) < 1e-10
     # f' at the expansion point is the fold displacement, nonzero off-caustic
     assert abs(c.f1_tilde(0.8)) > 1e-3
+
+
+def test_z_tilde_continuation_runs_off_typed():
+    # on the mean-field toy below the coupling window the Newton iteration
+    # for f'' = 0 wanders off; damped, it ends in NoConvergence instead of
+    # an OverflowError from cosh
+    c = find_caustic(registry_get("mean-field-toy", {"m": 0.1}))
+    with pytest.raises(NoConvergence):
+        c.z_tilde_at(0.95)
+
+
+def test_z_tilde_continuation_flat_third_derivative():
+    # f''' = 0 leaves no Newton step for f'' = 0
+    cubic = registry_get("cubic")
+    quadratic = dataclasses.replace(
+        cubic,
+        analytic_derivs=(
+            lambda z, a: z - a,
+            lambda z, a: 1.0 + 0.0 * z,
+            lambda z, a: 0.0 * z,
+            lambda z, a: 0.0 * z,
+        ),
+    )
+    c = dataclasses.replace(find_caustic(cubic), intg=quadratic)
+    with pytest.raises(NoConvergence):
+        c.z_tilde_at(0.1)
 
 
 # ---------------------------------------------------------------------------
