@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 
+import numpy as np
 from scipy.special import airy, airye
 
 from .errors import NegativeArgument
@@ -54,12 +56,24 @@ def _airy_bi_prime(x: float) -> float:
     return float(airy(x)[3])
 
 
-def airy_ai_scaled_pair(x: float) -> tuple[float, float]:
-    """(Ai(x), Ai'(x)) * exp(+(2/3) x^{3/2}) for x >= 0, from one airye call."""
-    if x < 0:
+def airy_ai_scaled_pair(
+    x: "float | Sequence[float]",
+) -> "tuple[float, float] | tuple[tuple[float, float], ...]":
+    """(Ai(x), Ai'(x)) * exp(+(2/3) x^{3/2}) for x >= 0, from one airye call.
+
+    For a sequence of x, a tuple of such pairs, one per entry and each equal
+    to the pair for that entry alone, still from one airye call.
+    """
+    if isinstance(x, (int, float)):  # one number: no array round trip
+        if x < 0:
+            raise NegativeArgument("scaled Ai defined for x >= 0 only")
+        ai, aip, _, _ = airye(x)
+        return float(ai), float(aip)
+    xs = np.asarray(x, dtype=float)
+    if (xs < 0).any():
         raise NegativeArgument("scaled Ai defined for x >= 0 only")
-    ai, aip, _, _ = airye(x)
-    return float(ai), float(aip)
+    ai, aip, _, _ = airye(xs)
+    return tuple(zip(ai.tolist(), aip.tolist()))
 
 
 def airy_ai_scaled(x: float) -> float:

@@ -6,6 +6,11 @@ the saddle-anchored caustic-safe form, and the two-saddle CFU expansion.
 ``tilde`` and ``cfu`` carry their first correction term, of relative order
 N^{-1/3}; ``wkb`` and ``saddle`` are leading order.
 
+Each formula takes N as one number or as a sequence of numbers.  The
+per-alpha work (expansion-point and saddle data, descent phase, branch
+candidates, the checks that raise) is done once for the whole sequence, and
+the result is one ApproxValue per N, each equal to the call at that N alone.
+
 Phase conventions
 -----------------
 All square and cube roots are taken in the descent frame: the effective
@@ -20,9 +25,12 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Number
 
 from .airy import AiryKind, airy_ai_scaled, airy_ai_scaled_pair, recovery_factor
 from .errors import (
@@ -122,10 +130,33 @@ def _saddle_zeta(s: SaddleInfo) -> float:
     return (abs(s.f2) ** 3 / (2.0 * abs(s.f3) ** 2)) ** (2.0 / 3.0)
 
 
+def _over_grid(formula):
+    """Let a formula written for a tuple of N also take one number.
+
+    The formula does its per-alpha work, and raises its per-alpha errors,
+    once for the whole grid and returns one ApproxValue per N; a single N
+    is a one-element grid and gets its ApproxValue back unwrapped.
+    """
+
+    @functools.wraps(formula)
+    def over_grid(intg, alpha, N, *args, **kwargs):
+        if isinstance(N, Number):
+            return formula(intg, alpha, (N,), *args, **kwargs)[0]
+        return tuple(formula(intg, alpha, tuple(N), *args, **kwargs))
+
+    return over_grid
+
+
+@_over_grid
 def approx_wkb(
-    intg: Integrand1D, alpha: float, N: float, s: SaddleInfo
-) -> ApproxValue:
-    """Leading Gaussian saddle-point term, phase-fixed in the descent frame."""
+    intg: Integrand1D, alpha: float, N: "float | Sequence[float]", s: SaddleInfo
+) -> "ApproxValue | tuple[ApproxValue, ...]":
+    """Leading Gaussian saddle-point term, phase-fixed in the descent frame.
+
+    N is one number or a sequence of them (then one ApproxValue per N, in
+    order); CausticDivergence depends on alpha only and raises for the
+    whole grid.
+    """
     scale = max(1.0, abs(s.f3))
     # at a near-double root the solver stalls with f1 ~ residual and
     # f2^2 ~ 2 f3 f1, so curvature below that floor is numerically zero
@@ -134,20 +165,25 @@ def approx_wkb(
         raise CausticDivergence(
             f"|f''(z0)| = {abs(s.f2):.2e}: Gaussian prefactor divergent at alpha={alpha}"
         )
-    theta = _descent_phase(intg, s.z0, s.f2)
-    value = (
-        intg.prefactor
-        * intg.g(s.z0)
-        * cmath.exp(N * s.f0)
-        * math.sqrt(2.0 * math.pi / (N * abs(s.f2)))
-        * cmath.exp(1j * theta)
-    )
+    rotation = cmath.exp(1j * _descent_phase(intg, s.z0, s.f2))
+    amplitude = intg.prefactor * intg.g(s.z0)
+    curvature = abs(s.f2)
     try:
-        zp = ZetaParams.from_zeta(_saddle_zeta(s), N).zeta_prime
+        zeta = _saddle_zeta(s)
     except DegenerateCubic:
-        zp = math.inf
-    return ApproxValue(value=value, method=Method.WKB, zeta_prime=zp,
-                       regime=classify_regime(zp))
+        zeta = None
+    out = []
+    for n in N:
+        value = (
+            amplitude
+            * cmath.exp(n * s.f0)
+            * math.sqrt(2.0 * math.pi / (n * curvature))
+            * rotation
+        )
+        zp = math.inf if zeta is None else ZetaParams.from_zeta(zeta, n).zeta_prime
+        out.append(ApproxValue(value=value, method=Method.WKB, zeta_prime=zp,
+                               regime=classify_regime(zp)))
+    return out
 
 
 def _cube_roots(w: complex) -> list[complex]:
@@ -163,9 +199,10 @@ def _g_slope(intg: Integrand1D, z: complex) -> complex:
     return (intg.g(z + h * u) - intg.g(z - h * u)) / (2.0 * h * u)
 
 
+@_over_grid
 def approx_tilde(
-    intg: Integrand1D, alpha: float, N: float, c: CausticInfo
-) -> ApproxValue:
+    intg: Integrand1D, alpha: float, N: "float | Sequence[float]", c: CausticInfo
+) -> "ApproxValue | tuple[ApproxValue, ...]":
     """Expansion-point form anchored at z_tilde, where f'' vanishes, with its
     first correction term.
 
@@ -177,7 +214,11 @@ def approx_tilde(
         Ai -> Ai + (f'''' r^4/24) N^{-1/3} (2 Ai' + zeta'^2 Ai)
                  - (g'/g) r N^{-1/3} Ai'.
 
-    Exact for a pure cubic exponent with g at most linear.
+    Exact for a pure cubic exponent with g at most linear.  N is one number
+    or a sequence of them (then one ApproxValue per N, in order); z_tilde
+    and its derivatives are found once, and DegenerateCubic and WrongRegime
+    depend on alpha only and raise for the whole grid.  With
+    ``real_result_hint`` the cube-root branch is chosen per N.
     """
     zt = c.z_tilde_at(alpha)
     ft = intg.f(zt, alpha)
@@ -188,11 +229,9 @@ def approx_tilde(
     f4 = derive(intg, zt, alpha, 4)
     g0 = intg.g(zt)
     g1 = _g_slope(intg, zt)
-    n3 = N ** (-1.0 / 3.0)
 
-    roots = _cube_roots(2.0 / f3)
     candidates = []
-    for k, r in enumerate(roots):
+    for k, r in enumerate(_cube_roots(2.0 / f3)):
         zeta_c = -r * f1
         if abs(zeta_c.imag) > _IM_TOL * max(abs(zeta_c), 1e-300):
             continue
@@ -204,106 +243,127 @@ def approx_tilde(
             f"no cube-root branch yields a real fold parameter at alpha={alpha} "
             "(complex-saddle side?)"
         )
+    # the first branch, unless real_result_hint asks for the most nearly
+    # real value, which is chosen per N
+    if not (intg.real_result_hint and len(candidates) > 1):
+        candidates = candidates[:1]
 
-    def build(k, r, zeta):
-        zp = ZetaParams.from_zeta(zeta, N, branch_index=k)
-        x = zp.zeta_prime
-        ai, aip = airy_ai_scaled_pair(x)
-        quartic = f4 * r ** 4 / 24.0 * n3 * (2.0 * aip + x * x * ai)
-        val = (
-            intg.prefactor
-            * 2.0j
-            * math.pi
-            * r
-            * n3
-            * (g0 * (ai + quartic) - g1 * r * n3 * aip)
-            * cmath.exp(N * ft - zp.exp_shift)
-        )
-        return zp, val
+    # per branch: the constant prefixes of the quartic term, of the value
+    # and of the g' term, and the fold parameters over the grid
+    prefixes = [
+        (f4 * r ** 4 / 24.0, intg.prefactor * 2.0j * math.pi * r, g1 * r)
+        for _, r, _ in candidates
+    ]
+    zps = [[ZetaParams.from_zeta(zeta, n, branch_index=k) for n in N]
+           for k, _, zeta in candidates]
+    pairs = airy_ai_scaled_pair([zp.zeta_prime for row in zps for zp in row])
 
-    if intg.real_result_hint and len(candidates) > 1:
-        built = [build(*cand) for cand in candidates]
-        zp, val = min(
-            built, key=lambda t: abs(t[1].imag) / max(abs(t[1]), 1e-300)
-        )
-    else:
-        zp, val = build(*candidates[0])
+    out = []
+    for i, n in enumerate(N):
+        n3 = n ** (-1.0 / 3.0)
+        built = []
+        for j, (quartic_c, value_c, g1r) in enumerate(prefixes):
+            zp = zps[j][i]
+            x = zp.zeta_prime
+            ai, aip = pairs[j * len(N) + i]
+            quartic = quartic_c * n3 * (2.0 * aip + x * x * ai)
+            val = (
+                value_c
+                * n3
+                * (g0 * (ai + quartic) - g1r * n3 * aip)
+                * cmath.exp(n * ft - zp.exp_shift)
+            )
+            built.append((zp, val))
+        zp, val = min(built, key=lambda t: abs(t[1].imag) / max(abs(t[1]), 1e-300))
 
-    warnings = []
-    if intg.real_result_hint and abs(val.imag) > _IM_TOL * abs(val):
-        warnings.append("tilde: nonzero imaginary part despite real_result_hint")
-    return ApproxValue(
-        value=val,
-        method=Method.TILDE,
-        zeta_prime=zp.zeta_prime,
-        regime=classify_regime(zp.zeta_prime),
-        warnings=tuple(warnings),
-        params=zp,
-    )
+        warnings = []
+        if intg.real_result_hint and abs(val.imag) > _IM_TOL * abs(val):
+            warnings.append("tilde: nonzero imaginary part despite real_result_hint")
+        out.append(ApproxValue(
+            value=val,
+            method=Method.TILDE,
+            zeta_prime=zp.zeta_prime,
+            regime=classify_regime(zp.zeta_prime),
+            warnings=tuple(warnings),
+            params=zp,
+        ))
+    return out
 
 
+@_over_grid
 def approx_saddle_form(
     intg: Integrand1D,
     alpha: float,
-    N: float,
+    N: "float | Sequence[float]",
     s: SaddleInfo,
     c: CausticInfo,
-) -> ApproxValue:
+) -> "ApproxValue | tuple[ApproxValue, ...]":
     """Saddle-anchored Airy form, evaluated in the cancelled (caustic-safe)
     shape so the zeta'^{1/4} suppression never meets a divergent Gaussian
-    prefactor.  Leading order: it carries no correction term."""
+    prefactor.  Leading order: it carries no correction term.
+
+    N is one number or a sequence of them (then one ApproxValue per N, in
+    order); z_tilde is found once, and DegenerateCubic depends on alpha
+    only and raises for the whole grid.
+    """
     if s.f3 == 0:
         raise DegenerateCubic("f''' vanishes at the saddle")
     zeta = _saddle_zeta(s)
-    zp = ZetaParams.from_zeta(zeta, N)
 
     # exponent-sign constant from the consistency identity
     # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}
     ft = intg.f(c.z_tilde_at(alpha), alpha)
     df = (s.f0 - ft).real
     sgn = -1.0 if df <= 0.0 else 1.0
+    shift = sgn + 1.0
 
-    theta = _descent_phase(intg, s.z0, s.f2)
-    aie = airy_ai_scaled(zp.zeta_prime)
-    value = (
-        intg.prefactor
-        * 2.0 * math.pi
-        * intg.g(s.z0)
-        * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
-        * N ** (-1.0 / 3.0)
-        * cmath.exp(1j * theta)
-        * aie
-        * cmath.exp(N * s.f0 - (sgn + 1.0) * zp.exp_shift)
+    rotation = cmath.exp(1j * _descent_phase(intg, s.z0, s.f2))
+    amplitude = (
+        intg.prefactor * 2.0 * math.pi * intg.g(s.z0) * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
     )
-
-    warnings = []
+    # cross-check against the naive product form WKB * R
+    naive = None
     if sgn < 0 and abs(s.f2) > 1e-6 * max(1.0, abs(s.f3)):
-        # cross-check against the naive product form WKB * R
-        naive = approx_wkb(intg, alpha, N, s).value * recovery_factor(
-            zp.zeta_prime, AiryKind.RECESSIVE
+        naive = approx_wkb(intg, alpha, N, s)
+
+    out = []
+    for i, n in enumerate(N):
+        zp = ZetaParams.from_zeta(zeta, n)
+        aie = airy_ai_scaled(zp.zeta_prime)
+        value = (
+            amplitude
+            * n ** (-1.0 / 3.0)
+            * rotation
+            * aie
+            * cmath.exp(n * s.f0 - shift * zp.exp_shift)
         )
-        denom = max(abs(value), 1e-300)
-        if abs(naive - value) / denom > 1e-9:
-            warnings.append(
-                f"saddle-form: cancelled/naive mismatch {abs(naive - value) / denom:.2e}"
-            )
-    return ApproxValue(
-        value=value,
-        method=Method.SADDLE_FORM,
-        zeta_prime=zp.zeta_prime,
-        regime=classify_regime(zp.zeta_prime),
-        warnings=tuple(warnings),
-        params=zp,
-    )
+        warnings = []
+        if naive is not None:
+            product = naive[i].value * recovery_factor(zp.zeta_prime, AiryKind.RECESSIVE)
+            denom = max(abs(value), 1e-300)
+            if abs(product - value) / denom > 1e-9:
+                warnings.append(
+                    f"saddle-form: cancelled/naive mismatch {abs(product - value) / denom:.2e}"
+                )
+        out.append(ApproxValue(
+            value=value,
+            method=Method.SADDLE_FORM,
+            zeta_prime=zp.zeta_prime,
+            regime=classify_regime(zp.zeta_prime),
+            warnings=tuple(warnings),
+            params=zp,
+        ))
+    return out
 
 
+@_over_grid
 def approx_cfu(
     intg: Integrand1D,
     alpha: float,
-    N: float,
+    N: "float | Sequence[float]",
     s: SaddleInfo,
     p: SaddleInfo,
-) -> ApproxValue:
+) -> "ApproxValue | tuple[ApproxValue, ...]":
     """Two-saddle uniform (Chester-Friedman-Ursell) form with its first
     correction term:
 
@@ -311,6 +371,10 @@ def approx_cfu(
 
     where a0 and b0 are the half-sum and the half-difference over sqrt(zeta)
     of the two saddle amplitudes.  b0 vanishes for a symmetric pair.
+
+    N is one number or a sequence of them (then one ApproxValue per N, in
+    order); a0, b0 and zeta are built once, and BranchAmbiguous depends on
+    alpha only and raises for the whole grid.
     """
     if abs(p.z0 - s.z0) < 1e-12 * max(1.0, abs(s.z0)):
         raise BranchAmbiguous("CFU needs two distinct saddles")
@@ -323,7 +387,6 @@ def approx_cfu(
             f"no saddle labeling makes the fold parameter real (Im = {w.imag:.2e})"
         )
     zeta = w.real ** (2.0 / 3.0)
-    zp = ZetaParams.from_zeta(zeta, N)
 
     sq = math.sqrt(zeta)
     term_s = intg.g(s.z0) * cmath.sqrt(2.0 * sq / (-s.f2))
@@ -332,28 +395,30 @@ def approx_cfu(
     b0 = 0.5 * (term_s - term_p) / sq
 
     big_a = 0.5 * (s.f0 + p.f0)
-    ai, aip = airy_ai_scaled_pair(zp.zeta_prime)
-    n3 = N ** (-1.0 / 3.0)
-    # exp(N*A) * Ai(zeta') evaluated log-safe: N*A - exp_shift = N f(z0^*)
-    value = (
-        intg.prefactor
-        * 2.0j
-        * math.pi
-        * n3
-        * (a0 * ai + b0 * n3 * aip)
-        * cmath.exp(N * big_a - zp.exp_shift)
-    )
-    warnings = []
-    if intg.real_result_hint and abs(value.imag) > _IM_TOL * max(abs(value), 1e-300):
-        warnings.append("cfu: nonzero imaginary part despite real_result_hint")
-    return ApproxValue(
-        value=value,
-        method=Method.CFU,
-        zeta_prime=zp.zeta_prime,
-        regime=classify_regime(zp.zeta_prime),
-        warnings=tuple(warnings),
-        params=zp,
-    )
+    amplitude = intg.prefactor * 2.0j * math.pi
+    zps = [ZetaParams.from_zeta(zeta, n) for n in N]
+    out = []
+    for n, zp, (ai, aip) in zip(N, zps, airy_ai_scaled_pair([zp.zeta_prime for zp in zps])):
+        n3 = n ** (-1.0 / 3.0)
+        # exp(N*A) * Ai(zeta') evaluated log-safe: N*A - exp_shift = N f(z0^*)
+        value = (
+            amplitude
+            * n3
+            * (a0 * ai + b0 * n3 * aip)
+            * cmath.exp(n * big_a - zp.exp_shift)
+        )
+        warnings = []
+        if intg.real_result_hint and abs(value.imag) > _IM_TOL * max(abs(value), 1e-300):
+            warnings.append("cfu: nonzero imaginary part despite real_result_hint")
+        out.append(ApproxValue(
+            value=value,
+            method=Method.CFU,
+            zeta_prime=zp.zeta_prime,
+            regime=classify_regime(zp.zeta_prime),
+            warnings=tuple(warnings),
+            params=zp,
+        ))
+    return out
 
 
 def regime_report(intg: Integrand1D, alpha: float, N: float) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .airy import AiryKind, airy_ai_scaled, recovery_factor
 from .asym1d import ZetaParams, _saddle_zeta, approx_wkb, classify_regime
-from .errors import CausticDivergence, DegenerateCubic, WrongRegime
+from .errors import CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
 from .integrand import Integrand1D, IntegrandND
 from .saddle import NdSaddleInfo, find_caustic, find_saddle, find_saddle_nd
 
@@ -179,7 +179,7 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
                     approx_wkb(intg, a, N, fold_s)
                 except CausticDivergence:
                     fold_status = "divergent"
-                except Exception:
+                except CausticaError:
                     fold_status = "unavailable"
                 rows.append(
                     {

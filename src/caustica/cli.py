@@ -115,18 +115,18 @@ def _parse_config(path: str) -> dict:
 
 class _Sweep1D:
     """Solves the one-variable methods share: the caustic once per sweep and,
-    per alpha, the saddle (continued from the previous alpha) and, on first
-    use, its partner."""
+    per alpha, the saddle (continued from the previous alpha)."""
 
-    # name -> value at one (alpha, N).  The solvers, formulas and oracle are
-    # looked up in this module at call time, so that wrappers set on these
-    # names (bench/spans.py) see every call.
+    # name -> values at one alpha over the N grid, one per N.  The solvers
+    # and formulas are looked up in this module at call time, so that
+    # wrappers set on these names (bench/spans.py) see every call.
     calls = {
-        "wkb": lambda sw, a, N: approx_wkb(sw.intg, a, N, sw.saddle),
-        "tilde": lambda sw, a, N: approx_tilde(sw.intg, a, N, sw.caustic),
-        "saddle": lambda sw, a, N: approx_saddle_form(sw.intg, a, N, sw.saddle, sw.caustic),
-        "cfu": lambda sw, a, N: approx_cfu(sw.intg, a, N, sw.saddle, sw.partner()),
-        "oracle": lambda sw, a, N: quad_contour(sw.intg, a, N, tol=sw.tol).value,
+        "wkb": lambda sw, a, ns: approx_wkb(sw.intg, a, ns, sw.saddle),
+        "tilde": lambda sw, a, ns: approx_tilde(sw.intg, a, ns, sw.caustic),
+        "saddle": lambda sw, a, ns: approx_saddle_form(sw.intg, a, ns, sw.saddle, sw.caustic),
+        "cfu": lambda sw, a, ns: approx_cfu(
+            sw.intg, a, ns, sw.saddle, find_partner(sw.intg, a, sw.saddle)
+        ),
     }
 
     def __init__(self, intg, cfg):
@@ -137,7 +137,6 @@ class _Sweep1D:
         self.saddle = None
 
     def solve(self, a):
-        self.alpha, self._partner = a, None
         if self.want_saddle:
             if self.saddle is not None:
                 guess = self.saddle.z0  # continuation across the sweep
@@ -145,25 +144,21 @@ class _Sweep1D:
                 guess = self.intg.saddle_guess(a) if self.intg.saddle_guess else 0.1 + 0.0j
             self.saddle = find_saddle(self.intg, a, guess)
 
-    def partner(self):
-        # a PartnerNotFound is kept too, so that every N of this alpha sees it
-        if self._partner is None:
-            try:
-                self._partner = find_partner(self.intg, self.alpha, self.saddle)
-            except PartnerNotFound as exc:
-                self._partner = exc
-        if isinstance(self._partner, PartnerNotFound):
-            raise self._partner
-        return self._partner
+    def oracle(self, a, N):
+        return quad_contour(self.intg, a, N, tol=self.tol).value
 
 
 class _SweepND:
     """The n-variable methods share one saddle per alpha."""
 
+    # the n-D formulas take one N; their errors depend on alpha only
     calls = {
-        "wkb-nd": lambda sw, a, N: asymnd.approx_wkb_nd(sw.intg, a, N, sw.saddle),
-        "corrected-nd": lambda sw, a, N: asymnd.approx_corrected_nd(sw.intg, a, N, sw.saddle),
-        "oracle": lambda sw, a, N: cubature_nd(sw.intg, a, N, tol=max(sw.tol, 1e-8)).value,
+        "wkb-nd": lambda sw, a, ns: tuple(
+            asymnd.approx_wkb_nd(sw.intg, a, N, sw.saddle) for N in ns
+        ),
+        "corrected-nd": lambda sw, a, ns: tuple(
+            asymnd.approx_corrected_nd(sw.intg, a, N, sw.saddle) for N in ns
+        ),
     }
 
     def __init__(self, intg, cfg):
@@ -173,6 +168,9 @@ class _SweepND:
         g = self.intg.saddle_guess(a) if self.intg.saddle_guess else [0.0] * self.intg.dim
         self.saddle = find_saddle_nd(self.intg, a, g)
 
+    def oracle(self, a, N):
+        return cubature_nd(self.intg, a, N, tol=max(self.tol, 1e-8)).value
+
 
 def _sweep_kind(intg):
     return _Sweep1D if isinstance(intg, Integrand1D) else _SweepND
@@ -180,20 +178,27 @@ def _sweep_kind(intg):
 
 def _sweep_rows(intg, cfg, branches):
     """Yield one CSV row per (alpha, N), alpha-major: method values, oracle
-    and relative errors, warnings.  Adds each row's cube-root branch index,
-    when a method reports one, to ``branches``."""
+    and relative errors, warnings.  Each method runs once per alpha over the
+    whole N grid; a per-alpha error it raises marks every N's cell
+    ``divergent``.  Adds each row's cube-root branch index, when a method
+    reports one, to ``branches``."""
     sw = _sweep_kind(intg)(intg, cfg)
-    methods = cfg["methods"]
+    methods, ns = cfg["methods"], cfg["N"]
     for a in cfg["alphas"]:
         sw.solve(a)
-        for N in cfg["N"]:
+        grid = {}
+        for m in methods:
+            try:
+                grid[m] = sw.calls[m](sw, a, ns)
+            except (CausticDivergence, PartnerNotFound, DegenerateCubic) as exc:
+                grid[m] = exc
+        for i, N in enumerate(ns):
             values, warnings, zp, branch = {}, [], None, None
             for m in methods:
-                try:
-                    av = sw.calls[m](sw, a, N)
-                except (CausticDivergence, PartnerNotFound, DegenerateCubic) as exc:
-                    warnings.append(f"{m}: {exc}")
+                if isinstance(grid[m], CausticaError):
+                    warnings.append(f"{m}: {grid[m]}")
                     continue
+                av = grid[m][i]
                 values[m] = av.value
                 warnings.extend(av.warnings)
                 if zp is None or m == "tilde":
@@ -209,7 +214,7 @@ def _sweep_rows(intg, cfg, branches):
                 row += ["divergent", None] if v is None else [v.real, v.imag]
             if cfg["oracle"]:
                 try:
-                    o = sw.calls["oracle"](sw, a, N)
+                    o = sw.oracle(a, N)
                 except CausticaError as exc:
                     raise _OracleFailed(exc) from exc
                 row += [o.real, o.imag]
@@ -252,7 +257,7 @@ def sweep(config_path, output_path):
     try:
         cfg = _parse_config(config_path)
         intg = registry_get(cfg["name"], cfg["params"])
-        known = [m for m in _sweep_kind(intg).calls if m != "oracle"]
+        known = list(_sweep_kind(intg).calls)
         for m in cfg["methods"]:
             if m not in known:
                 raise BadParameter(f"method {m!r} does not apply to {cfg['name']}; known: {known}")

@@ -12,7 +12,7 @@ from caustica import (
     airy_bi_scaled,
     recovery_factor,
 )
-from caustica.airy import _airy_ai_prime, _airy_bi_prime
+from caustica.airy import _airy_ai_prime, _airy_bi_prime, airy_ai_scaled_pair
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 30
@@ -107,3 +107,17 @@ def test_recovery_factor_asymptotic_rate():
 def test_recovery_factor_guards():
     with pytest.raises(NegativeArgument):
         recovery_factor(-0.1)
+
+
+def test_scaled_pair_over_sequence_equals_scalar_calls():
+    xs = [0.0, 1e-300, 1e-3, 0.5, 4.6, 6.1, 25.0, 100.00000000000028, 1e4]
+    for seq in (xs, tuple(xs), np.array(xs)):
+        assert airy_ai_scaled_pair(seq) == tuple(airy_ai_scaled_pair(x) for x in xs)
+    assert airy_ai_scaled_pair([]) == ()
+
+
+def test_scaled_pair_sequence_rejects_any_negative_entry():
+    with pytest.raises(NegativeArgument):
+        airy_ai_scaled_pair([0.5, -1e-12, 2.0])
+    with pytest.raises(NegativeArgument):
+        airy_ai_scaled_pair(-1.0)

@@ -8,7 +8,9 @@ from scipy.special import airy
 
 from caustica import (
     AiryKind,
+    ApproxValue,
     BranchAmbiguous,
+    CausticaError,
     CausticDivergence,
     Method,
     Regime,
@@ -268,3 +270,65 @@ def test_golden_bessel_value():
     from caustica import bessel_ref
 
     assert bessel_ref(1, 1.0) == pytest.approx(J1_1, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one call over an N grid equals one call per N
+
+
+GRID = (10, 30, 100, 300, 1000)
+
+
+def _outcome(formula, N):
+    try:
+        return formula(N)
+    except CausticaError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "name, params, alpha",
+    [
+        ("cubic", {}, 0.3),
+        ("perturbed-cubic", {"eps": "0.05"}, 0.3),
+        ("bessel-sinh", {}, 0.999),
+        # three cube-root branches give a real fold parameter at alpha_hat,
+        # so real_result_hint chooses one per N
+        ("bessel-sinh", {}, 1.0),
+        ("mean-field-toy", {"m": "0.1"}, 1.35),
+    ],
+)
+def test_formulas_over_grid_equal_scalar_calls(name, params, alpha):
+    intg = registry_get(name, params)
+    c = find_caustic(intg)
+    s = find_saddle(intg, alpha, intg.saddle_guess(alpha))
+    formulas = {
+        "wkb": lambda N: approx_wkb(intg, alpha, N, s),
+        "tilde": lambda N: approx_tilde(intg, alpha, N, c),
+        "saddle": lambda N: approx_saddle_form(intg, alpha, N, s, c),
+    }
+    try:
+        p = find_partner(intg, alpha, s)
+        formulas["cfu"] = lambda N: approx_cfu(intg, alpha, N, s, p)
+    except CausticaError:
+        assert alpha == 1.0  # the saddles coalesce at the caustic
+    evaluated = 0
+    for method, formula in formulas.items():
+        single = [_outcome(formula, N) for N in GRID]
+        grid = _outcome(formula, list(GRID))
+        if all(isinstance(v, ApproxValue) for v in single):
+            assert isinstance(grid, tuple) and grid == tuple(single), method
+            assert _outcome(formula, GRID) == grid
+            evaluated += 1
+        else:
+            # errors depend on alpha only: every N and the grid raise alike
+            assert all(v == grid for v in single), method
+    assert evaluated >= 2
+
+
+def test_formula_single_n_is_not_wrapped():
+    intg = registry_get("cubic")
+    s = find_saddle(intg, 0.3, intg.saddle_guess(0.3))
+    assert isinstance(approx_wkb(intg, 0.3, 30, s), ApproxValue)
+    assert approx_wkb(intg, 0.3, [30], s) == (approx_wkb(intg, 0.3, 30, s),)
+    assert approx_wkb(intg, 0.3, [], s) == ()

@@ -8,6 +8,7 @@ from caustica import (
     CausticDivergence,
     DegenerateCubic,
     IntegrandND,
+    NoConvergence,
     WrongRegime,
     approx_corrected_nd,
     approx_saddle_form,
@@ -19,6 +20,7 @@ from caustica import (
     registry_get,
 )
 from caustica.airy import airy_ai
+from caustica.saddle import CausticInfo
 
 
 def _nd(dim=2, eps=0.05, c=0.0, **extra):
@@ -211,3 +213,22 @@ def test_mean_field_m0_degenerate():
 def test_mean_field_compare_type_guard():
     with pytest.raises(WrongRegime):
         mean_field_compare("not an integrand", [1.0], [10])
+
+
+def test_mean_field_fold_check_typed_error_is_unavailable(monkeypatch):
+    def no_convergence(self, alpha, tol=1e-12):
+        raise NoConvergence("z_tilde continuation stalled")
+
+    monkeypatch.setattr(CausticInfo, "z_tilde_at", no_convergence)
+    rows = mean_field_compare(registry_get("mean-field-toy", {"m": 0.1}), [1.4], [50])
+    assert [r["fold_wkb"] for r in rows] == ["unavailable"]
+
+
+def test_mean_field_fold_check_untyped_error_propagates(monkeypatch):
+    # only a typed CausticaError means "unavailable"; a bug must surface
+    def broken(self, alpha, tol=1e-12):
+        raise ZeroDivisionError("not a solver failure")
+
+    monkeypatch.setattr(CausticInfo, "z_tilde_at", broken)
+    with pytest.raises(ZeroDivisionError):
+        mean_field_compare(registry_get("mean-field-toy", {"m": 0.1}), [1.4], [50])

@@ -216,6 +216,65 @@ def test_sweep_cfu_divergent_at_caustic(runner, tmp_path):
         assert r["warnings"].startswith("cfu: saddles have coalesced")
 
 
+def test_sweep_tilde_called_once_per_alpha(runner, tmp_path, monkeypatch):
+    calls = []
+    approx_tilde = cli.approx_tilde
+
+    def counting(intg, alpha, N, c):
+        calls.append((alpha, tuple(N)))
+        return approx_tilde(intg, alpha, N, c)
+
+    monkeypatch.setattr(cli, "approx_tilde", counting)
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = cubic
+
+        [sweep]
+        alpha = 0.1,0.3
+        N = 10,20,30
+        methods = tilde
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    assert calls == [(0.1, (10, 20, 30)), (0.3, (10, 20, 30))]
+    assert len(out.read_text().splitlines()) == 2 + 6
+
+
+def test_sweep_wkb_divergent_at_caustic(runner, tmp_path):
+    # at alpha = 0 the cubic's Gaussian prefactor diverges: the per-alpha
+    # CausticDivergence marks every N's wkb cell divergent and says why
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = cubic
+
+        [sweep]
+        alpha = 0
+        N = 10,20,30
+        methods = wkb,tilde
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[2:]]
+    assert [r["N"] for r in rows] == ["10", "20", "30"]
+    for r in rows:
+        assert r["wkb_re"] == "divergent" and r["wkb_im"] == ""
+        assert r["warnings"].startswith("wkb: |f''(z0)| = ")
+        assert "Gaussian prefactor divergent at alpha=0.0" in r["warnings"]
+        assert r["tilde_re"] != "divergent"
+
+
 def test_sweep_mean_field_below_window_exit_3(runner, tmp_path):
     # the z_tilde continuation on the mean-field toy used to overflow in
     # cosh here; now the sweep ends with a typed error
