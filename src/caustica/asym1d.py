@@ -27,7 +27,6 @@ import cmath
 import enum
 import functools
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Number
@@ -39,7 +38,7 @@ from .errors import (
     DegenerateCubic,
     WrongRegime,
 )
-from .integrand import Integrand1D, derive
+from .integrand import Integrand1D, _derivative, derive
 from .saddle import CausticInfo, SaddleInfo
 
 __all__ = [
@@ -59,8 +58,6 @@ CAUSTIC_WINDOW_MAX = 2.0
 WKB_SAFE_MIN = 10.0
 
 _IM_TOL = 1e-6
-# central-difference step for g', balancing O(h^2) truncation and rounding
-_G_STEP = sys.float_info.epsilon ** (1.0 / 3.0)
 
 
 class Method(enum.Enum):
@@ -192,13 +189,6 @@ def _cube_roots(w: complex) -> list[complex]:
     return [r * cmath.exp(1j * (p + 2.0 * math.pi * k) / 3.0) for k in range(3)]
 
 
-def _g_slope(intg: Integrand1D, z: complex) -> complex:
-    """g'(z) by a central difference along the local contour direction."""
-    u = intg.contour.tangent_near(z)
-    h = _G_STEP * max(1.0, abs(z))
-    return (intg.g(z + h * u) - intg.g(z - h * u)) / (2.0 * h * u)
-
-
 @_over_grid
 def approx_tilde(
     intg: Integrand1D, alpha: float, N: "float | Sequence[float]", c: CausticInfo
@@ -228,12 +218,14 @@ def approx_tilde(
         raise DegenerateCubic("f''' vanishes at the expansion point")
     f4 = derive(intg, zt, alpha, 4)
     g0 = intg.g(zt)
-    g1 = _g_slope(intg, zt)
+    g1 = complex(_derivative(lambda s: intg.g(zt + s), max(1.0, abs(zt)), 1))
 
     candidates = []
     for k, r in enumerate(_cube_roots(2.0 / f3)):
         zeta_c = -r * f1
-        if abs(zeta_c.imag) > _IM_TOL * max(abs(zeta_c), 1e-300):
+        # an absolute floor: at the caustic zeta is zero up to the rounding
+        # that the solve for z_tilde leaves in its imaginary part
+        if abs(zeta_c.imag) > _IM_TOL * max(abs(zeta_c), 1e-12):
             continue
         if zeta_c.real < -_IM_TOL:
             continue

@@ -167,20 +167,21 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
         for a in alpha_grid:
             guess = intg.saddle_guess(a) if intg.saddle_guess else 1.0 + 0.0j
             s = find_saddle(intg, a, guess)
-            for N in N_grid:
-                wkb = approx_wkb(intg, a, N, s)
+            wkbs = approx_wkb(intg, a, N_grid, s)
+            # status of the Gaussian term at the coalescing (fold) saddle,
+            # which depends on alpha only
+            fold_status = "finite"
+            try:
+                zt = caustic.z_tilde_at(a)
+                fold_s = find_saddle(intg, a, zt + 0.05)
+                approx_wkb(intg, a, N_grid, fold_s)
+            except CausticDivergence:
+                fold_status = "divergent"
+            except CausticaError:
+                fold_status = "unavailable"
+            for N, wkb in zip(N_grid, wkbs):
                 zp = ZetaParams.from_zeta(_saddle_zeta(s), N).zeta_prime
                 corr = wkb.value * recovery_factor(zp, AiryKind.RECESSIVE)
-                # status of the Gaussian term at the coalescing (fold) saddle
-                fold_status = "finite"
-                try:
-                    zt = caustic.z_tilde_at(a)
-                    fold_s = find_saddle(intg, a, zt + 0.05)
-                    approx_wkb(intg, a, N, fold_s)
-                except CausticDivergence:
-                    fold_status = "divergent"
-                except CausticaError:
-                    fold_status = "unavailable"
                 rows.append(
                     {
                         "alpha": a,

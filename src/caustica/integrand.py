@@ -1,6 +1,11 @@
 """Integrand models: function pairs, contour geometry, derivative engine,
 and the registry of built-in test families.
 
+Without analytic providers, derivatives come from the Taylor jet of one FFT
+over points on a circle around the point.  So f, g and F must be analytic
+and accept complex arguments, as the registry families, ``quad_contour``
+and ``cubature_nd`` already require.
+
 All objects are immutable after construction and safe to share across
 parallel workers.
 """
@@ -56,13 +61,6 @@ class ContourPath:
             raise BadParameter("orientation must be +1 or -1")
         object.__setattr__(self, "nodes", tuple(complex(z) for z in self.nodes))
 
-    def travel_directions(self) -> list[tuple[complex, complex, complex]]:
-        """(start, end, unit direction) for each finite segment, in travel order."""
-        return [
-            (a, b, (b - a) / abs(b - a))
-            for a, b in zip(self.nodes, self.nodes[1:])
-        ]
-
     def tangent_near(self, z: complex) -> complex:
         """Unit travel direction of the contour element closest to ``z``.
 
@@ -72,13 +70,13 @@ class ContourPath:
         best = None
         best_d = math.inf
         # finite segments
-        for a, b, u in self.travel_directions():
+        for a, b in zip(self.nodes, self.nodes[1:]):
             t = ((z - a) / (b - a)).real
             t = min(max(t, 0.0), 1.0)
             p = a + t * (b - a)
             d = abs(z - p)
             if d < best_d:
-                best_d, best = d, u
+                best_d, best = d, (b - a) / abs(b - a)
         # rays (travel direction: inward along tail, outward along head)
         for anchor, ang, sgn in (
             (self.nodes[0], self.tail_angle, -1.0),
@@ -184,78 +182,73 @@ class IntegrandND:
 # derivative engine
 
 
-_STENCILS = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-    4: ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)),
-}
+_JET_M = 32
+# nodes exp(2 pi i k / M) on the unit circle, with node M/2 exactly -1 and
+# node M - k the exact conjugate of node k, so that a function that is real
+# on the real axis, sampled around a real point, gives exact conjugate pairs
+_HALF = np.exp(2j * np.pi * np.arange(_JET_M // 2 + 1) / _JET_M)
+_HALF[-1] = -1.0
+_JET_NODES = np.concatenate((_HALF, _HALF[-2:0:-1].conj()))
+_JET_RADIUS = 0.25
+_JET_HALVINGS = 8
+_JET_TOL = 1e-7  # largest accepted error bound, relative to max(1, |value|)
+_FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
 
 
-def _central(func, h, order):
-    acc = 0.0
-    for k, w in _STENCILS[order]:
-        acc += w * func(k * h)
-    return acc / h ** order
+def _jet(func, scale):
+    """Taylor jet [u, u', u'', u''', u''''] of ``func(s)`` at s = 0, and an
+    error bound for each entry.
 
-
-def _richardson(func, h0, order):
-    """Two Richardson levels on O(h^2) central stencils; returns (value, err).
-
-    The error estimate is the magnitude of the last removed correction
-    (|r2 - r1|/15), floored at the rounding noise of the finest stencil.
+    ``func`` is sampled at M points on a circle and one FFT gives its scaled
+    Taylor coefficients (Lyness & Moler 1967).  For a function analytic on
+    the disc, the coefficients from index M/2 up (the top and the negative
+    frequencies) are aliases of terms of degree M/2 and higher.  Starting
+    from ``_JET_RADIUS * scale``, the radius is halved until they sit at
+    rounding level, and their size then bounds the truncation error
+    (Bornemann, FoCM 2011).  A kink, or a function that drops the imaginary
+    part of its argument, keeps them large on every radius and raises
+    StepUnderflow.  When the samples come in exact conjugate pairs the jet
+    is real.
     """
-    d = [_central(func, h0 / 2 ** i, order) for i in range(3)]
-    r1 = [(4.0 * d[i + 1] - d[i]) / 3.0 for i in range(2)]
-    r2 = (16.0 * r1[1] - r1[0]) / 15.0
-    f_scale = max(abs(func(0.0)), 1.0)
-    rounding = 64.0 * _EPS * f_scale / (h0 / 4.0) ** order
-    return r2, max(abs(r2 - r1[1]) / 15.0, rounding)
+    r = _JET_RADIUS * scale
+    for _ in range(_JET_HALVINGS + 1):
+        samples = np.array([func(s) for s in (r * _JET_NODES).tolist()], dtype=complex)
+        c = np.fft.fft(samples) / _JET_M
+        floor = 8.0 * _EPS * max(1.0, np.abs(samples).max())
+        tail = np.abs(c[_JET_M // 2:]).max()
+        if tail <= floor:
+            if samples[0].imag == 0.0 and np.array_equal(samples[:0:-1], samples[1:].conj()):
+                c = c.real
+            powers = r ** np.arange(5)
+            return _FACTORIALS * c[:5] / powers, _FACTORIALS * (tail + floor) / powers
+        r /= 2.0
+    raise StepUnderflow(
+        f"Taylor coefficients do not decay down to radius {2.0 * r:.1e}: not analytic there"
+    )
 
 
-def _best_richardson(func, h0, order):
-    """Richardson over a small step-size scan, keeping the best estimate."""
-    best = None
-    for scale in (1.0, 0.8, 0.65, 1.4, 0.5):
-        val, err = _richardson(func, h0 * scale, order)
-        if best is None or err < best[1]:
-            best = (val, err)
-    return best
+def _derivative(func, scale, order):
+    """Order-th derivative of ``func`` at 0 from its jet; StepUnderflow when
+    the error bound exceeds ``_JET_TOL`` relative to max(1, |value|)."""
+    jet, err = _jet(func, scale)
+    if err[order] > _JET_TOL * max(1.0, abs(jet[order])):
+        raise StepUnderflow(f"order-{order} derivative error bound {err[order]:.2e} exceeds tol")
+    return jet[order]
 
 
-def derive(
-    intg: Integrand1D,
-    z: complex,
-    alpha: float,
-    order: int,
-    tol: float = None,
-) -> complex:
+def derive(intg: Integrand1D, z: complex, alpha: float, order: int) -> complex:
     """n-th complex derivative of f at z (orders 1..4).
 
-    Uses the analytic provider when available, otherwise central finite
-    differences along the local contour tangent with Richardson
-    extrapolation.
+    Uses the analytic provider when available, otherwise the Taylor jet of
+    f on a circle around z.  f must be analytic near z and accept complex
+    arguments; where it is not, StepUnderflow is raised.  At a real z, an f
+    that is real on the real axis gives an exactly real derivative.
     """
     if order not in (1, 2, 3, 4):
         raise BadParameter(f"order must be 1..4, got {order}")
-    if tol is None:
-        # the conservative error estimator sits near 1e-7 for order 4 even
-        # when the actual error is ~1e-8
-        tol = 1e-7 if order < 4 else 5e-7
     if intg.analytic_derivs is not None:
         return intg.analytic_derivs[order - 1](z, alpha)
-    direction = intg.contour.tangent_near(z)
-    # two Richardson levels make the scheme O(h^6); pick the base step so the
-    # finest level h0/4 sits at the eps^{1/(k+6)} rounding/truncation balance,
-    # then let a small step-size scan pick the best-conditioned result
-    h0 = 4.0 * _EPS ** (1.0 / (order + 6)) * max(1.0, abs(z))
-    val, err = _best_richardson(lambda s: intg.f(z + s * direction, alpha), h0, order)
-    scale = max(1.0, abs(val))
-    if err > tol * scale:
-        raise StepUnderflow(
-            f"order-{order} derivative error estimate {err:.2e} exceeds tol at z={z}"
-        )
-    return val / direction ** order
+    return complex(_derivative(lambda s: intg.f(z + s, alpha), max(1.0, abs(z)), order))
 
 
 def derive_nd(
@@ -264,9 +257,14 @@ def derive_nd(
     alpha: float,
     direction: np.ndarray,
     order: int,
-    tol: float = 1e-6,
 ) -> float:
-    """Directional derivative of F of given order (1..3) along a unit vector."""
+    """Directional derivative of F of given order (1..3) along a unit vector.
+
+    Uses the analytic providers when available, otherwise the Taylor jet of
+    F along the complex line x + s * direction.  F must be analytic, accept
+    complex arguments and be real at real points: StepUnderflow is raised
+    where F is not analytic, BadParameter where the derivative is complex.
+    """
     if order not in (1, 2, 3):
         raise BadParameter(f"order must be 1..3, got {order}")
     direction = np.asarray(direction, dtype=float)
@@ -280,14 +278,12 @@ def derive_nd(
         return float(direction @ h @ direction)
     if order == 3 and intg.third_directional is not None:
         return float(intg.third_directional(x, alpha, direction))
-    h0 = 4.0 * _EPS ** (1.0 / (order + 6)) * max(1.0, float(np.linalg.norm(x)))
-    val, err = _best_richardson(lambda s: intg.F(x + s * direction, alpha), h0, order)
-    scale = max(1.0, abs(val))
-    if err > tol * scale:
-        raise StepUnderflow(
-            f"order-{order} directional derivative error {err:.2e} exceeds tol"
-        )
-    return float(val)
+    val = _derivative(
+        lambda s: intg.F(x + s * direction, alpha), max(1.0, float(np.linalg.norm(x))), order
+    )
+    if abs(val.imag) > _JET_TOL * max(1.0, abs(val)):
+        raise BadParameter(f"F is not real at real points: derivative {val:.3e}")
+    return float(val.real)
 
 
 # ---------------------------------------------------------------------------

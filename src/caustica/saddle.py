@@ -75,10 +75,6 @@ class CausticInfo:
             z = z - step
         raise NoConvergence(f"z_tilde continuation stalled at alpha={alpha}")
 
-    def f1_tilde(self, alpha: float) -> complex:
-        """f'(z_tilde(alpha), alpha) — the small fold displacement."""
-        return derive(self.intg, self.z_tilde_at(alpha), alpha, 1)
-
 
 @dataclass(frozen=True)
 class NdSaddleInfo:

@@ -332,3 +332,58 @@ def test_formula_single_n_is_not_wrapped():
     assert isinstance(approx_wkb(intg, 0.3, 30, s), ApproxValue)
     assert approx_wkb(intg, 0.3, [30], s) == (approx_wkb(intg, 0.3, 30, s),)
     assert approx_wkb(intg, 0.3, [], s) == ()
+
+
+def _library_sweep(intg, alphas, grid):
+    """The four formulas over (alpha, N), as the documented custom-integrand
+    path runs them; a cell is a complex or None where a typed error was
+    raised."""
+    c = find_caustic(intg)
+    cells = []
+    guess = None
+    for a in alphas:
+        try:
+            s = find_saddle(intg, a, guess if guess is not None else intg.saddle_guess(a))
+        except CausticaError:
+            cells.extend([None] * 4 * len(grid))
+            continue
+        guess = s.z0
+        for formula in (
+            lambda: approx_wkb(intg, a, grid, s),
+            lambda: approx_tilde(intg, a, grid, c),
+            lambda: approx_saddle_form(intg, a, grid, s, c),
+            lambda: approx_cfu(intg, a, grid, s, find_partner(intg, a, s)),
+        ):
+            try:
+                cells.extend(v.value for v in formula())
+            except CausticaError:
+                cells.extend([None] * len(grid))
+    return cells
+
+
+@pytest.mark.parametrize("name, lo, hi", [("bessel-sinh", 0.6, 1.05),
+                                          ("perturbed-cubic", 0.0, 0.6)])
+def test_fd_sweep_matches_analytic_sweep(name, lo, hi):
+    # the same sweep with derivatives from the Taylor jet instead of the
+    # analytic providers: the same cells fail, and the values agree closely
+    intg = registry_get(name)
+    alphas = np.linspace(lo, hi, 10).tolist()
+    grid = (10, 100, 1000)
+    analytic = _library_sweep(intg, alphas, grid)
+    fd = _library_sweep(dataclasses.replace(intg, analytic_derivs=None), alphas, grid)
+    assert [v is None for v in fd] == [v is None for v in analytic]
+    assert sum(v is not None for v in fd) > len(fd) // 2
+    for v, ref in zip(fd, analytic):
+        if ref is not None:
+            assert abs(v - ref) <= 1e-11 * abs(ref)
+
+
+def test_tilde_real_at_caustic_despite_rounding_in_z_tilde():
+    # the solve for z_tilde can leave an imaginary part ~1e-19; at alpha_hat
+    # the fold parameter is then ~1e-38 with a relative imaginary part of
+    # order one, which is rounding, not a complex-saddle branch
+    intg = registry_get("perturbed-cubic")
+    c = find_caustic(intg)
+    ref = approx_tilde(intg, 0.0, 10, c).value
+    nudged = dataclasses.replace(c, z_tilde=(1 + 1j) * 1e-19)
+    assert abs(approx_tilde(intg, 0.0, 10, nudged).value - ref) <= 1e-15 * abs(ref)

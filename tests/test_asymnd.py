@@ -19,6 +19,7 @@ from caustica import (
     mean_field_compare,
     registry_get,
 )
+from caustica import asymnd
 from caustica.airy import airy_ai
 from caustica.saddle import CausticInfo
 
@@ -232,3 +233,27 @@ def test_mean_field_fold_check_untyped_error_propagates(monkeypatch):
     monkeypatch.setattr(CausticInfo, "z_tilde_at", broken)
     with pytest.raises(ZeroDivisionError):
         mean_field_compare(registry_get("mean-field-toy", {"m": 0.1}), [1.4], [50])
+
+
+def test_mean_field_fold_saddle_solved_once_per_gamma(monkeypatch):
+    # the fold-saddle check depends on gamma only: one z_tilde solve and two
+    # saddle solves (the anchor and the fold saddle) per gamma, whatever N
+    calls = {"find_saddle": 0, "z_tilde_at": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(asymnd, "find_saddle", counted("find_saddle", asymnd.find_saddle))
+    monkeypatch.setattr(
+        CausticInfo, "z_tilde_at", counted("z_tilde_at", CausticInfo.z_tilde_at)
+    )
+    gammas = np.linspace(1.1, 1.6, 11).tolist()
+    rows = mean_field_compare(
+        registry_get("mean-field-toy", {"m": 0.1}), gammas, [25, 50, 100, 200]
+    )
+    assert len(rows) == 44
+    assert calls == {"find_saddle": 22, "z_tilde_at": 11}

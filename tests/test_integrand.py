@@ -139,24 +139,34 @@ def test_fd_matches_analytic(name, alpha, points, order):
 
 @pytest.mark.parametrize("order,tol", [(1, 1e-7), (2, 1e-7), (3, 1e-7), (4, 1e-6)])
 def test_fd_matches_analytic_mean_field(order, tol):
-    # the mean-field action has poles at +- i pi/2, which limits the usable
-    # step range; order 4 is double-precision-limited to ~1e-6 here
+    # the mean-field action has branch points at z + m = +- i pi/2, which
+    # limit the usable radius of the derivative circle
     intg = registry_get("mean-field-toy", {"m": 0.1})
     fd = _fd_clone(intg)
     for z in (0.6 + 0.0j, -0.4 + 0.0j):
         ref = derive(intg, z, 1.3, order)
-        val = derive(fd, z, 1.3, order, tol=tol)
+        val = derive(fd, z, 1.3, order)
         scale = max(1.0, abs(ref))
         assert abs(val - ref) <= tol * scale
 
 
 def test_fd_step_underflow_nonanalytic():
-    # a kink along the stencil direction: the Richardson estimate cannot
-    # settle and the engine must refuse rather than return garbage
+    # a kink: the Taylor coefficients do not decay on any circle, and the
+    # engine must refuse rather than return garbage
     c = ContourPath((0j,), tail_angle=math.pi - 1e-9, head_angle=0.0)
     intg = Integrand1D(f=lambda z, a: abs(z.real - 0.3), g=lambda z: 1.0, contour=c)
     with pytest.raises(StepUnderflow):
         derive(intg, 0.3 + 0.0j, 0.0, 2)
+
+
+def test_fd_real_on_real_is_exactly_real():
+    # real f sampled around a real point gives exact conjugate pairs, so the
+    # derivative is real; a rounding-level imaginary part would let the
+    # saddle solvers leave the real axis
+    fd = _fd_clone(registry_get("bessel-sinh"))
+    for z in (0.7 + 0.0j, -1.1 + 0.0j, 0.0j):
+        for order in (1, 2, 3, 4):
+            assert derive(fd, z, 1.02, order).imag == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +196,26 @@ def test_derive_nd_requires_unit_direction():
     intg = registry_get("nd-separable", {"dim": "2"})
     with pytest.raises(BadParameter):
         derive_nd(intg, np.zeros(2), 0.2, np.array([1.0, 1.0]), 1)
+
+
+@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+def test_derive_nd_refuses_real_cast_F():
+    # float() drops the imaginary part of the complex sample points, so F is
+    # not analytic along the complex line and the engine must refuse
+    from caustica import IntegrandND
+
+    intg = IntegrandND(F=lambda x, a: -0.5 * float(np.dot(x, x)), dim=2)
+    with pytest.raises(StepUnderflow):
+        derive_nd(intg, np.array([0.3, 0.2]), 0.0, np.array([1.0, 0.0]), 2)
+
+
+def test_derive_nd_refuses_complex_F():
+    # F must be real at real points; a complex derivative is not dropped
+    from caustica import IntegrandND
+
+    intg = IntegrandND(F=lambda x, a: 1j * np.dot(x, x), dim=2)
+    with pytest.raises(BadParameter):
+        derive_nd(intg, np.array([0.3, 0.2]), 0.0, np.array([1.0, 0.0]), 2)
 
 
 def test_hessian_at_fd_mixed_entries():
