@@ -1,8 +1,8 @@
 """Bessel functions J_N(alpha N) near the turning point alpha = 1 are the
 classic fold caustic: the two saddles of a sinh(z) - z coalesce at z = 0 and
 the textbook (Debye/WKB) approximation blows up.  This script sweeps alpha
-toward 1 at fixed N = 30 and compares four approximations against the
-integral-representation oracle.
+toward 1 at fixed N = 30 and compares four approximations against
+scipy's J_N.
 """
 
 import math

@@ -33,12 +33,13 @@ from numbers import Number
 
 from .airy import AiryKind, airy_ai_scaled, airy_ai_scaled_pair, recovery_factor
 from .errors import (
+    CausticaError,
     CausticDivergence,
     BranchAmbiguous,
     DegenerateCubic,
     WrongRegime,
 )
-from .integrand import Integrand1D, _derivative, derive
+from .integrand import Integrand1D, _derivatives, derive
 from .saddle import CausticInfo, SaddleInfo
 
 __all__ = [
@@ -212,13 +213,11 @@ def approx_tilde(
     """
     zt = c.z_tilde_at(alpha)
     ft = intg.f(zt, alpha)
-    f1 = derive(intg, zt, alpha, 1)
-    f3 = derive(intg, zt, alpha, 3)
+    f1, _, f3, f4 = derive(intg, zt, alpha, 4)
     if abs(f3) < 1e-8 * max(1.0, abs(c.f3_tilde)):
         raise DegenerateCubic("f''' vanishes at the expansion point")
-    f4 = derive(intg, zt, alpha, 4)
     g0 = intg.g(zt)
-    g1 = complex(_derivative(lambda s: intg.g(zt + s), max(1.0, abs(zt)), 1))
+    g1 = complex(_derivatives(lambda s: intg.g(zt + s), max(1.0, abs(zt)), 1)[0])
 
     candidates = []
     for k, r in enumerate(_cube_roots(2.0 / f3)):
@@ -414,31 +413,34 @@ def approx_cfu(
 
 
 def regime_report(intg: Integrand1D, alpha: float, N: float) -> dict:
-    """Best-effort diagnostic of where (alpha, N) sits relative to the fold."""
+    """Best-effort diagnostic of where (alpha, N) sits relative to the fold.
+
+    ``zeta_prime`` and ``regime`` are those of ``approx_tilde`` at (alpha,
+    N).  Where a step raises a CausticaError, the report names the error
+    in ``caustic_error`` or ``saddle_error`` instead.
+    """
     from .saddle import find_caustic, find_saddle
 
     report = {"alpha": alpha, "N": N}
+    zt = None
     try:
         c = find_caustic(intg)
         zt = c.z_tilde_at(alpha)
-        f1t = derive(intg, zt, alpha, 1)
-        f3t = derive(intg, zt, alpha, 3)
-        zeta = (-_cube_roots(2.0 / f3t)[0] * f1t).real
-        zeta = max(zeta, 0.0)
-        zp = N ** (2.0 / 3.0) * zeta
-        report["zeta_prime"] = zp
+        tilde = approx_tilde(intg, alpha, N, c)
+        report["zeta_prime"] = tilde.zeta_prime
+        report["regime"] = tilde.regime.value
+        f1t, _, f3t = derive(intg, zt, alpha, 3)
         report["fold_displacement"] = (
             N ** (2.0 / 3.0) * abs(f1t) * abs(2.0 / f3t) ** (1.0 / 3.0)
         )
-        report["regime"] = classify_regime(zp).value
-    except Exception as exc:  # best-effort: partial report on failure
-        report["caustic_error"] = str(exc)
+    except CausticaError as exc:
+        report["caustic_error"] = f"{type(exc).__name__}: {exc}"
     try:
         guess = intg.saddle_guess(alpha) if intg.saddle_guess else 0.1 + 0.0j
         s = find_saddle(intg, alpha, guess)
         report["curvature_scale"] = N ** (1.0 / 3.0) * abs(s.f2)
-        if "zeta_prime" in report:
-            report["saddle_tilde_gap"] = abs(c.z_tilde_at(alpha) - s.z0)
-    except Exception as exc:
-        report["saddle_error"] = str(exc)
+        if zt is not None:
+            report["saddle_tilde_gap"] = abs(zt - s.z0)
+    except CausticaError as exc:
+        report["saddle_error"] = f"{type(exc).__name__}: {exc}"
     return report

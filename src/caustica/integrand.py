@@ -106,7 +106,6 @@ class Integrand1D:
     g: Callable[[complex], complex]
     contour: ContourPath
     analytic_derivs: Optional[tuple[Callable[[complex, float], complex], ...]] = None
-    alpha_hat_hint: Optional[float] = None
     real_result_hint: bool = False
     prefactor: complex = 1.0
     alpha_range: tuple[float, float] = (0.0, 1.0)
@@ -147,8 +146,6 @@ class IntegrandND:
     hessian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     third_directional: Optional[Callable[[np.ndarray, float, np.ndarray], float]] = None
     soft_contour: Optional[ContourPath] = None
-    domain_note: str = "R^n"
-    alpha_hat_hint: Optional[float] = None
     alpha_range: tuple[float, float] = (0.0, 1.0)
     saddle_guess: Optional[Callable[[float], np.ndarray]] = None
     name: str = ""
@@ -227,28 +224,33 @@ def _jet(func, scale):
     )
 
 
-def _derivative(func, scale, order):
-    """Order-th derivative of ``func`` at 0 from its jet; StepUnderflow when
-    the error bound exceeds ``_JET_TOL`` relative to max(1, |value|)."""
+def _derivatives(func, scale, order):
+    """Derivatives 1..order of ``func`` at 0 from one jet; StepUnderflow when
+    the error bound of any of them exceeds ``_JET_TOL`` relative to
+    max(1, |value|)."""
     jet, err = _jet(func, scale)
-    if err[order] > _JET_TOL * max(1.0, abs(jet[order])):
-        raise StepUnderflow(f"order-{order} derivative error bound {err[order]:.2e} exceeds tol")
-    return jet[order]
+    for k in range(1, order + 1):
+        if err[k] > _JET_TOL * max(1.0, abs(jet[k])):
+            raise StepUnderflow(f"order-{k} derivative error bound {err[k]:.2e} exceeds tol")
+    return jet[1:order + 1]
 
 
-def derive(intg: Integrand1D, z: complex, alpha: float, order: int) -> complex:
-    """n-th complex derivative of f at z (orders 1..4).
+def derive(intg: Integrand1D, z: complex, alpha: float, order: int) -> tuple[complex, ...]:
+    """The complex derivatives (f', ..., f^(order)) of f at z, order 1..4.
 
-    Uses the analytic provider when available, otherwise the Taylor jet of
-    f on a circle around z.  f must be analytic near z and accept complex
-    arguments; where it is not, StepUnderflow is raised.  At a real z, an f
-    that is real on the real axis gives an exactly real derivative.
+    Uses the analytic providers when available, otherwise one Taylor jet of
+    f on a circle around z, which gives every order at once.  f must be
+    analytic near z and accept complex arguments; where it is not, or where
+    the error bound of any returned order is too large, StepUnderflow is
+    raised.  At a real z, an f that is real on the real axis gives exactly
+    real derivatives.
     """
     if order not in (1, 2, 3, 4):
         raise BadParameter(f"order must be 1..4, got {order}")
     if intg.analytic_derivs is not None:
-        return intg.analytic_derivs[order - 1](z, alpha)
-    return complex(_derivative(lambda s: intg.f(z + s, alpha), max(1.0, abs(z)), order))
+        return tuple(d(z, alpha) for d in intg.analytic_derivs[:order])
+    jet = _derivatives(lambda s: intg.f(z + s, alpha), max(1.0, abs(z)), order)
+    return tuple(complex(v) for v in jet)
 
 
 def derive_nd(
@@ -278,9 +280,9 @@ def derive_nd(
         return float(direction @ h @ direction)
     if order == 3 and intg.third_directional is not None:
         return float(intg.third_directional(x, alpha, direction))
-    val = _derivative(
+    val = _derivatives(
         lambda s: intg.F(x + s * direction, alpha), max(1.0, float(np.linalg.norm(x))), order
-    )
+    )[-1]
     if abs(val.imag) > _JET_TOL * max(1.0, abs(val)):
         raise BadParameter(f"F is not real at real points: derivative {val:.3e}")
     return float(val.real)
@@ -319,7 +321,6 @@ def _build_cubic(params):
         g=lambda z: 1.0 + 0.0 * z,
         contour=contour,
         analytic_derivs=derivs,
-        alpha_hat_hint=0.0,
         alpha_range=(0.0, 1.0),
         saddle_guess=lambda a: complex(math.sqrt(max(a, 0.0)) + 1e-3),
         caustic_guess=(0.1 + 0.0j, 0.05),
@@ -347,7 +348,6 @@ def _build_perturbed_cubic(params):
         g=lambda z: 1.0 + 0.0 * z,
         contour=contour,
         analytic_derivs=derivs,
-        alpha_hat_hint=0.0,
         alpha_range=(0.0, 0.6),
         saddle_guess=lambda a: complex(math.sqrt(max(a, 0.0)) + 1e-3),
         caustic_guess=(0.1 + 0.0j, 0.05),
@@ -384,7 +384,6 @@ def _build_bessel_sinh(params):
         g=lambda z: 1.0 + 0.0 * z,
         contour=contour,
         analytic_derivs=derivs,
-        alpha_hat_hint=1.0,
         real_result_hint=True,
         prefactor=1.0 / (2.0j * math.pi),
         alpha_range=(0.6, 1.05),
@@ -491,8 +490,6 @@ def _build_nd_perturbed_cubic(params, separable=False):
         hessian=hessian,
         third_directional=third,
         soft_contour=soft,
-        domain_note="x1 on a complex Airy-type contour, x2..xn on the real line",
-        alpha_hat_hint=0.0,
         alpha_range=(0.0, 0.5),
         saddle_guess=guess,
         name="nd-separable" if separable else "nd-perturbed-cubic",

@@ -2,9 +2,9 @@
 
 Adaptive quadrature along the declared complex contour (QUADPACK panels per
 polyline segment, rays truncated by a magnitude envelope), iterated cubature
-for the n-D integrands, and the Bessel integral representation.  All values
-carry an error estimate and are exponent-shifted so that the largest
-integrand magnitude is O(1) during quadrature.
+for the n-D integrands, and J_N from scipy for the Bessel family.  The
+quadrature values carry an error estimate and are exponent-shifted so that
+the largest integrand magnitude is O(1) during quadrature.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import jv
 
 from .errors import (
-    BadParameter,
     DimensionTooLarge,
     RayDivergence,
     ToleranceNotMet,
@@ -225,20 +225,6 @@ def cubature_nd(
     return QuadResult(value=value, abs_error_estimate=abs_err, evaluations=evals[0])
 
 
-def bessel_ref(N: int, x: float, tol: float = 1e-12) -> float:
-    """J_N(x) from the integral representation (1/pi) int_0^pi cos(N t - x sin t) dt."""
-    if N > 500:
-        raise BadParameter("bessel_ref supports N <= 500")
-    if x > 2 * N:
-        raise BadParameter("bessel_ref supports x <= 2N")
-    val, err = quad(
-        lambda t: math.cos(N * t - x * math.sin(t)),
-        0.0,
-        math.pi,
-        epsabs=tol,
-        epsrel=0.0,
-        limit=max(200, 4 * N),
-    )
-    if err > 100.0 * tol:
-        raise ToleranceNotMet(f"Bessel quadrature error {err:.2e} > {tol:.2e}")
-    return val / math.pi
+def bessel_ref(N: int, x: float) -> float:
+    """J_N(x) from scipy's Bessel function of the first kind."""
+    return float(jv(N, x))

@@ -62,10 +62,9 @@ class CausticInfo:
         damped Newton."""
         z = self.z_tilde
         for _ in range(_MAX_ITERS):
-            r = derive(self.intg, z, alpha, 2)
+            _, r, f3 = derive(self.intg, z, alpha, 3)
             if abs(r) <= tol * max(1.0, abs(self.f3_tilde)):
                 return z
-            f3 = derive(self.intg, z, alpha, 3)
             if f3 == 0:
                 raise NoConvergence(f"z_tilde continuation: f''' vanishes at alpha={alpha}")
             step = r / f3
@@ -102,22 +101,16 @@ def find_saddle(
 ) -> SaddleInfo:
     """Damped Newton iteration on f'(z, alpha) = 0."""
     z = complex(guess)
-    f1 = derive(intg, z, alpha, 1)
-    scale = max(1.0, abs(f1))
     for it in range(1, _MAX_ITERS + 1):
+        f1, f2, f3 = derive(intg, z, alpha, 3)
+        if it == 1:
+            scale = max(1.0, abs(f1))
         if abs(f1) <= tol * scale:
             return SaddleInfo(
-                z0=z,
-                f0=intg.f(z, alpha),
-                f2=derive(intg, z, alpha, 2),
-                f3=derive(intg, z, alpha, 3),
-                residual=abs(f1),
-                iterations=it,
+                z0=z, f0=intg.f(z, alpha), f2=f2, f3=f3, residual=abs(f1), iterations=it
             )
-        f2 = derive(intg, z, alpha, 2)
         if f2 == 0:
             # fall back to the cubic model at an exact caustic point
-            f3 = derive(intg, z, alpha, 3)
             step = -(2.0 * f1 / f3) ** 0.5 if f3 != 0 else 0.1
         else:
             step = -f1 / f2
@@ -125,7 +118,6 @@ def find_saddle(
         if abs(step) > 1.0:
             step /= abs(step)
         z = z + step
-        f1 = derive(intg, z, alpha, 1)
     raise NoConvergence(f"find_saddle: no convergence after {_MAX_ITERS} iterations")
 
 
@@ -152,15 +144,15 @@ def find_caustic(
     da = 1e-6
 
     for _ in range(_MAX_ITERS):
-        f1 = derive(intg, z, a, 1)
-        f2 = derive(intg, z, a, 2)
+        f1, f2, f3, f4 = derive(intg, z, a, 4)
         r = np.array([f1.real, f1.imag, f2.real, f2.imag])
         res = float(np.linalg.norm(r))
         if res <= tol:
             break
-        f3 = derive(intg, z, a, 3)
-        dfa1 = (derive(intg, z, a + da, 1) - derive(intg, z, a - da, 1)) / (2 * da)
-        dfa2 = (derive(intg, z, a + da, 2) - derive(intg, z, a - da, 2)) / (2 * da)
+        p1, p2 = derive(intg, z, a + da, 2)
+        m1, m2 = derive(intg, z, a - da, 2)
+        dfa1 = (p1 - m1) / (2 * da)
+        dfa2 = (p2 - m2) / (2 * da)
         # Cauchy-Riemann blocks for the complex derivatives wrt z
         jac = np.array(
             [
@@ -179,8 +171,6 @@ def find_caustic(
     else:
         raise NoConvergence("find_caustic: joint Newton did not converge")
 
-    f3 = derive(intg, z, a, 3)
-    f4 = derive(intg, z, a, 4)
     # near a cusp the solver stalls with f3 ~ f4*dz and residual ~ f4*dz^2/2,
     # so |f3|^2 below that floor means f3 is numerically zero
     floor = math.sqrt(50.0 * max(abs(f4), 1.0) * max(res, 1e-13))

@@ -28,6 +28,7 @@ from caustica import (
     registry_get,
     regime_report,
 )
+from caustica import asym1d, saddle
 from caustica.airy import airy_ai
 
 AI_1 = 0.13529241631288141  # Ai(1)
@@ -61,6 +62,19 @@ def test_regime_examples():
     cubic = registry_get("cubic")
     r = regime_report(cubic, 30.0 ** (-2.0 / 3.0), 30.0)
     assert r["zeta_prime"] == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("name, params, alpha", [
+    ("bessel-sinh", {}, 1.05),
+    ("mean-field-toy", {"m": 0.1}, 1.0),
+])
+def test_regime_report_names_wrong_regime(name, params, alpha):
+    # on the complex-saddle side no cube-root branch gives a real zeta, and
+    # approx_tilde raises; the report must say so, not read CausticWindow
+    r = regime_report(registry_get(name, params), alpha, 50.0)
+    assert "zeta_prime" not in r
+    assert "regime" not in r
+    assert r["caustic_error"].startswith("WrongRegime")
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +401,28 @@ def test_tilde_real_at_caustic_despite_rounding_in_z_tilde():
     ref = approx_tilde(intg, 0.0, 10, c).value
     nudged = dataclasses.replace(c, z_tilde=(1 + 1j) * 1e-19)
     assert abs(approx_tilde(intg, 0.0, 10, nudged).value - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("solve", ["find_saddle", "find_caustic", "z_tilde_at", "approx_tilde"])
+def test_one_derive_per_point(monkeypatch, solve):
+    # each finite-difference derive call computes f' to f'''' from one jet,
+    # so a solver or formula asks at most once per (z, alpha); z_tilde_at is
+    # its own layer, and approx_tilde's jet at z_tilde is counted apart from
+    # the Newton steps that found it
+    intg = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
+    c = find_caustic(intg)
+    asked = []
+    for module in (saddle, asym1d):
+        def counted(intg, z, alpha, order, module=module, derive=module.derive):
+            asked.append((module.__name__, z, alpha))
+            return derive(intg, z, alpha, order)
+
+        monkeypatch.setattr(module, "derive", counted)
+    {
+        "find_saddle": lambda: find_saddle(intg, 0.3, intg.saddle_guess(0.3)),
+        "find_caustic": lambda: find_caustic(intg),
+        "z_tilde_at": lambda: c.z_tilde_at(0.3),
+        "approx_tilde": lambda: approx_tilde(intg, 0.3, 100.0, c),
+    }[solve]()
+    assert len(asked) > 1
+    assert len(set(asked)) == len(asked)
