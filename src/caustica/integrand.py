@@ -3,8 +3,11 @@ and the registry of built-in test families.
 
 Without analytic providers, derivatives come from the Taylor jet of one FFT
 over points on a circle around the point.  So f, g and F must be analytic
-and accept complex arguments, as the registry families, ``quad_contour``
-and ``cubature_nd`` already require.
+and accept complex arguments.  f and g also take numpy arrays of complex
+points and return their values element by element: the jet samples its
+circle in one call, and ``quad_contour`` its panel nodes.  ``quad_contour``
+integrates along the declared contour translated through the saddle, so f
+and g must be analytic between the declared contour and that translate.
 
 All objects are immutable after construction and safe to share across
 parallel workers.
@@ -196,10 +199,11 @@ def _jet(func, scale):
     """Taylor jet [u, u', u'', u''', u''''] of ``func(s)`` at s = 0, and an
     error bound for each entry.
 
-    ``func`` is sampled at M points on a circle and one FFT gives its scaled
-    Taylor coefficients (Lyness & Moler 1967).  For a function analytic on
-    the disc, the coefficients from index M/2 up (the top and the negative
-    frequencies) are aliases of terms of degree M/2 and higher.  Starting
+    ``func`` takes the array of M points on a circle and returns its values
+    there, and one FFT gives its scaled Taylor coefficients (Lyness & Moler
+    1967).  For a function analytic on the disc, the coefficients from index
+    M/2 up (the top and the negative frequencies) are aliases of terms of
+    degree M/2 and higher.  Starting
     from ``_JET_RADIUS * scale``, the radius is halved until they sit at
     rounding level, and their size then bounds the truncation error
     (Bornemann, FoCM 2011).  A kink, or a function that drops the imaginary
@@ -209,7 +213,7 @@ def _jet(func, scale):
     """
     r = _JET_RADIUS * scale
     for _ in range(_JET_HALVINGS + 1):
-        samples = np.array([func(s) for s in (r * _JET_NODES).tolist()], dtype=complex)
+        samples = np.asarray(func(r * _JET_NODES), dtype=complex)
         c = np.fft.fft(samples) / _JET_M
         floor = 8.0 * _EPS * max(1.0, np.abs(samples).max())
         tail = np.abs(c[_JET_M // 2:]).max()
@@ -281,7 +285,9 @@ def derive_nd(
     if order == 3 and intg.third_directional is not None:
         return float(intg.third_directional(x, alpha, direction))
     val = _derivatives(
-        lambda s: intg.F(x + s * direction, alpha), max(1.0, float(np.linalg.norm(x))), order
+        lambda s: [intg.F(x + si * direction, alpha) for si in s.tolist()],
+        max(1.0, float(np.linalg.norm(x))),
+        order,
     )[-1]
     if abs(val.imag) > _JET_TOL * max(1.0, abs(val)):
         raise BadParameter(f"F is not real at real points: derivative {val:.3e}")
@@ -305,9 +311,36 @@ def _logcosh_c(t: complex) -> complex:
     return s + cmath.log(0.5 * (1.0 + cmath.exp(-2.0 * s)))
 
 
+def _mean_field_array(z: np.ndarray, g: float, m: float) -> np.ndarray:
+    # the two branches of the scalar mean-field f, per entry of a complex
+    # array: real arithmetic at real entries, complex ones elsewhere
+    x = z.real
+    a = np.abs(x + m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        real = -x * x / (2.0 * g) + a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+        t = z + m
+        s = np.where(t.real > 0, t, -t)
+        cplx = -z * z / (2.0 * g) + np.where(
+            np.abs(t.real) < 30.0, np.log(np.cosh(t)), s + np.log(0.5 * (1.0 + np.exp(-2.0 * s)))
+        )
+    return np.where(z.imag == 0.0, real, cplx)
+
+
+def _cube_third(z):
+    # z * z * z / 3.0 as Python evaluates it on a complex, also on arrays:
+    # numpy fuses the real part of a complex product into one FMA and
+    # divides by a float as a multiplication by its reciprocal, and either
+    # changes the last bit
+    if not isinstance(z, np.ndarray):
+        return z * z * z / 3.0
+    x, y = z.real, z.imag
+    x2, y2 = x * x - y * y, x * y + y * x
+    return (x2 * x - y2 * y) / 3.0 + 1j * ((x2 * y + y2 * x) / 3.0)
+
+
 def _build_cubic(params):
     def f(z, a):
-        return z * z * z / 3.0 - a * z
+        return _cube_third(z) - a * z
 
     derivs = (
         lambda z, a: z * z - a,
@@ -334,7 +367,7 @@ def _build_perturbed_cubic(params):
         raise BadParameter("perturbed-cubic requires eps > 0 (ray convergence)")
 
     def f(z, a):
-        return z * z * z / 3.0 - a * z + eps * z ** 4
+        return _cube_third(z) - a * z + eps * z ** 4
 
     derivs = (
         lambda z, a: z * z - a + 4.0 * eps * z ** 3,
@@ -359,7 +392,7 @@ def _build_bessel_sinh(params):
     x0 = float(params.get("x0", 0.3))
 
     def f(z, a):
-        return a * cmath.sinh(z) - z
+        return a * np.sinh(z) - z
 
     derivs = (
         lambda z, a: a * cmath.cosh(z) - 1.0,
@@ -397,6 +430,8 @@ def _build_mean_field_toy(params):
     m = float(params.get("m", 0.1))
 
     def f(z, g):
+        if isinstance(z, np.ndarray):
+            return _mean_field_array(z, g, m)
         if isinstance(z, complex) and z.imag != 0.0:
             return -z * z / (2.0 * g) + _logcosh_c(z + m)
         s = float(z.real) if isinstance(z, complex) else float(z)

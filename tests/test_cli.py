@@ -59,6 +59,37 @@ def test_sweep_bessel_fixture(runner, tmp_path):
     assert float(first["rel_err_tilde"]) < 0.05
 
 
+def test_sweep_bessel_oracle_matches_jv(runner, tmp_path):
+    # the oracle column against scipy's J_N, down to J_1000(600) ~ 3e-132
+    from scipy.special import jv
+
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = bessel-sinh
+
+        [sweep]
+        alpha = 0.6,0.8,0.95
+        N = 100,1000
+        methods = wkb
+        oracle = true
+        """,
+    )
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert len(rows) == 6
+    for row in rows:
+        ref = jv(int(row["N"]), float(row["alpha"]) * int(row["N"]))
+        oracle = complex(float(row["oracle_re"]), float(row["oracle_im"]))
+        assert abs(oracle - ref) <= 1e-9 * abs(ref)
+
+
 def test_sweep_byte_deterministic(runner, tmp_path):
     cfg = tmp_path / "sweep.ini"
     _write_config(

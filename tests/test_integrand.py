@@ -35,6 +35,29 @@ def test_registry_names():
         assert expected in names
 
 
+_ARRAY_POINTS = np.concatenate((
+    np.linspace(-4.0, 4.0, 41),
+    np.linspace(-3.0, 3.0, 13)[:, None] + 1j * np.linspace(-2.5, 2.5, 11),
+    [35.0 + 0.5j, -40.0 - 1.0j],
+), axis=None).astype(complex)
+
+
+@pytest.mark.parametrize("name", ["cubic", "perturbed-cubic", "bessel-sinh", "mean-field-toy"])
+def test_array_calls_match_scalar_calls(name):
+    # quad_contour and the derivative jet call f and g on numpy arrays
+    intg = registry_get(name)
+    for alpha in intg.alpha_range:
+        for fn, args in ((intg.f, (alpha,)), (intg.g, ())):
+            arr = fn(_ARRAY_POINTS, *args)
+            ref = np.array([complex(fn(z, *args)) for z in _ARRAY_POINTS.tolist()])
+            if name != "mean-field-toy":
+                assert np.array_equal(arr.view(np.uint64), ref.view(np.uint64))
+            else:
+                # numpy's exp, log and cosh differ from math's and cmath's in
+                # the last bit, and f passes through 0 on the real axis
+                assert np.all(np.abs(arr - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
 def test_registry_unknown():
     with pytest.raises(UnknownIntegrand):
         registry_get("no-such-family")

@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.special import airye, jv
 
 from caustica import (
     DimensionTooLarge,
+    ToleranceNotMet,
     bessel_ref,
     cubature_nd,
+    find_saddle,
     quad_contour,
     registry_get,
 )
@@ -44,6 +48,68 @@ def test_two_bessel_representations_agree():
         ref = bessel_ref(N, alpha * N)
         assert abs(contour.value.imag) <= 1e-9
         assert abs(contour.value.real - ref) <= 1e-9 * max(abs(ref), 1e-3)
+
+
+def test_small_integral_against_mpmath():
+    # |I| ~ 1e-47 while the integrand is O(1) on the declared contour: only
+    # a rule through the saddle gets it.  The reference runs from the saddle
+    # 0.5 along its steepest-descent direction (f'' > 0: vertical), then out
+    # on rays at the declared angles +-pi/3
+    mpmath = pytest.importorskip("mpmath")
+    intg = registry_get("perturbed-cubic", {"eps": "0.05"})
+    alpha, N = 0.3, 1000
+    zs = find_saddle(intg, alpha, intg.saddle_guess(alpha)).z0
+    with mpmath.workdps(30):
+        eps = mpmath.mpf("0.05")
+
+        def f(z):
+            return z ** 3 / 3 - alpha * z + eps * z ** 4
+
+        z0 = mpmath.findroot(lambda z: z ** 2 - alpha + 4 * eps * z ** 3, zs.real)
+        ref = 0
+        for sign in (1, -1):
+            u = mpmath.expj(sign * mpmath.pi / 3)
+            leg = mpmath.quad(lambda t: mpmath.exp(N * (f(z0 + sign * 1j * t) - f(z0))), [0, 0.5])
+            ray = mpmath.quad(
+                lambda t: mpmath.exp(N * (f(z0 + sign * 0.5j + t * u) - f(z0))) * u,
+                [0, mpmath.inf],
+            )
+            ref += sign * (sign * 1j * leg + ray)
+        ref = complex(ref * mpmath.exp(N * f(z0)))
+    assert abs(ref) < 1e-46
+    r = quad_contour(intg, alpha, N)
+    assert abs(r.value - ref) <= 1e-8 * abs(ref)
+
+
+def _airy_closed_form(alpha, N):
+    x = alpha * N ** (2.0 / 3.0)
+    return 2.0j * math.pi * N ** (-1.0 / 3.0) * airye(x)[0] * math.exp(-(2.0 / 3.0) * x ** 1.5)
+
+
+def test_cubic_against_airy_over_alpha():
+    # down to 1.7e-291i at alpha = 1, N = 1000
+    intg = registry_get("cubic")
+    for alpha in np.linspace(0.0, 1.0, 11):
+        for N in (10, 100, 1000):
+            exact = _airy_closed_form(alpha, N)
+            assert abs(quad_contour(intg, alpha, N).value - exact) <= 1e-9 * abs(exact)
+
+
+def test_bessel_against_jv():
+    intg = registry_get("bessel-sinh")
+    for alpha in np.linspace(0.6, 0.997, 12):
+        for N in (10, 31, 100, 316, 1000):
+            ref = jv(N, alpha * N)
+            assert abs(quad_contour(intg, alpha, N).value - ref) <= 1e-9 * abs(ref)
+
+
+def test_cancellation_raises():
+    # without a saddle guess the declared contour through 0 is used, where
+    # the integrand is O(1) and I = 1.7e-291i: the rounding term must turn
+    # the cancellation into an error
+    intg = dataclasses.replace(registry_get("cubic"), saddle_guess=None)
+    with pytest.raises(ToleranceNotMet):
+        quad_contour(intg, 1.0, 1000)
 
 
 def test_bessel_golden_values():
