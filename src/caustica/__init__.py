@@ -19,13 +19,7 @@ from .asym1d import (
     classify_regime,
     regime_report,
 )
-from .asymnd import (
-    NdApproxValue,
-    NdMethod,
-    approx_corrected_nd,
-    approx_wkb_nd,
-    mean_field_compare,
-)
+from .asymnd import approx_corrected_nd, approx_wkb_nd, mean_field_compare
 from .errors import (
     BadParameter,
     BranchAmbiguous,
@@ -33,7 +27,6 @@ from .errors import (
     CausticDivergence,
     DegenerateCubic,
     DimensionTooLarge,
-    EigenFailure,
     NegativeArgument,
     NoConvergence,
     PartnerNotFound,

@@ -149,16 +149,12 @@ class _Sweep1D:
 
 
 class _SweepND:
-    """The n-variable methods share one saddle per alpha."""
+    """The n-variable methods share one saddle, and with it one reduced
+    integrand, per alpha."""
 
-    # the n-D formulas take one N; their errors depend on alpha only
     calls = {
-        "wkb-nd": lambda sw, a, ns: tuple(
-            asymnd.approx_wkb_nd(sw.intg, a, N, sw.saddle) for N in ns
-        ),
-        "corrected-nd": lambda sw, a, ns: tuple(
-            asymnd.approx_corrected_nd(sw.intg, a, N, sw.saddle) for N in ns
-        ),
+        "wkb-nd": lambda sw, a, ns: asymnd.approx_wkb_nd(sw.intg, a, ns, sw.saddle),
+        "corrected-nd": lambda sw, a, ns: asymnd.approx_corrected_nd(sw.intg, a, ns, sw.saddle),
     }
 
     def __init__(self, intg, cfg):

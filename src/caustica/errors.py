@@ -29,10 +29,6 @@ class PartnerNotFound(CausticaError):
     """Second saddle collapsed onto the first or the iteration diverged."""
 
 
-class EigenFailure(CausticaError):
-    """Hessian eigendecomposition failed."""
-
-
 class WrongRegime(CausticaError):
     """Inputs lie outside the supported parameter regime."""
 

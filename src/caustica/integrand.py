@@ -141,13 +141,21 @@ class Integrand1D:
 @dataclass(frozen=True)
 class IntegrandND:
     """n-variable integrand exp(N F(x, alpha)) over a real region, with an
-    optional complex contour replacing the first (soft) coordinate."""
+    optional complex contour replacing the first (soft) coordinate.
+
+    F takes a point x of shape (n,) or an array of shape (n, M) whose
+    columns are points, and returns one value per point.  It must be
+    analytic and accept complex points: the reduction to the soft
+    coordinate solves for the transverse coordinates at complex soft
+    points, and the oracle evaluates F on its whole node mesh in one call.
+    The optional ``grad`` and ``hessian`` serve ``derive_nd`` and
+    ``hessian_at`` at real points.
+    """
 
     F: Callable[[np.ndarray, float], complex]
     dim: int
     grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     hessian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    third_directional: Optional[Callable[[np.ndarray, float, np.ndarray], float]] = None
     soft_contour: Optional[ContourPath] = None
     alpha_range: tuple[float, float] = (0.0, 1.0)
     saddle_guess: Optional[Callable[[float], np.ndarray]] = None
@@ -156,6 +164,11 @@ class IntegrandND:
     def __post_init__(self):
         if self.dim < 2:
             raise BadParameter("IntegrandND requires dim >= 2")
+
+    @property
+    def soft_path(self) -> ContourPath:
+        """The soft coordinate's contour: ``soft_contour``, or the real line."""
+        return self.soft_contour or ContourPath((0j,), tail_angle=math.pi, head_angle=0.0)
 
     def hessian_at(self, x: np.ndarray, alpha: float) -> np.ndarray:
         if self.hessian is not None:
@@ -189,6 +202,7 @@ _JET_M = 32
 _HALF = np.exp(2j * np.pi * np.arange(_JET_M // 2 + 1) / _JET_M)
 _HALF[-1] = -1.0
 _JET_NODES = np.concatenate((_HALF, _HALF[-2:0:-1].conj()))
+_JET_CONJ = -np.arange(_JET_M) % _JET_M  # the index of each node's conjugate
 _JET_RADIUS = 0.25
 _JET_HALVINGS = 8
 _JET_TOL = 1e-7  # largest accepted error bound, relative to max(1, |value|)
@@ -201,9 +215,11 @@ def _jet(func, scale):
 
     ``func`` takes the array of M points on a circle and returns its values
     there, and one FFT gives its scaled Taylor coefficients (Lyness & Moler
-    1967).  For a function analytic on the disc, the coefficients from index
-    M/2 up (the top and the negative frequencies) are aliases of terms of
-    degree M/2 and higher.  Starting
+    1967).  ``func`` may return an array of shape (K, M), the values around K
+    points at once; the jet then has shape (K, 5) and one radius and one
+    error bound serve all K.  For a function analytic on the disc, the
+    coefficients from index M/2 up (the top and the negative frequencies)
+    are aliases of terms of degree M/2 and higher.  Starting
     from ``_JET_RADIUS * scale``, the radius is halved until they sit at
     rounding level, and their size then bounds the truncation error
     (Bornemann, FoCM 2011).  A kink, or a function that drops the imaginary
@@ -216,12 +232,15 @@ def _jet(func, scale):
         samples = np.asarray(func(r * _JET_NODES), dtype=complex)
         c = np.fft.fft(samples) / _JET_M
         floor = 8.0 * _EPS * max(1.0, np.abs(samples).max())
-        tail = np.abs(c[_JET_M // 2:]).max()
+        tail = np.abs(c[..., _JET_M // 2:]).max()
         if tail <= floor:
-            if samples[0].imag == 0.0 and np.array_equal(samples[:0:-1], samples[1:].conj()):
+            # the first sample's test skips the full one where it must fail
+            if samples.flat[0].imag == 0.0 and np.array_equal(
+                samples[..., _JET_CONJ], samples.conj()
+            ):
                 c = c.real
             powers = r ** np.arange(5)
-            return _FACTORIALS * c[:5] / powers, _FACTORIALS * (tail + floor) / powers
+            return _FACTORIALS * c[..., :5] / powers, _FACTORIALS * (tail + floor) / powers
         r /= 2.0
     raise StepUnderflow(
         f"Taylor coefficients do not decay down to radius {2.0 * r:.1e}: not analytic there"
@@ -264,15 +283,15 @@ def derive_nd(
     direction: np.ndarray,
     order: int,
 ) -> float:
-    """Directional derivative of F of given order (1..3) along a unit vector.
+    """Directional derivative of F of given order (1..2) along a unit vector.
 
     Uses the analytic providers when available, otherwise the Taylor jet of
     F along the complex line x + s * direction.  F must be analytic, accept
     complex arguments and be real at real points: StepUnderflow is raised
     where F is not analytic, BadParameter where the derivative is complex.
     """
-    if order not in (1, 2, 3):
-        raise BadParameter(f"order must be 1..3, got {order}")
+    if order not in (1, 2):
+        raise BadParameter(f"order must be 1..2, got {order}")
     direction = np.asarray(direction, dtype=float)
     if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
         raise BadParameter("direction must be a unit vector")
@@ -282,8 +301,6 @@ def derive_nd(
     if order == 2 and intg.hessian is not None:
         h = intg.hessian_at(x, alpha)
         return float(direction @ h @ direction)
-    if order == 3 and intg.third_directional is not None:
-        return float(intg.third_directional(x, alpha, direction))
     val = _derivatives(
         lambda s: [intg.F(x + si * direction, alpha) for si in s.tolist()],
         max(1.0, float(np.linalg.norm(x))),
@@ -407,9 +424,13 @@ def _build_bessel_sinh(params):
         head_angle=0.0,
     )
 
+    # the real saddle acosh(1/a) below the fold, the conjugate pair
+    # +-i acos(1/a) above it; at a = 1 both coalesce at 0
     def guess(a):
-        if a >= 1.0:
+        if a == 1.0:
             return 0.05 + 0.0j
+        if a > 1.0:
+            return 1j * math.acos(1.0 / a)
         return complex(math.acosh(1.0 / a))
 
     return Integrand1D(
@@ -474,13 +495,16 @@ def _build_nd_perturbed_cubic(params, separable=False):
         raise BadParameter("nd-perturbed-cubic requires eps > 0")
     lams = _nd_lambdas(params, dim)
 
+    # products rather than powers and no dot with a real vector: both are
+    # slow on complex arrays of points
     def F(x, a):
-        x = np.asarray(x)
         x1 = x[0]
-        val = x1 ** 3 / 3.0 - a * x1 + eps * x1 ** 4
-        val = val + 0.5 * np.dot(lams, np.asarray(x[1:]) ** 2)
-        if c != 0.0 and dim >= 2:
-            val = val + c * x1 * x[1] ** 2
+        x1sq = x1 * x1
+        val = x1sq * x1 / 3.0 - a * x1 + eps * x1sq * x1sq
+        for lam, xi in zip(lams, x[1:]):
+            val = val + 0.5 * lam * xi * xi
+        if c != 0.0:
+            val = val + c * x1 * x[1] * x[1]
         return val
 
     def grad(x, a):
@@ -503,19 +527,12 @@ def _build_nd_perturbed_cubic(params, separable=False):
             h[0, 1] = h[1, 0] = 2.0 * c * x[1]
         return h
 
-    def third(x, a, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        t = (2.0 + 24.0 * eps * x[0]) * u[0] ** 3
-        if c != 0.0:
-            t += 6.0 * c * u[0] * u[1] ** 2
-        return t
-
     soft = ContourPath((0.0 + 0.0j,), tail_angle=-math.pi / 3.0, head_angle=math.pi / 3.0)
 
+    # the recessive saddle, through which the soft contour passes
     def guess(a):
         x0 = np.zeros(dim)
-        x0[0] = -math.sqrt(max(a, 0.0)) - 1e-3
+        x0[0] = math.sqrt(max(a, 0.0)) + 1e-3
         return x0
 
     return IntegrandND(
@@ -523,7 +540,6 @@ def _build_nd_perturbed_cubic(params, separable=False):
         dim=dim,
         grad=grad,
         hessian=hessian,
-        third_directional=third,
         soft_contour=soft,
         alpha_range=(0.0, 0.5),
         saddle_guess=guess,

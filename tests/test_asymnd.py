@@ -38,22 +38,25 @@ def _nd(dim=2, eps=0.05, c=0.0, **extra):
 
 
 def test_wkb_nd_pure_gaussian_limit():
-    # transverse-only check: with the soft mode far from the caustic the
-    # Gaussian determinant dominates; compare against the explicit product
+    # the Gaussian term of the reduced integrand times the transverse
+    # Gaussians is the n-D Gaussian term: compare against the explicit
+    # product of the soft curvature and the transverse eigenvalues
     intg = _nd(dim=3, eps=0.01, lambda2=-1.0, lambda3=-2.0)
     alpha = 0.25
     s = find_saddle_nd(intg, alpha, intg.saddle_guess(alpha))
     N = 40.0
     v = approx_wkb_nd(intg, alpha, N, s)
-    lam = s.eigenvalues
+    z0 = s.x0[0].real
+    curvature = 2.0 * z0 + 12.0 * 0.01 * z0 ** 2
+    assert s.saddle.f2 == pytest.approx(curvature, rel=1e-10)
+    assert np.allclose(np.linalg.eigvalsh(s.hessian.real), [-2.0, -1.0], atol=1e-12)
     expected = (
         1.0j
         * cmath.exp(N * intg.F(s.x0, alpha))
         * (2.0 * math.pi / N) ** 1.5
-        / math.sqrt(abs(lam[0]) * 1.0 * 2.0)
+        / math.sqrt(curvature * 1.0 * 2.0)
     )
     assert abs(v.value - expected) <= 1e-12 * abs(expected)
-    assert v.det_neg_hessian == pytest.approx(float(np.prod(-lam)))
 
 
 def test_separable_factorization_at_caustic():
@@ -118,46 +121,38 @@ def test_wkb_nd_limit_of_corrected():
 # invariances
 
 
-def _rotated(intg, theta):
-    """Same integrand expressed in rotated coordinates (FD-only clone)."""
-    R = np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    )
-
-    def F(x, a):
-        return intg.F(R @ np.asarray(x), a)
-
-    return IntegrandND(F=F, dim=2, soft_contour=intg.soft_contour), R
-
-
 def test_rotation_invariance():
-    intg = _nd(dim=2, eps=0.05, lambda2=-1.3)
-    alpha = 0.2
-    base = find_saddle_nd(intg, alpha, intg.saddle_guess(alpha))
-    rot, R = _rotated(intg, 0.7)
-    s = find_saddle_nd(rot, alpha, R.T @ base.x0)
-    v0 = approx_corrected_nd(intg, alpha, 50.0, base)
-    v1 = approx_corrected_nd(rot, alpha, 50.0, s)
-    assert abs(v1.value - v0.value) <= 1e-7 * abs(v0.value)
+    # a rotation of the transverse coordinates (x2, x3) leaves both n-D
+    # values unchanged; with the x1*x2^2 coupling the rotated transverse
+    # Hessian has off-diagonal entries
+    intg = _nd(dim=3, eps=0.05, c=0.1, lambda3=-2.0)
+    cs, sn = math.cos(0.7), math.sin(0.7)
+    R = np.array([[1.0, 0.0, 0.0], [0.0, cs, -sn], [0.0, sn, cs]])
+    rot = IntegrandND(
+        F=lambda x, a: intg.F(np.tensordot(R, x, axes=1), a),
+        dim=3,
+        soft_contour=intg.soft_contour,
+    )
+    alpha, N = 0.2, 50.0
+    s0 = find_saddle_nd(intg, alpha, intg.saddle_guess(alpha))
+    s1 = find_saddle_nd(rot, alpha, intg.saddle_guess(alpha))
+    assert abs(s1.hessian[0, 1]) > 0.1
+    for formula in (approx_wkb_nd, approx_corrected_nd):
+        v0 = formula(intg, alpha, N, s0).value
+        v1 = formula(rot, alpha, N, s1).value
+        assert abs(v1 - v0) <= 1e-10 * abs(v0)
 
 
 def test_determinant_invariant():
-    intg = _nd(dim=2, eps=0.05, lambda2=-1.3)
+    # the reduced prefactor at the saddle is det(-H_perp)^(-1/2), with H_perp
+    # the transverse block of the full Hessian
+    intg = _nd(dim=3, eps=0.05, c=0.1, lambda3=-2.0)
     alpha = 0.2
     s = find_saddle_nd(intg, alpha, intg.saddle_guess(alpha))
-    det = float(np.linalg.det(-s.hessian))
-    assert s.eigenvalues.prod() * (-1) ** intg.dim == pytest.approx(det, rel=1e-10)
-
-
-def test_dropped_term_metric_small():
-    intg = _nd(dim=2, eps=0.05, c=0.1)
-    alpha = 0.2
-    s = find_saddle_nd(intg, alpha, intg.saddle_guess(alpha))
-    lam = s.eigenvalues
-    metric = abs(s.a_i11[1] * lam[0] ** 2 / (lam[1] * s.a111 ** 2))
-    assert metric < 0.05
-    v = approx_corrected_nd(intg, alpha, 50.0, s)
-    assert not v.warnings
+    h = intg.hessian_at(s.x0.real, alpha)[1:, 1:]
+    assert np.allclose(s.hessian, h, atol=1e-10)
+    g = s.reduced.g(s.saddle.z0)
+    assert g == pytest.approx(np.linalg.det(-h) ** -0.5, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

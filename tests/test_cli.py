@@ -143,6 +143,34 @@ def test_sweep_nd(runner, tmp_path):
     assert float(row["rel_err_corrected-nd"]) < 0.05
 
 
+def test_sweep_nd_coupled_against_oracle(runner, tmp_path):
+    # the n-D formulas on the reduced integrand, across the family's whole
+    # alpha range and through the fold at alpha = 0, against the n-D oracle
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = nd-perturbed-cubic
+        dim = 2
+
+        [sweep]
+        alpha = 0:0.5:11
+        N = 30,100
+        methods = wkb-nd,corrected-nd
+        oracle = true
+        """,
+    )
+    out = tmp_path / "out.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert len(rows) == 22
+    assert all(float(r["rel_err_corrected-nd"]) <= 2e-2 for r in rows)
+
+
 def test_sweep_unknown_method_exit_2(runner, tmp_path):
     cfg = tmp_path / "sweep.ini"
     _write_config(

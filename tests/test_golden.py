@@ -28,6 +28,7 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
         ("bessel-sinh-oracle", 3),
         ("perturbed-cubic", 0),
         ("nd-separable", 0),
+        ("nd-oracle", 0),
     ],
 )
 def test_sweep_matches_golden_csv(tmp_path, name, exit_code):

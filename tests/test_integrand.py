@@ -202,14 +202,12 @@ def test_fd_real_on_real_is_exactly_real():
 def test_derive_nd_matches_analytic():
     intg = registry_get("nd-perturbed-cubic", {"dim": "2", "eps": "0.05", "c": "0.1"})
     x = np.array([0.4, 0.2])
-    for order in (1, 2, 3):
+    for order in (1, 2):
         for u in (np.array([1.0, 0.0]), np.array([0.6, 0.8])):
             if order == 1:
                 ref = float(np.dot(intg.grad(x, 0.2), u))
-            elif order == 2:
-                ref = float(u @ intg.hessian(x, 0.2) @ u)
             else:
-                ref = intg.third_directional(x, 0.2, u)
+                ref = float(u @ intg.hessian(x, 0.2) @ u)
             # force the FD path by stripping the analytic providers
             from caustica import IntegrandND
 

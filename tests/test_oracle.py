@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import airye, jv
 
 from caustica import (
     DimensionTooLarge,
+    IntegrandND,
     ToleranceNotMet,
     bessel_ref,
     cubature_nd,
@@ -173,3 +175,37 @@ def test_real_line_gaussian():
     ref = np.trapezoid(ys, xs)
     assert abs(r.value.imag) <= 1e-9 * abs(r.value)
     assert r.value.real == pytest.approx(ref, rel=1e-7)
+
+
+def test_bessel_above_fold_against_jv():
+    # above alpha = 1 the saddles are +-i acos(1/alpha): the contour moves
+    # through one of them, where J_N is an oscillatory sum of both
+    intg = registry_get("bessel-sinh")
+    for alpha in (1.01, 1.03, 1.05):
+        for N in (100, 1000):
+            ref = jv(N, alpha * N)
+            assert abs(quad_contour(intg, alpha, N).value - ref) <= 1e-9 * abs(ref)
+
+
+def test_cubature_transverse_quartic_is_product():
+    # F = perturbed cubic(x1) - x2^2/2 - 0.05 x2^4 factorizes into the 1-D
+    # contour integral and a real transverse integral; the reduction to the
+    # soft coordinate keeps only the transverse Hessian, so against this
+    # n-D reference it is off by the Laplace term -3 (0.05) / N
+    sep = registry_get("nd-separable", {"dim": "2", "eps": "0.05"})
+    intg = IntegrandND(
+        F=lambda x, a: sep.F(x, a) - 0.05 * x[1] ** 4,
+        dim=2,
+        soft_contour=sep.soft_contour,
+        saddle_guess=sep.saddle_guess,
+    )
+    intg1 = registry_get("perturbed-cubic", {"eps": "0.05"})
+    alpha = 0.2
+    for N in (30.0, 100.0):
+        transverse, _ = quad(lambda x: math.exp(N * (-0.5 * x * x - 0.05 * x ** 4)),
+                             -np.inf, np.inf, epsabs=0.0, epsrel=1e-13)
+        one_d = quad_contour(intg1, alpha, N, tol=1e-11).value
+        r = cubature_nd(intg, alpha, N, tol=1e-10)
+        assert abs(r.value - one_d * transverse) <= 1e-9 * abs(one_d * transverse)
+        reduced = one_d * math.sqrt(2.0 * math.pi / N)
+        assert r.value / reduced - 1.0 == pytest.approx(-0.15 / N, rel=0.1)

@@ -170,54 +170,55 @@ def test_tilde_point_between_saddles():
 def test_nd_saddle_location_and_spectrum():
     intg = registry_get("nd-perturbed-cubic", {"dim": "2", "eps": "0.05", "c": "0.1"})
     s = find_saddle_nd(intg, 0.2, intg.saddle_guess(0.2))
-    assert s.grad_residual < 1e-9
-    # dominant anchor: x1 near -sqrt(alpha), transverse mode at rest
-    assert s.x0[0] == pytest.approx(-math.sqrt(0.2), abs=0.05)
+    assert s.saddle.residual < 1e-9
+    # recessive anchor: x1 near +sqrt(alpha), transverse mode at rest
+    assert s.x0[0] == pytest.approx(math.sqrt(0.2), abs=0.05)
     assert abs(s.x0[1]) < 1e-9
-    assert s.eigenvalues[0] < 0.0  # soft (dominant-side) mode
-    assert s.eigenvalues[1] < 0.0  # transverse mode
-    assert abs(s.eigenvalues[0]) < abs(s.eigenvalues[1])
+    # soft curvature positive along the real axis, transverse mode negative
+    assert s.saddle.f2.real > 0.0
+    assert s.hessian[0, 0].real == pytest.approx(-1.0 + 2.0 * 0.1 * s.x0[0].real, rel=1e-10)
 
 
 def test_nd_soft_cubic_coefficient():
     intg = registry_get("nd-separable", {"dim": "2", "eps": "0.05"})
     s = find_saddle_nd(intg, 0.2, intg.saddle_guess(0.2))
-    # separable: soft direction is exactly e1 and a111 = 2 + 24 eps x0
-    assert abs(abs(s.eigenvectors[0, 0]) - 1.0) < 1e-10
-    assert s.a111 == pytest.approx(2.0 + 24.0 * 0.05 * s.x0[0], abs=1e-8)
-    assert abs(s.a_i11[1]) < 1e-6
+    # separable: the reduced exponent is the soft cubic, f''' = 2 + 24 eps x0
+    assert s.saddle.f3 == pytest.approx(2.0 + 24.0 * 0.05 * s.x0[0], abs=1e-8)
 
 
-def test_nd_soft_eigenvector_alignment_with_coupling():
-    intg = registry_get("nd-perturbed-cubic", {"dim": "2", "c": "0.1"})
-    s = find_saddle_nd(intg, 0.2, intg.saddle_guess(0.2))
-    angle = math.acos(min(abs(s.eigenvectors[0, 0]), 1.0))
-    assert angle < 0.05
-
-
-def test_nd_mixed_cubic_isolated():
-    intg = registry_get("nd-perturbed-cubic", {"dim": "2", "c": "0.1"})
-    s = find_saddle_nd(intg, 0.2, intg.saddle_guess(0.2))
-    # exact tensor contraction F'''[v2, v1, v1] for comparison
-    v1, v2 = s.eigenvectors[:, 0], s.eigenvectors[:, 1]
-    x = s.x0
-    eps, c = 0.05, 0.1
-
-    def t3(a, b, d):
-        val = (2.0 + 24.0 * eps * x[0]) * a[0] * b[0] * d[0]
-        val += 2.0 * c * (a[0] * b[1] * d[1] + a[1] * b[0] * d[1] + a[1] * b[1] * d[0])
-        return val
-
-    assert s.a_i11[1] == pytest.approx(t3(v2, v1, v1), abs=1e-6)
-
-
-def test_nd_equal_soft_modes_rejected():
+def test_nd_reduced_curvature_is_schur_complement():
+    # off the transverse rest point the reduced curvature is the Schur
+    # complement F11 - F12^2 / F22 of the Hessian (envelope theorem):
+    # F = x1^3/3 - a x1 - x2^2/2 + b x1 x2 has x2* = b x1
+    b = 0.3
     intg = IntegrandND(
-        F=lambda x, a: -0.5 * np.dot(x, x),
+        F=lambda x, a: x[0] ** 3 / 3.0 - a * x[0] - 0.5 * x[1] ** 2 + b * x[0] * x[1],
         dim=2,
+        soft_contour=registry_get("nd-separable").soft_contour,
     )
-    with pytest.raises(WrongRegime):
-        find_saddle_nd(intg, 0.0, np.zeros(2))
+    s = find_saddle_nd(intg, 0.2, np.array([0.5, 0.0]))
+    z0 = s.x0[0]
+    assert s.x0[1] == pytest.approx(b * z0, abs=1e-12)
+    assert s.saddle.f2 == pytest.approx(2.0 * z0 + b * b, abs=1e-9)
+
+
+def test_nd_reduction_keeps_mixed_cubic():
+    # F = x1^3/3 - a x1 - x2^2/2 + c x1^2 x2 has x2* = c x1^2, so the mixed
+    # cubic term enters the reduced exponent as c^2 x1^4 / 2 and its f'''
+    # as 2 + 12 c^2 x1
+    c = 0.2
+    intg = IntegrandND(
+        F=lambda x, a: x[0] ** 3 / 3.0 - a * x[0] - 0.5 * x[1] ** 2 + c * x[0] ** 2 * x[1],
+        dim=2,
+        soft_contour=registry_get("nd-separable").soft_contour,
+    )
+    s = find_saddle_nd(intg, 0.2, np.array([0.45, 0.0]))
+    z0 = s.x0[0]
+    assert s.x0[1] == pytest.approx(c * z0 ** 2, abs=1e-12)
+    assert s.saddle.f3 == pytest.approx(2.0 + 12.0 * c * c * z0, abs=1e-8)
+    z = np.array([0.3 + 0.2j, -0.4 + 0.5j])
+    exact = z ** 3 / 3.0 - 0.2 * z + 0.5 * c * c * z ** 4
+    assert np.allclose(s.reduced.f(z, 0.2), exact, rtol=0.0, atol=1e-14)
 
 
 def test_nd_positive_transverse_rejected():
