@@ -19,6 +19,13 @@ and ``cfu`` to one-variable integrands, ``wkb-nd`` and ``corrected-nd`` to
 n-variable ones.  Naming a method of the other dimension is a config error
 (exit 2).
 
+With ``oracle = true`` each row also carries the quadrature oracle's value
+and each method's relative error against it.  The oracle runs once per alpha
+over the whole N grid; where it fails at any N of an alpha (its error
+estimate misses the tolerance, or the value leaves the double range), the
+sweep stops before that alpha's rows, writes an ``# error: oracle failed:``
+trailer and exits 4.  A solver error ends the sweep the same way with exit 3.
+
 CSV output is byte-deterministic: fixed column order, %.17g floats, '\\n'
 line endings, alpha-major / N-minor row order, versioned header line.
 """
@@ -144,13 +151,13 @@ class _Sweep1D:
                 guess = self.intg.saddle_guess(a) if self.intg.saddle_guess else 0.1 + 0.0j
             self.saddle = find_saddle(self.intg, a, guess)
 
-    def oracle(self, a, N):
-        return quad_contour(self.intg, a, N, tol=self.tol).value
+    def oracle(self, a, ns):
+        return quad_contour(self.intg, a, ns, tol=self.tol).value
 
 
 class _SweepND:
-    """The n-variable methods share one saddle, and with it one reduced
-    integrand, per alpha."""
+    """The n-variable methods and the oracle share one saddle, and with it
+    one reduced integrand, per alpha."""
 
     calls = {
         "wkb-nd": lambda sw, a, ns: asymnd.approx_wkb_nd(sw.intg, a, ns, sw.saddle),
@@ -164,8 +171,8 @@ class _SweepND:
         g = self.intg.saddle_guess(a) if self.intg.saddle_guess else [0.0] * self.intg.dim
         self.saddle = find_saddle_nd(self.intg, a, g)
 
-    def oracle(self, a, N):
-        return cubature_nd(self.intg, a, N, tol=max(self.tol, 1e-8)).value
+    def oracle(self, a, ns):
+        return cubature_nd(self.intg, a, ns, tol=max(self.tol, 1e-8), saddle=self.saddle).value
 
 
 def _sweep_kind(intg):
@@ -176,8 +183,10 @@ def _sweep_rows(intg, cfg, branches):
     """Yield one CSV row per (alpha, N), alpha-major: method values, oracle
     and relative errors, warnings.  Each method runs once per alpha over the
     whole N grid; a per-alpha error it raises marks every N's cell
-    ``divergent``.  Adds each row's cube-root branch index, when a method
-    reports one, to ``branches``."""
+    ``divergent``.  The oracle, too, runs once per alpha over the grid,
+    before that alpha's rows; its error at any N raises _OracleFailed, so no
+    row of that alpha is written.  Adds each row's cube-root branch index,
+    when a method reports one, to ``branches``."""
     sw = _sweep_kind(intg)(intg, cfg)
     methods, ns = cfg["methods"], cfg["N"]
     for a in cfg["alphas"]:
@@ -188,6 +197,11 @@ def _sweep_rows(intg, cfg, branches):
                 grid[m] = sw.calls[m](sw, a, ns)
             except (CausticDivergence, PartnerNotFound, DegenerateCubic) as exc:
                 grid[m] = exc
+        if cfg["oracle"]:
+            try:
+                oracle = sw.oracle(a, ns)
+            except CausticaError as exc:
+                raise _OracleFailed(exc) from exc
         for i, N in enumerate(ns):
             values, warnings, zp, branch = {}, [], None, None
             for m in methods:
@@ -209,10 +223,7 @@ def _sweep_rows(intg, cfg, branches):
                 v = values.get(m)
                 row += ["divergent", None] if v is None else [v.real, v.imag]
             if cfg["oracle"]:
-                try:
-                    o = sw.oracle(a, N)
-                except CausticaError as exc:
-                    raise _OracleFailed(exc) from exc
+                o = complex(oracle[i])
                 row += [o.real, o.imag]
                 for m in methods:
                     v = values.get(m)

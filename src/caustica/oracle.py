@@ -15,13 +15,28 @@ Gauss–Legendre sum over a real box in the transverse coordinates, whose own
 error estimate enters the same relative test.  ``bessel_ref`` is J_N from
 scipy.  Quadrature values carry an error estimate and are exponent-shifted
 so that the largest integrand magnitude is O(1) during quadrature.
+
+Both oracles take N as one number or as a grid, like the formulas, and
+serve the whole grid from one pass per alpha: one saddle solve and one
+contour move; rays cut at the smallest N, where they reach furthest; panel
+breakpoints graded at the largest N, where the saddle's width N^(-1/2) is
+smallest; f and g evaluated once per node, and exp(N (f - shift)) per N,
+with a shift that does not depend on N.  Each panel stays open for the N
+that have not accepted it yet, and every N starts on the panels that reach
+into its own ray cuts and keeps its own totals, error test and range check,
+so each N gets the value and error estimate a pass of its own would give,
+to within those estimates.  ``cubature_nd`` shares the soft panels the same
+way but gives each N its own transverse box, cut at that N: one box cut at
+the smallest N is too wide for the fixed rule at the largest.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from numbers import Number
 
 import numpy as np
 from scipy.special import jv
@@ -33,7 +48,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .integrand import ContourPath, Integrand1D, IntegrandND
-from .saddle import find_saddle, find_saddle_nd
+from .saddle import NdSaddleInfo, find_saddle, find_saddle_nd
 
 __all__ = ["QuadResult", "quad_contour", "cubature_nd", "bessel_ref"]
 
@@ -48,9 +63,29 @@ _MAX_POINTS = 2 ** 18  # integrand points per call of F in cubature_nd
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: complex
-    abs_error_estimate: float
+    """``value`` and ``abs_error_estimate`` are one number for one N and
+    arrays in the grid's order for a grid; ``evaluations`` counts the
+    integrand points evaluated, once for the whole grid."""
+
+    value: "complex | np.ndarray"
+    abs_error_estimate: "float | np.ndarray"
     evaluations: int
+
+
+def _n_grid(N) -> np.ndarray:
+    """N as a float array: a single N is a one-element grid."""
+    ns = np.atleast_1d(np.asarray(N, dtype=float))
+    if ns.ndim != 1 or not ns.size:
+        raise ValueError(f"N must be a number or a non-empty sequence, got {N!r}")
+    return ns
+
+
+def _as_given(res: QuadResult, N) -> QuadResult:
+    """``res`` with its one value unwrapped where N was one number."""
+    if not isinstance(N, Number):
+        return res
+    return replace(res, value=complex(res.value[0]),
+                   abs_error_estimate=float(res.abs_error_estimate[0]))
 
 
 def _polyline(contour: ContourPath, r_in: float, r_out: float):
@@ -80,7 +115,7 @@ def _gauss_legendre(a, b):
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def quad_contour(
-    intg: Integrand1D, alpha: float, N: float, tol: float = 1e-10
+    intg: Integrand1D, alpha: float, N: "float | Sequence[float]", tol: float = 1e-10
 ) -> QuadResult:
     """Reference value of the contour integral, within ``10 tol |I|``.
 
@@ -90,22 +125,27 @@ def quad_contour(
     Without a guess, or where the solve raises, the declared contour is used
     as it is, graded from its node of largest Re f.  Each ray is cut where
     N (Re f - Re f(z_s)) drops below log(tol 1e-3) for good, judged on a
-    geometric grid of radii.  Panel breakpoints lie at arc distances
-    N^(-1/2) 2^k from the saddle and at the contour's corners; each panel
-    gets a 16-node Gauss–Legendre rule, and its error estimate is
-    |GL(panel) - GL(left half) - GL(right half)|.  Panels whose estimate
-    exceeds their share of tol |I| are halved, for at most ``_MAX_ROUNDS``
-    rounds.  The exponent is shifted by the largest Re f over the first
-    round's nodes.
+    geometric grid of radii; the panels run to the smallest N's cuts, and
+    each N starts on those that reach into its own.  Panel breakpoints lie
+    at arc distances N^(-1/2) 2^k from the saddle, at the largest N, and at
+    the contour's corners; each panel gets a 16-node Gauss–Legendre rule,
+    and its error estimate is |GL(panel) - GL(left half) - GL(right half)|.  Each N
+    halves the panels whose estimate exceeds its share of tol |I| at that N,
+    for at most ``_MAX_ROUNDS`` rounds, and accepts the rest.  The exponent
+    is shifted by the largest Re f over the first round's nodes.
 
-    The error estimate sums the panel estimates, a rounding term
+    Per N, the error estimate sums the panel estimates, a rounding term
     8 eps sum |w h| over the nodes, and the truncation cutoff.  Unless it is
-    at most 10 tol |I|, ToleranceNotMet is raised: the rounding term turns
-    cancellation, where |I| is far below the integrand's size on the
-    contour, into that error rather than a wrong value.  It is raised too
-    where |I| over- or underflows a normal double.  ``evaluations`` counts
+    at most 10 tol |I| at every N, ToleranceNotMet is raised: the rounding
+    term turns cancellation, where |I| is far below the integrand's size on
+    the contour, into that error rather than a wrong value.  It is raised
+    too where |I| over- or underflows a normal double at some N.
+
+    N is one number or a grid; for a grid, ``value`` and
+    ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
     integrand points.
     """
+    ns = _n_grid(N)
     anchor = None
     if intg.saddle_guess is not None:
         try:
@@ -114,36 +154,52 @@ def quad_contour(
         except CausticaError:
             pass
 
-    def sample(z, shift):
+    def sample(z, live, shift):
         fz = intg.f(z, alpha)
         if shift is None:
             shift = float(np.max(fz.real))
-        return intg.g(z) * np.exp(N * (fz - shift)), None, shift
+        gz = np.broadcast_to(intg.g(z), z.shape)
+        kk, pp = np.nonzero(live)
+        return gz[:, pp] * np.exp(ns[kk, None] * (fz[:, pp] - shift)), None, shift
 
-    return _contour_sum(
-        intg.contour, anchor, lambda z: intg.f(z, alpha), sample, N, tol, intg.prefactor
+    res = _contour_sum(
+        intg.contour, anchor, lambda z: intg.f(z, alpha), sample, ns, tol, intg.prefactor
     )
+    return _as_given(res, N)
 
 
 def _cuts(r, e, tol):
-    """Per row of ``e``, N (Re f - ref) at the radii ``r`` along one ray: the
-    first radius from which it stays below log(tol 1e-3)."""
+    """Per row of ``e`` (along its last axis), N (Re f - ref) at the radii
+    ``r`` along one ray: the first radius from which it stays below
+    log(tol 1e-3)."""
     above = ~(e < math.log(tol * _TRUNC_FACTOR))
-    if above[:, -1].any():
+    if above[..., -1].any():
         raise RayDivergence("integrand does not decay along a ray")
-    return [r[np.flatnonzero(row)[-1] + 1] if row.any() else 0.0 for row in above]
+    last = above.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
+    return np.where(above.any(axis=-1), r[np.minimum(last + 1, len(r) - 1)], 0.0)
 
 
-def _contour_sum(contour, anchor, f, sample, N, tol, prefactor=1.0):
-    """The panel loop that ``quad_contour`` documents, along ``contour``.
+def _per_n(k, x, size):
+    """Sums of the complex ``x`` grouped by grid index ``k``."""
+    return np.bincount(k, x.real, size) + 1j * np.bincount(k, x.imag, size)
+
+
+def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
+    """The panel loop that ``quad_contour`` documents, along ``contour``, for
+    every N of the grid ``ns`` at once.
 
     ``anchor`` is (z_s, Re f(z_s)) for the saddle, or None; ``f`` maps an
     array of points to the exponent there, which grades the declared
-    contour and cuts the rays.  ``sample(z, shift)`` returns the integrand
-    times e^(-N shift) at an array of points, an error bound for each value
-    (None where they are exact to rounding) and the shift, which it picks
-    itself when given None.  The bounds, weighted by |w|, add to the error
-    estimate but do not halve panels.
+    contour and cuts the rays.  ``sample(z, live, shift)`` gets the nodes
+    z, shape (3, panels, 16) for each panel and its two halves, and the
+    (len(ns), panels) mask of the N each panel is open for.  It returns,
+    for every open (N, panel) pair in ``np.nonzero(live)`` order, the
+    integrand times e^(-N shift) at the panel's nodes, shape (3, pairs, 16),
+    an error bound for each value (None where they are exact to rounding)
+    and the shift, one number or one per N, which it picks itself when
+    given None.  The bounds,
+    weighted by |w|, add to the error estimate but do not halve panels.
+    Returns a QuadResult over the grid.
     """
     v, s = _polyline(contour, _RAY_MAX, _RAY_MAX)
     if anchor is None:
@@ -155,67 +211,83 @@ def _contour_sum(contour, anchor, f, sample, N, tol, prefactor=1.0):
         p, s_c = _project(v, s, z_s)
         contour = replace(contour, nodes=tuple(z + (z_s - p) for z in contour.nodes))
 
-    # cut each ray at the first radius of the grid from which N (Re f - ref)
-    # stays below the cutoff; both rays in one call of f
+    # cut each ray, per N, at the first radius of the grid from which
+    # N (Re f - ref) stays below the cutoff; both rays in one call of f.  The
+    # smallest N reaches furthest and sets the panels' span; each N starts
+    # on the panels that reach into its own span
     r = np.concatenate(([0.0], _RAY_MAX * 2.0 ** (np.arange(-25, 1) / 2.0)))
     u = np.exp(1j * np.array([[contour.tail_angle], [contour.head_angle]]))
     ends = np.array([[contour.nodes[0]], [contour.nodes[-1]]])
-    v, s = _polyline(contour, *_cuts(r, N * (f(ends + r * u).real - ref), tol))
+    cut = _cuts(r, ns[:, None, None] * (f(ends + r * u).real - ref), tol)
+    v, s = _polyline(contour, *cut.max(axis=0))
+    span_lo, span_hi = -cut[:, 0, None], s[-2] + cut[:, 1, None]
 
-    # panel breakpoints at arc distances N^(-1/2) 2^k from the saddle and at
-    # the corners of the contour
+    # panel breakpoints at arc distances N^(-1/2) 2^k from the saddle, at the
+    # largest N, and at the corners of the contour
     lo, hi = s[0], s[-1]
-    h0 = N ** -0.5
+    h0 = ns.max() ** -0.5
     steps = h0 * 2.0 ** np.arange(math.ceil(math.log2(max(hi - lo, h0) / h0)) + 1)
     bp = np.concatenate((s, [s_c], s_c - steps, s_c + steps))
     bp = np.unique(bp[(bp >= lo) & (bp <= hi)])
     zb = np.interp(bp, s, v.real) + 1j * np.interp(bp, s, v.imag)
     a, b = zb[:-1], zb[1:]
 
+    K = len(ns)
+    live = (bp[:-1] < span_hi) & (bp[1:] > span_lo)
     shift = None
-    total = err = absum = inner = 0.0
+    total = np.zeros(K, dtype=complex)
+    err, absum, inner = np.zeros(K), np.zeros(K), np.zeros(K)
     nev = 0
     for rnd in range(_MAX_ROUNDS):
-        # every open panel and its two halves, in one call of sample
+        # every panel open for some N, and its two halves, in one call of sample
         n, m = len(a), (a + b) / 2.0
         z, w = _gauss_legendre(np.concatenate((a, a, m)), np.concatenate((b, m, b)))
-        h, h_err, shift = sample(z, shift)
+        z, w = z.reshape(3, n, -1), w.reshape(3, n, -1)
+        h, h_err, shift = sample(z, live, shift)
+        kk, pp = np.nonzero(live)
+        w = w[:, pp]
         hw = h * w
         nev += z.size
-        whole, left, right = hw.sum(axis=1).reshape(3, n)
-        mag = np.abs(hw[n:]).sum(axis=1).reshape(2, n).sum(axis=0)
+        whole, left, right = hw.sum(axis=2)
+        mag = np.abs(hw[1:]).sum(axis=(0, 2))
         pair = left + right
         est = np.abs(whole - pair)
-        share = (tol * abs(total + pair.sum()) - err) / n
-        done = (est <= share) | (rnd == _MAX_ROUNDS - 1)
-        total += pair[done].sum()
-        err += est[done].sum()
-        absum += mag[done].sum()
+        share = (tol * np.abs(total + _per_n(kk, pair, K)) - err) / np.maximum(live.sum(1), 1)
+        done = (est <= share[kk]) | (rnd == _MAX_ROUNDS - 1)
+        kd = kk[done]
+        total += _per_n(kd, pair[done], K)
+        err += np.bincount(kd, est[done], K)
+        absum += np.bincount(kd, mag[done], K)
         if h_err is not None:
-            inner += np.abs(h_err * w)[n:].sum(axis=1).reshape(2, n).sum(axis=0)[done].sum()
-        keep = ~done
+            inner += np.bincount(kd, np.abs(h_err * w)[1:].sum(axis=(0, 2))[done], K)
+        # halve each panel some N rejected; the halves are open for those N
+        live = np.zeros((K, n), dtype=bool)
+        live[kk[~done], pp[~done]] = True
+        keep = live.any(axis=0)
         a, b = np.concatenate((a[keep], m[keep])), np.concatenate((m[keep], b[keep]))
+        live = np.concatenate((live[:, keep], live[:, keep]), axis=1)
         if not len(a):
             break
 
     abs_err = (
         err + _ROUNDING * _EPS * absum + inner
-        + tol * _TRUNC_FACTOR * np.exp(N * (ref - shift))
+        + tol * _TRUNC_FACTOR * np.exp(ns * (ref - shift))
     )
-    if not abs_err <= 10.0 * tol * abs(total):
-        raise ToleranceNotMet(
-            f"quadrature error {abs_err:.2e} exceeds 10 tol |I| for |I|={abs(total):.2e}"
-            " (scaled by the exponent shift)"
-        )
-    scale = np.exp(N * shift)
-    if not np.finfo(float).tiny <= abs(total) * scale < math.inf:
-        raise ToleranceNotMet(
-            f"|I| = {abs(total):.2e} e^({N * shift:.4g}) is outside the double range"
-        )
-    scale = float(scale) * contour.orientation * prefactor
-    return QuadResult(
-        value=complex(total * scale), abs_error_estimate=abs_err * abs(scale), evaluations=nev
-    )
+    log_scale = ns * shift
+    scale = np.exp(log_scale)
+    for N, e, t, ls, sc in zip(ns, abs_err, np.abs(total), log_scale, scale):
+        if not e <= 10.0 * tol * t:
+            raise ToleranceNotMet(
+                f"quadrature error {e:.2e} exceeds 10 tol |I| for |I|={t:.2e}"
+                f" at N={N:g} (scaled by the exponent shift)"
+            )
+        if not np.finfo(float).tiny <= t * sc < math.inf:
+            raise ToleranceNotMet(
+                f"|I| = {t:.2e} e^({ls:.4g}) at N={N:g} is outside the double range"
+            )
+    scale = scale * contour.orientation * prefactor
+    return QuadResult(value=total * scale, abs_error_estimate=abs_err * np.abs(scale),
+                      evaluations=nev)
 
 
 def _box_rule(lo, hi, panels):
@@ -232,70 +304,102 @@ def _box_rule(lo, hi, panels):
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def cubature_nd(
-    intg: IntegrandND, alpha: float, N: float, tol: float = 1e-8
+    intg: IntegrandND,
+    alpha: float,
+    N: "float | Sequence[float]",
+    tol: float = 1e-8,
+    saddle: "NdSaddleInfo | None" = None,
 ) -> QuadResult:
     """Reference value of the n-D integral, within ``10 tol |I|``.
 
     The soft coordinate runs the panel loop of ``quad_contour`` along
-    ``soft_path``, through the saddle from ``find_saddle_nd`` started at
-    ``saddle_guess(alpha)``, or graded from the node of largest Re F where
-    there is none, with the transverse coordinates held at the saddle's
-    (the guess's) for the ray cuts.  At each soft node the transverse
-    coordinates are summed over one real box around the saddle's: each axis
-    is cut in both directions where N (Re F - Re F(saddle)) drops below
-    log(tol 1e-3) for good, on a grid of ratio 2^(1/8), and carries the
-    16-node rule on 2 and on 4 equal panels.  The tensor sum on 4 panels
-    per axis is the value at the node, its difference from the sum on 2
-    panels plus a rounding term its error bound, which enters the error
-    estimate.  ``evaluations`` counts integrand points.
+    ``soft_path``, through ``saddle``, or where it is None the saddle from
+    ``find_saddle_nd`` started at ``saddle_guess(alpha)``, or graded from
+    the node of largest Re F where there is neither, with the transverse
+    coordinates held at the saddle's (the guess's) for the ray cuts.  At
+    each soft node the transverse coordinates are summed over one real box
+    per N around the saddle's: each axis is cut in both directions where
+    N (Re F - Re F(saddle)) drops below log(tol 1e-3) for good, on a grid
+    of ratio 2^(1/8), and carries the 16-node rule on 2 and on 4 equal
+    panels.  The tensor sum on 4 panels per axis is the value at the node,
+    its difference from the sum on 2 panels plus a rounding term its error
+    bound, which enters that N's error estimate.  Each N's exponent shift
+    is the largest Re F over its first round's nodes.
+
+    N is one number or a grid; for a grid, ``value`` and
+    ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
+    integrand points.
     """
+    ns = _n_grid(N)
     n = intg.dim
     if n > 4:
         raise DimensionTooLarge(f"cubature supports n <= 4, got {n}")
     center, anchor = np.zeros(n), None
-    if intg.saddle_guess is not None:
+    if saddle is None and intg.saddle_guess is not None:
         center = np.asarray(intg.saddle_guess(alpha), dtype=float)
         try:
-            s = find_saddle_nd(intg, alpha, center)
-            center, anchor = s.x0.real, (s.x0[0], float(intg.F(s.x0, alpha).real))
+            saddle = find_saddle_nd(intg, alpha, center)
         except CausticaError:
             pass
+    if saddle is not None:
+        center, anchor = saddle.x0.real, (saddle.x0[0], float(intg.F(saddle.x0, alpha).real))
 
+    # each N's transverse box, cut on the same rays
     r = np.concatenate(([0.0], _RAY_MAX * 2.0 ** (np.arange(-160, 1) / 8.0)))
     axes = np.concatenate((np.eye(n)[1:], -np.eye(n)[1:]))
     x = (center[:, None, None] + axes.T[:, :, None] * r).reshape(n, -1)
-    e = N * (intg.F(x, alpha).real.reshape(len(axes), -1) - intg.F(center, alpha).real)
-    cut = np.array(_cuts(r, e, tol))
-    lo, hi = center[1:] - cut[n - 1:], center[1:] + cut[:n - 1]
-    whole, w_whole = _box_rule(lo, hi, 2)
-    halves, w_halves = _box_rule(lo, hi, 4)
-    xt = np.concatenate((whole, halves), axis=1)
-    k, size = whole.shape[1], xt.shape[1]
+    d = intg.F(x, alpha).real.reshape(len(axes), -1) - intg.F(center, alpha).real
+    boxes = []
+    for cut in _cuts(r, ns[:, None, None] * d, tol):
+        lo, hi = center[1:] - cut[n - 1:], center[1:] + cut[:n - 1]
+        (whole, w_whole), (halves, w_halves) = _box_rule(lo, hi, 2), _box_rule(lo, hi, 4)
+        boxes.append((np.concatenate((whole, halves), axis=1), w_whole, w_halves))
+    k, size = len(boxes[0][1]), boxes[0][0].shape[1]
     chunk = max(1, _MAX_POINTS // size)
+    points = 0
 
     def on_axis(z):
         x = np.empty((n, z.size), dtype=complex)
         x[0], x[1:] = z.ravel(), center[1:, None]
         return intg.F(x, alpha).reshape(z.shape)
 
-    def sample(z, shift):
-        shape, z = z.shape, z.ravel()
-        e = np.empty((z.size, size), dtype=complex)
-        for i in range(0, z.size, chunk):
-            zc = z[i:i + chunk]
-            x = np.empty((n, zc.size, size), dtype=complex)
-            x[0], x[1:] = zc[:, None], xt[:, None, :]
-            e[i:i + chunk] = intg.F(x.reshape(n, -1), alpha).reshape(-1, size)
+    def sample(z, live, shift):
+        # per N, F on its box at the nodes of its open panels and the
+        # transverse sums there, a chunk of nodes at a time.  In the first
+        # round the shift is the largest Re F so far, and the sums taken
+        # before it rose are rescaled
+        nonlocal points
+        shifts, value, bound = [], [], []
+        for j, (nk, open_, (xt, w_whole, w_halves)) in enumerate(zip(ns, live, boxes)):
+            if not open_.any():
+                continue
+            zk = z[:, open_].ravel()
+            points += zk.size * size
+            sh = -math.inf if shift is None else shift[j]
+            v, b = np.empty(zk.size, dtype=complex), np.empty(zk.size)
+            for i in range(0, zk.size, chunk):
+                zc = zk[i:i + chunk]
+                x = np.empty((n, zc.size, size), dtype=complex)
+                x[0], x[1:] = zc[:, None], xt[:, None, :]
+                e = intg.F(x.reshape(n, -1), alpha).reshape(-1, size)
+                top = float(np.max(e.real))
+                if shift is None and top > sh:
+                    v[:i] *= math.exp(nk * (sh - top))
+                    b[:i] *= math.exp(nk * (sh - top))
+                    sh = top
+                t = np.exp(nk * (e - sh))
+                v[i:i + chunk] = (t[:, k:] * w_halves).sum(axis=1)
+                b[i:i + chunk] = (np.abs((t[:, :k] * w_whole).sum(axis=1) - v[i:i + chunk])
+                                  + _ROUNDING * _EPS * np.abs(t[:, k:] * w_halves).sum(axis=1))
+            shifts.append(sh)
+            value.append(v.reshape(3, -1, z.shape[2]))
+            bound.append(b.reshape(3, -1, z.shape[2]))
         if shift is None:
-            shift = float(np.max(e.real))
-        t = np.exp(N * (e - shift))
-        value = (t[:, k:] * w_halves).sum(axis=1)
-        bound = (np.abs((t[:, :k] * w_whole).sum(axis=1) - value)
-                 + _ROUNDING * _EPS * np.abs(t[:, k:] * w_halves).sum(axis=1))
-        return value.reshape(shape), bound.reshape(shape), shift
+            shift = np.array(shifts)
+        return np.concatenate(value, axis=1), np.concatenate(bound, axis=1), shift
 
-    res = _contour_sum(intg.soft_path, anchor, on_axis, sample, N, tol)
-    return replace(res, evaluations=res.evaluations * size)
+    res = _contour_sum(intg.soft_path, anchor, on_axis, sample, ns, tol)
+    return _as_given(replace(res, evaluations=points), N)
 
 
 def bessel_ref(N: int, x: float) -> float:

@@ -6,7 +6,7 @@ import textwrap
 import pytest
 from click.testing import CliRunner
 
-from caustica import cli
+from caustica import ToleranceNotMet, cli
 from caustica.cli import main
 from caustica.saddle import find_partner
 
@@ -380,6 +380,45 @@ def test_sweep_method_error_exit_3(runner, tmp_path):
     trailer = out.read_text().splitlines()[-1]
     assert trailer.startswith("# error: WrongRegime: ")
     assert "oracle" not in trailer
+
+
+def test_sweep_oracle_error_exit_4(runner, tmp_path, monkeypatch):
+    # the oracle runs once per alpha over the N grid; where it raises at the
+    # second alpha, every row of the first is written and none of the second
+    calls = []
+    quad_contour = cli.quad_contour
+
+    def failing(intg, alpha, N, tol):
+        calls.append((alpha, tuple(N)))
+        if len(calls) == 2:
+            raise ToleranceNotMet("made to fail")
+        return quad_contour(intg, alpha, N, tol)
+
+    monkeypatch.setattr(cli, "quad_contour", failing)
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = bessel-sinh
+
+        [sweep]
+        alpha = 0.8,0.9,0.95
+        N = 10,20,30
+        methods = wkb
+        oracle = true
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 4, result.output
+    assert calls == [(0.8, (10, 20, 30)), (0.9, (10, 20, 30))]
+    lines = out.read_text().splitlines()
+    assert lines[-1] == "# error: oracle failed: made to fail"
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:-1]]
+    assert [(float(r["alpha"]), r["N"]) for r in rows] == [(0.8, "10"), (0.8, "20"), (0.8, "30")]
+    assert all(r["oracle_re"] for r in rows)
 
 
 def test_sweep_airy_argument_beyond_100(runner, tmp_path):

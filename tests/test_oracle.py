@@ -209,3 +209,47 @@ def test_cubature_transverse_quartic_is_product():
         assert abs(r.value - one_d * transverse) <= 1e-9 * abs(one_d * transverse)
         reduced = one_d * math.sqrt(2.0 * math.pi / N)
         assert r.value / reduced - 1.0 == pytest.approx(-0.15 / N, rel=0.1)
+
+
+def _assert_grid_matches_scalar(oracle, intg, alpha, grid, tol):
+    g = oracle(intg, alpha, grid, tol=tol)
+    assert isinstance(g.evaluations, int)
+    assert g.value.shape == g.abs_error_estimate.shape == (len(grid),)
+    for N, v, e in zip(grid, g.value, g.abs_error_estimate):
+        s = oracle(intg, alpha, N, tol=tol)
+        assert abs(v - s.value) <= e
+    return g
+
+
+def test_quad_grid_matches_scalar_and_jv():
+    # one pass over an unsorted N grid with a repeat: rays cut at N = 10,
+    # panels graded at N = 1000, each N accepting its own panels
+    intg = registry_get("bessel-sinh")
+    grid = [1000, 10, 30, 30, 100]
+    for alpha in (0.6, 0.8, 0.95, 1.0):
+        g = _assert_grid_matches_scalar(quad_contour, intg, alpha, grid, 1e-10)
+        assert g.value[2] == g.value[3]
+        for N, v in zip(grid, g.value):
+            ref = bessel_ref(N, alpha * N)
+            assert abs(v - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("name", ["nd-perturbed-cubic", "nd-separable"])
+def test_cubature_grid_matches_scalar(name):
+    intg = registry_get(name, {"dim": "2"})
+    for alpha in (0.0, 0.2, 0.5):
+        _assert_grid_matches_scalar(cubature_nd, intg, alpha, [100, 30, 300, 30], 1e-8)
+
+
+def test_one_element_grid_is_the_scalar_call():
+    intg = registry_get("bessel-sinh")
+    s = quad_contour(intg, 0.9, 30)
+    g = quad_contour(intg, 0.9, [30])
+    assert isinstance(s.value, complex) and isinstance(s.evaluations, int)
+    assert g.value[0] == pytest.approx(s.value, rel=1e-15)
+    assert g.evaluations == s.evaluations
+    nd = registry_get("nd-separable", {"dim": "2"})
+    s = cubature_nd(nd, 0.2, 30)
+    g = cubature_nd(nd, 0.2, (30,))
+    assert isinstance(s.value, complex) and isinstance(s.evaluations, int)
+    assert g.value[0] == pytest.approx(s.value, rel=1e-15)
