@@ -6,7 +6,7 @@ contour integrals and multivariable Laplace-type integrals with one soft
 Hessian mode, validated against brute-force quadrature oracles.
 """
 
-from .airy import AiryKind, airy_ai, airy_ai_scaled, airy_bi, airy_bi_scaled, recovery_factor
+from .airy import airy_ai, airy_ai_scaled, airy_bi, recovery_factor
 from .asym1d import (
     ApproxValue,
     Method,

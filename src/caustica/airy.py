@@ -2,14 +2,15 @@
 
 Thin wrappers over ``scipy.special.airy`` and ``airye``; this is the only
 module in caustica that decides how Ai and Bi are evaluated.  There is no
-range limit: the scaled variants stay finite for any x >= 0, which is what
-overflow-free fold corrections need.  The recovery factor R interpolates
-between 0 at the caustic and 1 deep in the Gaussian-saddle regime.
+range limit: the scaled Ai stays finite for any x >= 0, which is what
+overflow-free fold corrections need.  Every formula is built on the
+recessive solution Ai; Bi is here for checks against tabulated values.
+The recovery factor R interpolates between 0 at the caustic and 1 deep in
+the Gaussian-saddle regime.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Sequence
 
@@ -19,21 +20,12 @@ from scipy.special import airy, airye
 from .errors import NegativeArgument
 
 __all__ = [
-    "AiryKind",
     "airy_ai",
     "airy_bi",
     "airy_ai_scaled",
-    "airy_bi_scaled",
     "airy_ai_scaled_pair",
     "recovery_factor",
 ]
-
-
-class AiryKind(enum.Enum):
-    """Which Airy-type solution a correction factor is built from."""
-
-    RECESSIVE = "recessive"  # standard Ai
-    DOMINANT = "dominant"    # standard Bi
 
 
 def airy_ai(x: float) -> float:
@@ -81,14 +73,7 @@ def airy_ai_scaled(x: float) -> float:
     return airy_ai_scaled_pair(x)[0]
 
 
-def airy_bi_scaled(x: float) -> float:
-    """Bi(x) * exp(-(2/3) x^{3/2}) for x >= 0; overflow-free for large x."""
-    if x < 0:
-        raise NegativeArgument("scaled Bi defined for x >= 0 only")
-    return float(airye(x)[2])
-
-
-def recovery_factor(zeta_prime: float, kind: AiryKind = AiryKind.RECESSIVE) -> float:
+def recovery_factor(zeta_prime: float) -> float:
     """Dimensionless multiplier converting the Gaussian saddle term into the
     fold-corrected value.
 
@@ -100,7 +85,4 @@ def recovery_factor(zeta_prime: float, kind: AiryKind = AiryKind.RECESSIVE) -> f
         raise NegativeArgument("negative fold argument: two-complex-saddle side is unsupported")
     if zeta_prime == 0.0:
         return 0.0
-    q = zeta_prime ** 0.25
-    if kind is AiryKind.DOMINANT:
-        return math.sqrt(math.pi) * q * airy_bi_scaled(zeta_prime)
-    return 2.0 * math.sqrt(math.pi) * q * airy_ai_scaled(zeta_prime)
+    return 2.0 * math.sqrt(math.pi) * zeta_prime ** 0.25 * airy_ai_scaled(zeta_prime)

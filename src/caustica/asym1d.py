@@ -16,9 +16,10 @@ Phase conventions
 All square and cube roots are taken in the descent frame: the effective
 curvature at a saddle is |f''| with phase theta0 = (pi - arg f'')/2,
 adjusted mod pi so that exp(i*theta0) has positive projection onto the
-travel direction of the integration contour at the saddle.  This single
-rule fixes every root branch and reproduces the classical Debye formula
-on the Bessel family.
+travel direction of the integration contour at its point nearest the
+saddle (``ContourPath.project``), the point that ``quad_contour`` moves
+through the saddle.  This single rule fixes every root branch and
+reproduces the classical Debye formula on the Bessel family.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Number
 
-from .airy import AiryKind, airy_ai_scaled, airy_ai_scaled_pair, recovery_factor
+from .airy import airy_ai_scaled, airy_ai_scaled_pair, recovery_factor
 from .errors import (
     CausticaError,
     CausticDivergence,
@@ -115,7 +116,7 @@ def classify_regime(zeta_prime: float) -> Regime:
 def _descent_phase(intg: Integrand1D, z0: complex, f2: complex) -> float:
     """theta0 = (pi - arg f2)/2, flipped by pi if anti-parallel to the contour."""
     theta = (math.pi - cmath.phase(f2)) / 2.0
-    u = intg.contour.tangent_near(z0)
+    u = intg.contour.project(z0)[2]
     if math.cos(theta - cmath.phase(u)) < 0.0:
         theta += math.pi
     return theta
@@ -330,7 +331,7 @@ def approx_saddle_form(
         )
         warnings = []
         if naive is not None:
-            product = naive[i].value * recovery_factor(zp.zeta_prime, AiryKind.RECESSIVE)
+            product = naive[i].value * recovery_factor(zp.zeta_prime)
             denom = max(abs(value), 1e-300)
             if abs(product - value) / denom > 1e-9:
                 warnings.append(

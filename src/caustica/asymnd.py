@@ -13,9 +13,10 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .airy import AiryKind, recovery_factor
-# not called here: kept bound because the benchmark's span tracer wraps
-# asymnd.airy_ai_scaled by name
+from .airy import recovery_factor
+# nothing in the package calls this name here; the only reason the import
+# exists is that the span tracer (bench/spans.py, TARGETS) wraps
+# asymnd.airy_ai_scaled by name.  It goes when TARGETS drops that entry.
 from .airy import airy_ai_scaled  # noqa: F401
 from .asym1d import (
     ZetaParams,
@@ -96,7 +97,7 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
                 fold_status = "unavailable"
             for N, wkb in zip(N_grid, wkbs):
                 zp = ZetaParams.from_zeta(_saddle_zeta(s), N).zeta_prime
-                corr = wkb.value * recovery_factor(zp, AiryKind.RECESSIVE)
+                corr = wkb.value * recovery_factor(zp)
                 rows.append(
                     {
                         "alpha": a,

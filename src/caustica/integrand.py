@@ -1,13 +1,19 @@
 """Integrand models: function pairs, contour geometry, derivative engine,
 and the registry of built-in test families.
 
-Without analytic providers, derivatives come from the Taylor jet of one FFT
-over points on a circle around the point.  So f, g and F must be analytic
-and accept complex arguments.  f and g also take numpy arrays of complex
-points and return their values element by element: the jet samples its
-circle in one call, and ``quad_contour`` its panel nodes.  ``quad_contour``
-integrates along the declared contour translated through the saddle, so f
-and g must be analytic between the declared contour and that translate.
+``ContourPath`` is the one place that decides where a point lies on a
+contour: ``polyline`` cuts its rays, and ``project`` gives the nearest
+point, its arc position and the travel direction there, which both the
+oracle's contour move and the formulas' descent frame use.
+
+Derivatives of f without analytic providers, and every derivative of F,
+come from the Taylor jet of one FFT over points on a circle around the
+point.  So f, g and F must be analytic and accept complex arguments.  f
+and g also take numpy arrays of complex points and return their values
+element by element: the jet samples its circle in one call, and
+``quad_contour`` its panel nodes.  ``quad_contour`` integrates along the
+declared contour translated through the saddle, so f and g must be
+analytic between the declared contour and that translate.
 
 All objects are immutable after construction and safe to share across
 parallel workers.
@@ -16,13 +22,14 @@ parallel workers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadParameter, RayDivergence, StepUnderflow, UnknownIntegrand
+from .errors import BadParameter, StepUnderflow, UnknownIntegrand
 
 __all__ = [
     "ContourPath",
@@ -35,6 +42,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_RAY_MAX = 400.0  # the furthest out a ray is followed, by the oracle and by project
 
 
 @dataclass(frozen=True)
@@ -64,41 +72,38 @@ class ContourPath:
             raise BadParameter("orientation must be +1 or -1")
         object.__setattr__(self, "nodes", tuple(complex(z) for z in self.nodes))
 
-    def tangent_near(self, z: complex) -> complex:
-        """Unit travel direction of the contour element closest to ``z``.
+    def polyline(self, r_in: float, r_out: float) -> tuple[np.ndarray, np.ndarray]:
+        """Vertices of the contour with its rays cut at r_in and r_out, in travel
+        order, and their arc positions measured from ``nodes[0]``."""
+        u_in = cmath.exp(1j * self.tail_angle)
+        u_out = cmath.exp(1j * self.head_angle)
+        nodes = self.nodes
+        v = np.array([nodes[0] + r_in * u_in, *nodes, nodes[-1] + r_out * u_out])
+        s = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(v))))) - r_in
+        return v, s
 
-        For points far from the polyline this is a coarse proxy used only to
-        pick a sign for steepest-descent frames.
+    @functools.cached_property
+    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the polyline with both rays cut at _RAY_MAX, as segment starts,
+        # segment vectors and vertex arc positions; built once per contour,
+        # since the descent frame projects onto it for every alpha
+        v, s = self.polyline(_RAY_MAX, _RAY_MAX)
+        return v[:-1], np.diff(v), s
+
+    def project(self, z: complex) -> tuple[complex, float, complex]:
+        """The point of the contour nearest ``z``, its arc position, and the
+        unit travel direction there, with both rays cut at ``_RAY_MAX``.
+
+        Where several elements are equally near, the first in travel order
+        wins.
         """
-        best = None
-        best_d = math.inf
-        # finite segments
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            t = ((z - a) / (b - a)).real
-            t = min(max(t, 0.0), 1.0)
-            p = a + t * (b - a)
-            d = abs(z - p)
-            if d < best_d:
-                best_d, best = d, (b - a) / abs(b - a)
-        # rays (travel direction: inward along tail, outward along head)
-        for anchor, ang, sgn in (
-            (self.nodes[0], self.tail_angle, -1.0),
-            (self.nodes[-1], self.head_angle, 1.0),
-        ):
-            u = cmath.exp(1j * ang)
-            t = max(((z - anchor) / u).real, 0.0)
-            p = anchor + t * u
-            d = abs(z - p)
-            if d < best_d:
-                best_d, best = d, sgn * u
-        if len(self.nodes) == 1 and best is None:
-            best = cmath.exp(1j * self.head_angle)
-        # single-node contour: between the two rays, average the directions
-        if len(self.nodes) == 1:
-            avg = cmath.exp(1j * self.head_angle) - cmath.exp(1j * self.tail_angle)
-            if abs(avg) > 1e-12 and best_d > 0:
-                best = avg / abs(avg)
-        return best
+        a, d, s = self._segments
+        t = ((z - a) / d).real
+        np.clip(t, 0.0, 1.0, out=t)
+        p = a + t * d
+        i = int(np.argmin(np.abs(z - p)))
+        u = complex(d[i])
+        return complex(p[i]), float(s[i] + t[i] * (s[i + 1] - s[i])), u / abs(u)
 
 
 @dataclass(frozen=True)
@@ -120,23 +125,6 @@ class Integrand1D:
         if self.analytic_derivs is not None and len(self.analytic_derivs) != 4:
             raise BadParameter("analytic_derivs must provide orders 1..4")
 
-    def check_ray_convergence(self, alphas: Sequence[float], n_scale: float = 10.0) -> None:
-        """Verify Re f eventually decreases without bound along both rays."""
-        for anchor, ang in (
-            (self.contour.nodes[0], self.contour.tail_angle),
-            (self.contour.nodes[-1], self.contour.head_angle),
-        ):
-            u = cmath.exp(1j * ang)
-            for a in alphas:
-                rs = np.geomspace(1.0, 64.0, 13)
-                vals = [self.f(anchor + r * u, a).real for r in rs]
-                # must be decreasing over the outer half and strongly negative
-                tail = vals[6:]
-                if not all(x > y for x, y in zip(tail, tail[1:])) or tail[-1] > -n_scale:
-                    raise RayDivergence(
-                        f"Re f does not decay along ray angle {ang:.3f} for alpha={a}"
-                    )
-
 
 @dataclass(frozen=True)
 class IntegrandND:
@@ -148,14 +136,10 @@ class IntegrandND:
     analytic and accept complex points: the reduction to the soft
     coordinate solves for the transverse coordinates at complex soft
     points, and the oracle evaluates F on its whole node mesh in one call.
-    The optional ``grad`` and ``hessian`` serve ``derive_nd`` and
-    ``hessian_at`` at real points.
     """
 
     F: Callable[[np.ndarray, float], complex]
     dim: int
-    grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    hessian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     soft_contour: Optional[ContourPath] = None
     alpha_range: tuple[float, float] = (0.0, 1.0)
     saddle_guess: Optional[Callable[[float], np.ndarray]] = None
@@ -169,26 +153,6 @@ class IntegrandND:
     def soft_path(self) -> ContourPath:
         """The soft coordinate's contour: ``soft_contour``, or the real line."""
         return self.soft_contour or ContourPath((0j,), tail_angle=math.pi, head_angle=0.0)
-
-    def hessian_at(self, x: np.ndarray, alpha: float) -> np.ndarray:
-        if self.hessian is not None:
-            h = np.asarray(self.hessian(x, alpha), dtype=float)
-            if not np.allclose(h, h.T, rtol=1e-10, atol=1e-12):
-                raise BadParameter("provided Hessian is not symmetric")
-            return h
-        n = self.dim
-        h = np.empty((n, n))
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = 1.0
-            h[i, i] = derive_nd(self, x, alpha, ei, 2)
-        for i in range(n):
-            for j in range(i + 1, n):
-                u = np.zeros(n)
-                u[i] = u[j] = 1.0 / math.sqrt(2.0)
-                mixed = derive_nd(self, x, alpha, u, 2)
-                h[i, j] = h[j, i] = mixed - 0.5 * (h[i, i] + h[j, j])
-        return h
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +249,10 @@ def derive_nd(
 ) -> float:
     """Directional derivative of F of given order (1..2) along a unit vector.
 
-    Uses the analytic providers when available, otherwise the Taylor jet of
-    F along the complex line x + s * direction.  F must be analytic, accept
-    complex arguments and be real at real points: StepUnderflow is raised
-    where F is not analytic, BadParameter where the derivative is complex.
+    Taken from the Taylor jet of F along the complex line x + s * direction.
+    F must be analytic, accept complex arguments and be real at real points:
+    StepUnderflow is raised where F is not analytic, BadParameter where the
+    derivative is complex.
     """
     if order not in (1, 2):
         raise BadParameter(f"order must be 1..2, got {order}")
@@ -296,11 +260,6 @@ def derive_nd(
     if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
         raise BadParameter("direction must be a unit vector")
     x = np.asarray(x, dtype=float)
-    if order == 1 and intg.grad is not None:
-        return float(np.dot(intg.grad(x, alpha), direction))
-    if order == 2 and intg.hessian is not None:
-        h = intg.hessian_at(x, alpha)
-        return float(direction @ h @ direction)
     val = _derivatives(
         lambda s: [intg.F(x + si * direction, alpha) for si in s.tolist()],
         max(1.0, float(np.linalg.norm(x))),
@@ -507,26 +466,6 @@ def _build_nd_perturbed_cubic(params, separable=False):
             val = val + c * x1 * x[1] * x[1]
         return val
 
-    def grad(x, a):
-        x = np.asarray(x, dtype=complex)
-        g = np.empty(dim, dtype=complex)
-        g[0] = x[0] ** 2 - a + 4.0 * eps * x[0] ** 3
-        g[1:] = lams * x[1:]
-        if c != 0.0:
-            g[0] += c * x[1] ** 2
-            g[1] += 2.0 * c * x[0] * x[1]
-        if np.all(np.abs(g.imag) == 0.0):
-            return g.real
-        return g
-
-    def hessian(x, a):
-        x = np.asarray(x, dtype=float)
-        h = np.diag(np.concatenate(([2.0 * x[0] + 12.0 * eps * x[0] ** 2], lams)))
-        if c != 0.0:
-            h[1, 1] += 2.0 * c * x[0]
-            h[0, 1] = h[1, 0] = 2.0 * c * x[1]
-        return h
-
     soft = ContourPath((0.0 + 0.0j,), tail_angle=-math.pi / 3.0, head_angle=math.pi / 3.0)
 
     # the recessive saddle, through which the soft contour passes
@@ -538,8 +477,6 @@ def _build_nd_perturbed_cubic(params, separable=False):
     return IntegrandND(
         F=F,
         dim=dim,
-        grad=grad,
-        hessian=hessian,
         soft_contour=soft,
         alpha_range=(0.0, 0.5),
         saddle_guess=guess,

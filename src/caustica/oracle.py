@@ -32,7 +32,6 @@ the smallest N is too wide for the fixed rule at the largest.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -47,13 +46,12 @@ from .errors import (
     RayDivergence,
     ToleranceNotMet,
 )
-from .integrand import ContourPath, Integrand1D, IntegrandND
+from .integrand import _RAY_MAX, Integrand1D, IntegrandND
 from .saddle import NdSaddleInfo, find_saddle, find_saddle_nd
 
 __all__ = ["QuadResult", "quad_contour", "cubature_nd", "bessel_ref"]
 
 _TRUNC_FACTOR = 1e-3  # envelope cutoff relative to tol
-_RAY_MAX = 400.0
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _MAX_ROUNDS = 10  # rounds of quad_contour, each halving the panels it rejects
 _ROUNDING = 8.0  # c in the rounding term c eps sum |w h|
@@ -86,25 +84,6 @@ def _as_given(res: QuadResult, N) -> QuadResult:
         return res
     return replace(res, value=complex(res.value[0]),
                    abs_error_estimate=float(res.abs_error_estimate[0]))
-
-
-def _polyline(contour: ContourPath, r_in: float, r_out: float):
-    """Vertices of the contour with its rays cut at r_in and r_out, in travel
-    order, and their arc positions measured from ``nodes[0]``."""
-    u_in = cmath.exp(1j * contour.tail_angle)
-    u_out = cmath.exp(1j * contour.head_angle)
-    nodes = contour.nodes
-    v = np.array([nodes[0] + r_in * u_in, *nodes, nodes[-1] + r_out * u_out])
-    s = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(v))))) - r_in
-    return v, s
-
-
-def _project(v, s, z):
-    """The point of the polyline (v, s) nearest z, and its arc position."""
-    a, d = v[:-1], np.diff(v)
-    t = np.clip(((z - a) / d).real, 0.0, 1.0)
-    i = int(np.argmin(np.abs(z - (a + t * d))))
-    return a[i] + t[i] * d[i], s[i] + t[i] * (s[i + 1] - s[i])
 
 
 def _gauss_legendre(a, b):
@@ -201,14 +180,13 @@ def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
     weighted by |w|, add to the error estimate but do not halve panels.
     Returns a QuadResult over the grid.
     """
-    v, s = _polyline(contour, _RAY_MAX, _RAY_MAX)
     if anchor is None:
         fn = f(np.array(contour.nodes)).real
         k = int(np.argmax(fn))
-        ref, s_c = fn[k], s[k + 1]
+        ref, s_c = fn[k], contour.polyline(_RAY_MAX, _RAY_MAX)[1][k + 1]
     else:
         z_s, ref = anchor
-        p, s_c = _project(v, s, z_s)
+        p, s_c, _ = contour.project(z_s)
         contour = replace(contour, nodes=tuple(z + (z_s - p) for z in contour.nodes))
 
     # cut each ray, per N, at the first radius of the grid from which
@@ -219,7 +197,7 @@ def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
     u = np.exp(1j * np.array([[contour.tail_angle], [contour.head_angle]]))
     ends = np.array([[contour.nodes[0]], [contour.nodes[-1]]])
     cut = _cuts(r, ns[:, None, None] * (f(ends + r * u).real - ref), tol)
-    v, s = _polyline(contour, *cut.max(axis=0))
+    v, s = contour.polyline(*cut.max(axis=0))
     span_lo, span_hi = -cut[:, 0, None], s[-2] + cut[:, 1, None]
 
     # panel breakpoints at arc distances N^(-1/2) 2^k from the saddle, at the

@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import DegenerateCubic, NoConvergence, PartnerNotFound, StepUnderflow, WrongRegime
 from .integrand import _JET_TOL, Integrand1D, IntegrandND, _jet, derive
-# not called here: kept bound because the benchmark's span tracer wraps
-# saddle.derive_nd by name
+# nothing in the package calls this name here; the only reason the import
+# exists is that the span tracer (bench/spans.py, TARGETS) wraps
+# saddle.derive_nd by name.  It goes when TARGETS drops that entry.
 from .integrand import derive_nd  # noqa: F401
 
 __all__ = [

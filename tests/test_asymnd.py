@@ -143,13 +143,21 @@ def test_rotation_invariance():
         assert abs(v1 - v0) <= 1e-10 * abs(v0)
 
 
+def _nd_transverse_hessian(x, c, lams):
+    """Transverse Hessian of nd-perturbed-cubic in closed form: the
+    coupling c x1 x2^2 adds 2 c x1 to the (x2, x2) entry of diag(lams)."""
+    h = np.diag(lams)
+    h[0, 0] += 2.0 * c * x[0]
+    return h
+
+
 def test_determinant_invariant():
     # the reduced prefactor at the saddle is det(-H_perp)^(-1/2), with H_perp
     # the transverse block of the full Hessian
     intg = _nd(dim=3, eps=0.05, c=0.1, lambda3=-2.0)
     alpha = 0.2
     s = find_saddle_nd(intg, alpha, intg.saddle_guess(alpha))
-    h = intg.hessian_at(s.x0.real, alpha)[1:, 1:]
+    h = _nd_transverse_hessian(s.x0.real, c=0.1, lams=(-1.0, -2.0))
     assert np.allclose(s.hessian, h, atol=1e-10)
     g = s.reduced.g(s.saddle.z0)
     assert g == pytest.approx(np.linalg.det(-h) ** -0.5, rel=1e-10)

@@ -7,8 +7,11 @@ from scipy.integrate import quad
 from scipy.special import airye, jv
 
 from caustica import (
+    ContourPath,
     DimensionTooLarge,
+    Integrand1D,
     IntegrandND,
+    RayDivergence,
     ToleranceNotMet,
     bessel_ref,
     cubature_nd,
@@ -163,6 +166,15 @@ def test_cubature_dimension_guard():
     )
     with pytest.raises(DimensionTooLarge):
         cubature_nd(intg, 0.2, 30.0)
+
+
+def test_quad_rejects_ray_growth():
+    # exp(N f) grows along both rays of the real line for f = +z^2, so no
+    # cut radius makes the truncation small
+    c = ContourPath((0j,), tail_angle=math.pi, head_angle=0.0)
+    bad = Integrand1D(f=lambda z, a: z * z, g=lambda z: 1.0 + 0.0 * z, contour=c)
+    with pytest.raises(RayDivergence):
+        quad_contour(bad, 0.1, 10.0)
 
 
 def test_real_line_gaussian():
