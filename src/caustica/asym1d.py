@@ -41,7 +41,7 @@ from .errors import (
     WrongRegime,
 )
 from .integrand import Integrand1D, _derivatives, derive
-from .saddle import CausticInfo, SaddleInfo
+from .saddle import CausticInfo, SaddleInfo, _fold_point, find_caustic, find_saddle
 
 __all__ = [
     "Method",
@@ -212,9 +212,8 @@ def approx_tilde(
     depend on alpha only and raise for the whole grid.  With
     ``real_result_hint`` the cube-root branch is chosen per N.
     """
-    zt = c.z_tilde_at(alpha)
+    zt, (f1, _, f3, f4) = _fold_point(intg, alpha, c.z_tilde, c.f3_tilde)
     ft = intg.f(zt, alpha)
-    f1, _, f3, f4 = derive(intg, zt, alpha, 4)
     if abs(f3) < 1e-8 * max(1.0, abs(c.f3_tilde)):
         raise DegenerateCubic("f''' vanishes at the expansion point")
     g0 = intg.g(zt)
@@ -298,13 +297,16 @@ def approx_saddle_form(
     order); z_tilde is found once, and DegenerateCubic depends on alpha
     only and raises for the whole grid.
     """
-    if s.f3 == 0:
-        raise DegenerateCubic("f''' vanishes at the saddle")
+    return _saddle_form(intg, alpha, N, s, c.z_tilde_at(alpha))
+
+
+def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: complex):
+    """``approx_saddle_form`` over the tuple N, with z_tilde(alpha) given."""
     zeta = _saddle_zeta(s)
 
     # exponent-sign constant from the consistency identity
     # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}
-    ft = intg.f(c.z_tilde_at(alpha), alpha)
+    ft = intg.f(zt, alpha)
     df = (s.f0 - ft).real
     sgn = -1.0 if df <= 0.0 else 1.0
     shift = sgn + 1.0
@@ -420,8 +422,6 @@ def regime_report(intg: Integrand1D, alpha: float, N: float) -> dict:
     N).  Where a step raises a CausticaError, the report names the error
     in ``caustic_error`` or ``saddle_error`` instead.
     """
-    from .saddle import find_caustic, find_saddle
-
     report = {"alpha": alpha, "N": N}
     zt = None
     try:

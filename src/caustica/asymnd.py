@@ -6,6 +6,8 @@ soft coordinate.  ``wkb-nd`` and ``corrected-nd`` are ``approx_wkb`` and
 ``approx_saddle_form`` on that integrand, at its saddle, times the
 transverse Gaussian factor (2 pi / N)^((n-1)/2).  The saddle is the one the
 soft contour passes through: the recessive one on the registry families.
+``corrected-nd`` reads its exponent sign at the fold point z_tilde(alpha) of
+that saddle's own pair, from one Newton solve at this alpha, not alpha_hat.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ from .airy import airy_ai_scaled  # noqa: F401
 from .asym1d import (
     ZetaParams,
     _over_grid,
+    _saddle_form,
     _saddle_zeta,
-    approx_saddle_form,
     approx_wkb,
     classify_regime,
 )
 from .errors import CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
 from .integrand import Integrand1D, IntegrandND
 from .saddle import NdSaddleInfo, SaddleInfo, find_caustic, find_saddle, find_saddle_nd
+from .saddle import _check_fold, _fold_point
 
 __all__ = ["approx_wkb_nd", "approx_corrected_nd", "mean_field_compare"]
 
@@ -60,14 +63,16 @@ def approx_wkb_nd(intg: IntegrandND, alpha: float, N, s: NdSaddleInfo):
 @_over_grid
 def approx_corrected_nd(intg: IntegrandND, alpha: float, N, s: NdSaddleInfo):
     """``approx_saddle_form`` on the reduced integrand, times the transverse
-    Gaussians: finite through the fold.  The reduced caustic is solved from
-    this alpha and the saddle's cubic model.  N is one number or a sequence
-    of them, as for the 1-D formulas."""
+    Gaussians: finite through the fold.  z_tilde(alpha) of the saddle's own
+    pair is solved at this alpha from the inflection z0 - f''/f''' of its
+    cubic model (no alpha_hat), and DegenerateCubic raised where f''' is
+    zero there.  N is one number or a sequence of them, as for 1-D."""
     sd = _soft_saddle(intg, s)
     if sd.f3 == 0:
         raise DegenerateCubic("f''' vanishes at the saddle")
-    c = find_caustic(s.reduced, alpha, sd.z0 - sd.f2 / sd.f3)
-    return _with_gaussians(intg, N, approx_saddle_form(s.reduced, alpha, N, sd, c))
+    zt, (_, f2, f3, f4) = _fold_point(s.reduced, alpha, sd.z0 - sd.f2 / sd.f3, sd.f3)
+    _check_fold(f3, f4, abs(f2))
+    return _with_gaussians(intg, N, _saddle_form(s.reduced, alpha, N, sd, zt))
 
 
 def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
@@ -98,20 +103,14 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
             for N, wkb in zip(N_grid, wkbs):
                 zp = ZetaParams.from_zeta(_saddle_zeta(s), N).zeta_prime
                 corr = wkb.value * recovery_factor(zp)
+                log_corr = math.log(abs(corr)) if corr != 0 else -math.inf
                 rows.append(
                     {
                         "alpha": a,
                         "N": N,
                         "wkb_exponent": math.log(abs(wkb.value)) / N,
-                        "corrected_exponent": math.log(abs(corr)) / N
-                        if corr != 0
-                        else -math.inf,
-                        "exponent_gap": abs(
-                            math.log(abs(wkb.value)) - math.log(abs(corr))
-                        )
-                        / N
-                        if corr != 0
-                        else math.inf,
+                        "corrected_exponent": log_corr / N,
+                        "exponent_gap": abs(math.log(abs(wkb.value)) - log_corr) / N,
                         "prefactor_ratio": abs(corr) / abs(wkb.value),
                         "corrected": corr,
                         "wkb": wkb.value,

@@ -1,9 +1,11 @@
 """Saddle-point, caustic, and partner-saddle solvers.
 
-One complex variable: damped Newton on f'(z)=0, a joint solve for the
-expansion point (z_tilde, alpha_hat) where f' and f'' vanish together, and
-the partner saddle seeded from the local cubic model.  Several variables:
-the transverse coordinates are integrated out by Laplace's method (the
+One complex variable: damped Newton on f'(z)=0; a joint solve for the
+expansion point (z_tilde, alpha_hat) where f' and f'' vanish together; one
+damped Newton on f''(z, alpha) = 0 at fixed alpha for the fold point
+z_tilde(alpha), which hands the jet of its last step to its caller; and the
+partner saddle seeded from the local cubic model.  Several variables: the
+transverse coordinates are integrated out by Laplace's method (the
 splitting lemma; Poston & Stewart 1978, Bleistein & Handelsman 1975,
 ch. 8-9), which leaves a one-variable integrand in the soft coordinate, and
 its saddle is found by the one-variable solver.
@@ -57,22 +59,36 @@ class CausticInfo:
     f3_tilde: complex
     intg: Integrand1D
 
-    def z_tilde_at(self, alpha: float, tol: float = 1e-12) -> complex:
+    def z_tilde_at(self, alpha: float) -> complex:
         """z with f''(z, alpha) = 0, continued from the critical point by
         damped Newton."""
-        z = self.z_tilde
-        for _ in range(_MAX_ITERS):
-            _, r, f3 = derive(self.intg, z, alpha, 3)
-            if abs(r) <= tol * max(1.0, abs(self.f3_tilde)):
-                return z
-            if f3 == 0:
-                raise NoConvergence(f"z_tilde continuation: f''' vanishes at alpha={alpha}")
-            step = r / f3
-            # damping: never move by more than O(1), as in find_saddle
-            if abs(step) > 1.0:
-                step /= abs(step)
-            z = z - step
-        raise NoConvergence(f"z_tilde continuation stalled at alpha={alpha}")
+        return _fold_point(self.intg, alpha, self.z_tilde, self.f3_tilde)[0]
+
+
+def _fold_point(intg: Integrand1D, alpha: float, z: complex, f3_scale: complex):
+    """z_tilde(alpha), where |f''(z, alpha)| <= 1e-12 max(1, |f3_scale|), by
+    damped Newton from z, and the jet (f', ..., f'''') taken there."""
+    for _ in range(_MAX_ITERS):
+        jet = derive(intg, z, alpha, 4)
+        _, r, f3, _ = jet
+        if abs(r) <= 1e-12 * max(1.0, abs(f3_scale)):
+            return z, jet
+        if f3 == 0:
+            raise NoConvergence(f"z_tilde continuation: f''' vanishes at alpha={alpha}")
+        step = r / f3
+        # damping: never move by more than O(1), as in find_saddle
+        if abs(step) > 1.0:
+            step /= abs(step)
+        z = z - step
+    raise NoConvergence(f"z_tilde continuation stalled at alpha={alpha}")
+
+
+def _check_fold(f3: complex, f4: complex, residual: float) -> None:
+    """DegenerateCubic where f''' at a fold point is zero: near a cusp a solver
+    stalls with f3 ~ f4*dz and residual ~ f4*dz^2/2, hence this floor."""
+    floor = math.sqrt(50.0 * max(abs(f4), 1.0) * max(residual, 1e-13))
+    if abs(f3) < max(1e-8, floor):
+        raise DegenerateCubic(f"f'''(z_tilde, alpha_hat) = {f3:.3e}: fold assumption violated")
 
 
 @dataclass(frozen=True)
@@ -123,33 +139,24 @@ def find_saddle(
     raise NoConvergence(f"find_saddle: no convergence after {_MAX_ITERS} iterations")
 
 
-def find_caustic(
-    intg: Integrand1D,
-    alpha_guess: float = None,
-    z_guess: complex = None,
-    tol: float = 1e-11,
-) -> CausticInfo:
-    """Joint solve of f'(z, alpha) = f''(z, alpha) = 0 for (z_tilde, alpha_hat).
+def find_caustic(intg: Integrand1D) -> CausticInfo:
+    """Joint solve of f'(z, alpha) = f''(z, alpha) = 0 for (z_tilde, alpha_hat),
+    from the integrand's ``caustic_guess``.
 
     Gauss-Newton on the stacked real system in (Re z, Im z, alpha); the
     Jacobian columns are built from f'' , f''' and finite differences in
     alpha.
     """
-    if z_guess is None or alpha_guess is None:
-        if intg.caustic_guess is None:
-            raise NoConvergence("find_caustic needs a guess for this integrand")
-        zg, ag = intg.caustic_guess
-        z_guess = z_guess if z_guess is not None else zg
-        alpha_guess = alpha_guess if alpha_guess is not None else ag
-    z = complex(z_guess)
-    a = float(alpha_guess)
+    if intg.caustic_guess is None:
+        raise NoConvergence("find_caustic needs a guess for this integrand")
+    z, a = complex(intg.caustic_guess[0]), float(intg.caustic_guess[1])
     da = 1e-6
 
     for _ in range(_MAX_ITERS):
         f1, f2, f3, f4 = derive(intg, z, a, 4)
         r = np.array([f1.real, f1.imag, f2.real, f2.imag])
         res = float(np.linalg.norm(r))
-        if res <= tol:
+        if res <= 1e-11:
             break
         p1, p2 = derive(intg, z, a + da, 2)
         m1, m2 = derive(intg, z, a - da, 2)
@@ -173,13 +180,7 @@ def find_caustic(
     else:
         raise NoConvergence("find_caustic: joint Newton did not converge")
 
-    # near a cusp the solver stalls with f3 ~ f4*dz and residual ~ f4*dz^2/2,
-    # so |f3|^2 below that floor means f3 is numerically zero
-    floor = math.sqrt(50.0 * max(abs(f4), 1.0) * max(res, 1e-13))
-    if abs(f3) < max(1e-8, floor):
-        raise DegenerateCubic(
-            f"f'''(z_tilde, alpha_hat) = {f3:.3e}: fold assumption violated"
-        )
+    _check_fold(f3, f4, res)
     return CausticInfo(z_tilde=complex(z), alpha_hat=float(a), f3_tilde=f3, intg=intg)
 
 

@@ -15,6 +15,7 @@ from caustica import (
     Regime,
     ZetaParams,
     approx_cfu,
+    approx_corrected_nd,
     approx_saddle_form,
     approx_tilde,
     approx_wkb,
@@ -22,12 +23,13 @@ from caustica import (
     find_caustic,
     find_partner,
     find_saddle,
+    find_saddle_nd,
     quad_contour,
     recovery_factor,
     registry_get,
     regime_report,
 )
-from caustica import asym1d, saddle
+from caustica import asym1d, asymnd, saddle
 from caustica.airy import airy_ai
 
 AI_1 = 0.13529241631288141  # Ai(1)
@@ -402,26 +404,39 @@ def test_tilde_real_at_caustic_despite_rounding_in_z_tilde():
     assert abs(approx_tilde(intg, 0.0, 10, nudged).value - ref) <= 1e-15 * abs(ref)
 
 
-@pytest.mark.parametrize("solve", ["find_saddle", "find_caustic", "z_tilde_at", "approx_tilde"])
+@pytest.mark.parametrize(
+    "solve", ["find_saddle", "find_caustic", "z_tilde_at", "approx_tilde", "approx_corrected_nd"]
+)
 def test_one_derive_per_point(monkeypatch, solve):
     # each finite-difference derive call computes f' to f'''' from one jet,
-    # so a solver or formula asks at most once per (z, alpha); z_tilde_at is
-    # its own layer, and approx_tilde's jet at z_tilde is counted apart from
-    # the Newton steps that found it
+    # so a solver or formula asks at most once per (z, alpha), whichever
+    # module asks: approx_tilde takes its jet at z_tilde from the Newton step
+    # that found it, and corrected-nd solves z_tilde(alpha) alone, with no
+    # joint solve for alpha_hat
     intg = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
     c = find_caustic(intg)
-    asked = []
+    nd = registry_get("nd-perturbed-cubic", {"dim": "2"})
+    s = find_saddle_nd(nd, 0.3, nd.saddle_guess(0.3))
+    asked, caustic_solves = [], []
     for module in (saddle, asym1d):
-        def counted(intg, z, alpha, order, module=module, derive=module.derive):
-            asked.append((module.__name__, z, alpha))
+        def counted(intg, z, alpha, order, derive=module.derive):
+            asked.append((z, alpha))
             return derive(intg, z, alpha, order)
 
         monkeypatch.setattr(module, "derive", counted)
+    for module in (saddle, asymnd):
+        def counted_caustic(intg, find_caustic=module.find_caustic):
+            caustic_solves.append(intg)
+            return find_caustic(intg)
+
+        monkeypatch.setattr(module, "find_caustic", counted_caustic)
     {
         "find_saddle": lambda: find_saddle(intg, 0.3, intg.saddle_guess(0.3)),
         "find_caustic": lambda: find_caustic(intg),
         "z_tilde_at": lambda: c.z_tilde_at(0.3),
         "approx_tilde": lambda: approx_tilde(intg, 0.3, 100.0, c),
+        "approx_corrected_nd": lambda: approx_corrected_nd(nd, 0.3, 100.0, s),
     }[solve]()
     assert len(asked) > 1
     assert len(set(asked)) == len(asked)
+    assert caustic_solves == []

@@ -13,6 +13,7 @@ from caustica import (
     approx_corrected_nd,
     approx_saddle_form,
     approx_wkb_nd,
+    cubature_nd,
     find_caustic,
     find_saddle,
     find_saddle_nd,
@@ -181,6 +182,23 @@ def test_wkb_nd_divergent_at_caustic():
     assert np.isfinite(abs(v.value)) and abs(v.value) > 0.0
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.1, 0.01])
+def test_corrected_nd_cusp_is_degenerate(alpha):
+    # F = x1^4 - alpha x1 - x2^2/2 reduces to f = z^4 - alpha z, whose f''
+    # vanishes only at z = 0, where f''' vanishes too: a cusp, not a fold.
+    # Newton on f'' = 0 converges there linearly, so f''' at its last step
+    # is small but not tiny; the floor against f'''' and the residual must
+    # still call it zero
+    intg = IntegrandND(
+        F=lambda x, a: x[0] ** 4 - a * x[0] - 0.5 * x[1] ** 2,
+        dim=2,
+        soft_contour=_nd().soft_contour,
+    )
+    s = find_saddle_nd(intg, alpha, np.array([(alpha / 4.0) ** (1.0 / 3.0), 0.0]))
+    with pytest.raises(DegenerateCubic):
+        approx_corrected_nd(intg, alpha, 50.0, s)
+
+
 def test_positive_soft_without_contour_rejected():
     intg = IntegrandND(
         F=lambda x, a: 0.5 * 0.3 * x[0] ** 2 - 0.5 * x[1] ** 2 + 0.05 * x[0] ** 3,
@@ -206,6 +224,25 @@ def test_mean_field_compare_1d():
     # at the critical coupling the fold-saddle Gaussian must diverge
     crit = [r for r in rows if abs(r["alpha"] - gamma_hat) < 1e-9]
     assert all(r["fold_wkb"] == "divergent" for r in crit)
+
+
+def test_mean_field_compare_nd():
+    # the n-D branch: wkb-nd and corrected-nd at the recessive saddle,
+    # against the panel oracle
+    intg = registry_get("nd-perturbed-cubic", {"dim": "2"})
+    alpha_hat = find_caustic(registry_get("perturbed-cubic", {"eps": "0.05"})).alpha_hat
+    alphas, grid = [alpha_hat, 0.2, 0.4], [50, 100]
+    rows = mean_field_compare(intg, alphas, grid)
+    assert [(r["alpha"], r["N"]) for r in rows] == [(a, n) for a in alphas for n in grid]
+    for r in rows:
+        at_fold = r["alpha"] == alpha_hat
+        assert r["fold_wkb"] == ("divergent" if at_fold else "finite")
+        s = find_saddle_nd(intg, r["alpha"], intg.saddle_guess(r["alpha"]))
+        ref = cubature_nd(intg, r["alpha"], r["N"], saddle=s).value
+        bound = 1e-4 if at_fold else 1e-2
+        assert abs(r["corrected"] - ref) <= bound * abs(ref)
+        if not at_fold:
+            assert r["exponent_gap"] <= 10.0 / r["N"]
 
 
 def test_mean_field_m0_degenerate():
