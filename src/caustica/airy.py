@@ -6,7 +6,8 @@ range limit: the scaled Ai stays finite for any x >= 0, which is what
 overflow-free fold corrections need.  Every formula is built on the
 recessive solution Ai; Bi is here for checks against tabulated values.
 The recovery factor R interpolates between 0 at the caustic and 1 deep in
-the Gaussian-saddle regime.
+the Gaussian-saddle regime; ``_recovery`` builds it from a scaled Ai that
+the caller already took, as over an N grid in one call.
 """
 
 from __future__ import annotations
@@ -79,10 +80,13 @@ def recovery_factor(zeta_prime: float) -> float:
 
     Normalized so R -> 1 as zeta_prime -> infinity and R(0) = 0 exactly (the
     zeta_prime^{1/4} suppression; caustic values must come from the
-    cancelled forms in asym1d/asymnd).
+    cancelled forms in asym1d/asymnd).  Evaluated by ``_recovery``.
     """
     if zeta_prime < 0:
         raise NegativeArgument("negative fold argument: two-complex-saddle side is unsupported")
-    if zeta_prime == 0.0:
-        return 0.0
-    return 2.0 * math.sqrt(math.pi) * zeta_prime ** 0.25 * airy_ai_scaled(zeta_prime)
+    return _recovery(zeta_prime, airy_ai_scaled(zeta_prime))
+
+
+def _recovery(zeta_prime: float, ai_scaled: float) -> float:
+    """R at zeta_prime >= 0 from ai_scaled, the scaled Ai taken there (R(0) = 0)."""
+    return 2.0 * math.sqrt(math.pi) * zeta_prime ** 0.25 * ai_scaled

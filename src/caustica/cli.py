@@ -213,9 +213,8 @@ def _sweep_rows(intg, cfg, branches):
                 warnings.extend(av.warnings)
                 if zp is None or m == "tilde":
                     zp = av.zeta_prime
-                params = getattr(av, "params", None)
-                if branch is None and params is not None:
-                    branch = params.branch_index
+                if branch is None and av.params is not None:
+                    branch = av.params.branch_index
             if branch is not None:
                 branches.add(branch)
             row = [a, N, zp, None if zp is None else classify_regime(zp).value]
@@ -242,13 +241,17 @@ def _cell(v) -> str:
     return "%.17g" % v
 
 
+# by exact type; other types (bool, numpy scalars, subclasses) take _cell
+_CELL_BY_TYPE = {float: "%.17g".__mod__, int: "%d".__mod__, str: str, type(None): _cell}
+
+
 def _write_csv(out, cols, rows):
     """The versioned header, the column line, then one line per row: None is
     an empty cell, ints are written %d and floats %.17g."""
     out.write(_CSV_HEADER + "\n")
     out.write(",".join(cols) + "\n")
     for row in rows:
-        out.write(",".join(map(_cell, row)) + "\n")
+        out.write(",".join([_CELL_BY_TYPE.get(type(v), _cell)(v) for v in row]) + "\n")
 
 
 @click.group()

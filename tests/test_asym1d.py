@@ -65,6 +65,26 @@ def test_regime_examples():
     assert r["zeta_prime"] == pytest.approx(1.0, abs=1e-4)
 
 
+def test_regime_report_solves_z_tilde_once(monkeypatch):
+    # the report takes z_tilde and its jet from one fold-point Newton; only
+    # approx_tilde's own solve asks there again, so z_tilde is asked at most
+    # twice, and fold_displacement is the one an order-3 jet at z_tilde gives
+    intg = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
+    alpha, N = 0.3, 100.0
+    zt = find_caustic(intg).z_tilde_at(alpha)
+    f1, _, f3 = saddle.derive(intg, zt, alpha, 3)
+    asked = []
+    for module in (saddle, asym1d):
+        def counted(intg, z, alpha, order, derive=module.derive):
+            asked.append((z, alpha))
+            return derive(intg, z, alpha, order)
+
+        monkeypatch.setattr(module, "derive", counted)
+    r = regime_report(intg, alpha, N)
+    assert 1 <= asked.count((zt, alpha)) <= 2
+    assert r["fold_displacement"] == N ** (2.0 / 3.0) * abs(f1) * abs(2.0 / f3) ** (1.0 / 3.0)
+
+
 @pytest.mark.parametrize("name, params, alpha", [
     ("bessel-sinh", {}, 1.05),
     ("mean-field-toy", {"m": 0.1}, 1.0),
@@ -138,6 +158,27 @@ def test_saddle_form_equals_wkb_times_recovery(alpha):
         naive = wkb.value * recovery_factor(sf.zeta_prime)
         assert abs(sf.value - naive) <= 1e-9 * abs(sf.value)
         assert not sf.warnings
+
+
+@pytest.mark.parametrize("name, alpha", [
+    ("cubic", 0.5),
+    ("perturbed-cubic", 0.3),
+    ("bessel-sinh", 0.8),
+])
+def test_saddle_form_cross_check_flags_mismatch(monkeypatch, name, alpha):
+    # the cancelled form is checked against WKB * R at every N: silent where
+    # the two agree, and a warning on each N once the Gaussian term is off
+    intg = registry_get(name)
+    c = find_caustic(intg)
+    s = find_saddle(intg, alpha, intg.saddle_guess(alpha))
+    grid = (10.0, 30.0, 100.0, 300.0, 1000.0)
+    assert all(not v.warnings for v in approx_saddle_form(intg, alpha, grid, s, c))
+    gaussian = asym1d._gaussian
+    monkeypatch.setattr(
+        asym1d, "_gaussian", lambda *args: [v * (1.0 + 1e-6) for v in gaussian(*args)]
+    )
+    for v in approx_saddle_form(intg, alpha, grid, s, c):
+        assert any("cancelled/naive mismatch" in w for w in v.warnings)
 
 
 def test_saddle_form_matches_tilde_near_caustic():

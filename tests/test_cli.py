@@ -1,8 +1,11 @@
 import importlib.util
+import io
+import math
 import pathlib
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -465,6 +468,24 @@ def test_trace_targets_resolve(monkeypatch):
     spec.loader.exec_module(spans)
     for obj, attr, _ in spans.TARGETS:
         assert callable(getattr(obj, attr, None)), f"{obj.__name__}.{attr}"
+
+
+def test_write_csv_cell_bytes():
+    # each type keeps the text the isinstance chain of _cell gives it: bool
+    # as %d, numpy scalars as %.17g (np.float64 is a float subclass, np.int64
+    # is no int subclass)
+    row = [None, "x;y", "", 7, -12, True, False, 0.1, -0.0, 1e300, 5e-324,
+           math.inf, -math.inf, math.nan, np.float64(0.1), np.float64(-0.0),
+           np.float64(math.inf), np.int64(-3), np.int64(2 ** 62), 2 ** 70]
+    out = io.StringIO()
+    cli._write_csv(out, ["a", "b"], [row, [1.0, 2]])
+    assert out.getvalue() == (
+        "# caustica-csv v1\na,b\n"
+        ",x;y,,7,-12,1,0,0.10000000000000001,-0,1.0000000000000001e+300,"
+        "4.9406564584124654e-324,inf,-inf,nan,0.10000000000000001,-0,inf,-3,"
+        "4.6116860184273879e+18,1180591620717411303424\n"
+        "1,2\n"
+    )
 
 
 def test_sweep_missing_config_exit_2(runner, tmp_path):
