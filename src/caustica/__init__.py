@@ -9,9 +9,7 @@ Hessian mode, validated against brute-force quadrature oracles.
 from .airy import airy_ai, airy_ai_scaled, airy_bi, recovery_factor
 from .asym1d import (
     ApproxValue,
-    Method,
     Regime,
-    ZetaParams,
     approx_cfu,
     approx_saddle_form,
     approx_tilde,

@@ -13,6 +13,10 @@ the result is one ApproxValue per N, each equal to the call at that N alone.
 Per N only arithmetic is left: one ``airy_ai_scaled_pair`` call serves the
 grid, and ``saddle``'s WKB * R check reuses ``wkb``'s Gaussian term.
 
+An ApproxValue holds the value, the fold parameter zeta' = N^{2/3} zeta,
+the warnings and, for ``tilde`` only, the cube-root branch index; its
+``regime`` is derived from zeta'.
+
 Phase conventions
 -----------------
 All square and cube roots are taken in the descent frame: the effective
@@ -50,9 +54,7 @@ from .airy import airy_ai_scaled, recovery_factor  # noqa: F401
 from .integrand import derive  # noqa: F401
 
 __all__ = [
-    "Method",
     "Regime",
-    "ZetaParams",
     "ApproxValue",
     "approx_wkb",
     "approx_tilde",
@@ -68,13 +70,6 @@ WKB_SAFE_MIN = 10.0
 _IM_TOL = 1e-6
 
 
-class Method(enum.Enum):
-    WKB = "wkb"
-    TILDE = "tilde"
-    SADDLE_FORM = "saddle"
-    CFU = "cfu"
-
-
 class Regime(enum.Enum):
     CAUSTIC_WINDOW = "CausticWindow"
     TRANSITION = "Transition"
@@ -82,33 +77,24 @@ class Regime(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ZetaParams:
-    """The fold parameter and its N-scaled companions."""
-
-    zeta: float
-    zeta_prime: float
-    branch_index: int
-    exp_shift: float  # (2/3) * zeta_prime^{3/2}
-
-    @classmethod
-    def from_zeta(cls, zeta: float, N: float, branch_index: int = 0) -> "ZetaParams":
-        zp = N ** (2.0 / 3.0) * zeta
-        return cls(
-            zeta=zeta,
-            zeta_prime=zp,
-            branch_index=branch_index,
-            exp_shift=(2.0 / 3.0) * zp ** 1.5,
-        )
-
-
-@dataclass(frozen=True)
 class ApproxValue:
+    """One formula's value at one (alpha, N).
+
+    ``zeta_prime`` = N^{2/3} zeta places the value relative to the fold; it
+    is infinite for ``wkb`` where f''' vanishes at the saddle.  ``regime``
+    is derived from it.  ``branch`` is the cube-root branch index that
+    ``tilde`` chose; the other formulas have no branch choice and leave it
+    None.
+    """
+
     value: complex
-    method: Method
     zeta_prime: float
-    regime: Regime
     warnings: tuple[str, ...] = ()
-    params: "ZetaParams | None" = None
+    branch: "int | None" = None
+
+    @property
+    def regime(self) -> "Regime":
+        return classify_regime(self.zeta_prime)
 
 
 def classify_regime(zeta_prime: float) -> Regime:
@@ -165,12 +151,8 @@ def approx_wkb(
     rotation = cmath.exp(1j * _descent_phase(intg, s.z0, s.f2))
     values = _gaussian(intg, alpha, N, s, rotation)
     zeta = None if s.f3 == 0 else _saddle_zeta(s)
-    out = []
-    for n, value in zip(N, values):
-        zp = math.inf if zeta is None else n ** (2.0 / 3.0) * zeta  # as in from_zeta
-        out.append(ApproxValue(value=value, method=Method.WKB, zeta_prime=zp,
-                               regime=classify_regime(zp)))
-    return out
+    return [ApproxValue(value, math.inf if zeta is None else n ** (2.0 / 3.0) * zeta)
+            for n, value in zip(N, values)]
 
 
 def _gaussian(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, rotation: complex):
@@ -243,46 +225,37 @@ def approx_tilde(
     if not (intg.real_result_hint and len(candidates) > 1):
         candidates = candidates[:1]
 
-    # per branch: the constant prefixes of the quartic term, of the value
-    # and of the g' term, and the fold parameters over the grid
+    # per branch: its index, the constant prefixes of the quartic term, of
+    # the value and of the g' term, and the fold parameters over the grid
     prefixes = [
-        (f4 * r ** 4 / 24.0, intg.prefactor * 2.0j * math.pi * r, g1 * r)
-        for _, r, _ in candidates
+        (k, f4 * r ** 4 / 24.0, intg.prefactor * 2.0j * math.pi * r, g1 * r)
+        for k, r, _ in candidates
     ]
-    zps = [[ZetaParams.from_zeta(zeta, n, branch_index=k) for n in N]
-           for k, _, zeta in candidates]
-    pairs = airy_ai_scaled_pair([zp.zeta_prime for row in zps for zp in row])
+    xs = [[n ** (2.0 / 3.0) * zeta for n in N] for _, _, zeta in candidates]
+    pairs = airy_ai_scaled_pair([x for row in xs for x in row])
 
     out = []
     for i, n in enumerate(N):
         n3 = n ** (-1.0 / 3.0)
         built = []
-        for j, (quartic_c, value_c, g1r) in enumerate(prefixes):
-            zp = zps[j][i]
-            x = zp.zeta_prime
+        for j, (k, quartic_c, value_c, g1r) in enumerate(prefixes):
+            x = xs[j][i]
             ai, aip = pairs[j * len(N) + i]
             quartic = quartic_c * n3 * (2.0 * aip + x * x * ai)
             val = (
                 value_c
                 * n3
                 * (g0 * (ai + quartic) - g1r * n3 * aip)
-                * cmath.exp(n * ft - zp.exp_shift)
+                * cmath.exp(n * ft - (2.0 / 3.0) * x ** 1.5)
             )
-            built.append((zp, val))
-        zp, val = built[0] if len(built) == 1 else min(
-            built, key=lambda t: abs(t[1].imag) / max(abs(t[1]), 1e-300))
+            built.append((k, x, val))
+        k, x, val = built[0] if len(built) == 1 else min(
+            built, key=lambda t: abs(t[2].imag) / max(abs(t[2]), 1e-300))
 
         warnings = []
         if intg.real_result_hint and abs(val.imag) > _IM_TOL * abs(val):
             warnings.append("tilde: nonzero imaginary part despite real_result_hint")
-        out.append(ApproxValue(
-            value=val,
-            method=Method.TILDE,
-            zeta_prime=zp.zeta_prime,
-            regime=classify_regime(zp.zeta_prime),
-            warnings=tuple(warnings),
-            params=zp,
-        ))
+        out.append(ApproxValue(val, x, tuple(warnings), branch=k))
     return out
 
 
@@ -328,31 +301,23 @@ def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: c
     if sgn < 0 and abs(s.f2) > 1e-6 * max(1.0, abs(s.f3)):
         naive = _gaussian(intg, alpha, N, s, rotation)
 
-    zps = [ZetaParams.from_zeta(zeta, n) for n in N]
-    pairs = airy_ai_scaled_pair([zp.zeta_prime for zp in zps])
+    xs = [n ** (2.0 / 3.0) * zeta for n in N]
     out = []
-    for i, (n, zp, (aie, _)) in enumerate(zip(N, zps, pairs)):
+    for i, (n, x, (aie, _)) in enumerate(zip(N, xs, airy_ai_scaled_pair(xs))):
         value = (
             amplitude
             * n ** (-1.0 / 3.0)
             * rotation
             * aie
-            * cmath.exp(n * s.f0 - shift * zp.exp_shift)
+            * cmath.exp(n * s.f0 - shift * ((2.0 / 3.0) * x ** 1.5))
         )
         warnings = []
         if naive is not None:
-            product = naive[i] * _recovery(zp.zeta_prime, aie)
+            product = naive[i] * _recovery(x, aie)
             mismatch = abs(product - value) / max(abs(value), 1e-300)
             if mismatch > 1e-9:
                 warnings.append(f"saddle-form: cancelled/naive mismatch {mismatch:.2e}")
-        out.append(ApproxValue(
-            value=value,
-            method=Method.SADDLE_FORM,
-            zeta_prime=zp.zeta_prime,
-            regime=classify_regime(zp.zeta_prime),
-            warnings=tuple(warnings),
-            params=zp,
-        ))
+        out.append(ApproxValue(value, x, tuple(warnings)))
     return out
 
 
@@ -396,28 +361,21 @@ def approx_cfu(
 
     big_a = 0.5 * (s.f0 + p.f0)
     amplitude = intg.prefactor * 2.0j * math.pi
-    zps = [ZetaParams.from_zeta(zeta, n) for n in N]
+    xs = [n ** (2.0 / 3.0) * zeta for n in N]
     out = []
-    for n, zp, (ai, aip) in zip(N, zps, airy_ai_scaled_pair([zp.zeta_prime for zp in zps])):
+    for n, x, (ai, aip) in zip(N, xs, airy_ai_scaled_pair(xs)):
         n3 = n ** (-1.0 / 3.0)
-        # exp(N*A) * Ai(zeta') evaluated log-safe: N*A - exp_shift = N f(z0^*)
+        # exp(N*A) * Ai(zeta') evaluated log-safe: N*A - (2/3) zeta'^{3/2} = N f(z0^*)
         value = (
             amplitude
             * n3
             * (a0 * ai + b0 * n3 * aip)
-            * cmath.exp(n * big_a - zp.exp_shift)
+            * cmath.exp(n * big_a - (2.0 / 3.0) * x ** 1.5)
         )
         warnings = []
         if intg.real_result_hint and abs(value.imag) > _IM_TOL * max(abs(value), 1e-300):
             warnings.append("cfu: nonzero imaginary part despite real_result_hint")
-        out.append(ApproxValue(
-            value=value,
-            method=Method.CFU,
-            zeta_prime=zp.zeta_prime,
-            regime=classify_regime(zp.zeta_prime),
-            warnings=tuple(warnings),
-            params=zp,
-        ))
+        out.append(ApproxValue(value, x, tuple(warnings)))
     return out
 
 

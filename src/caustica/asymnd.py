@@ -20,14 +20,7 @@ from .airy import recovery_factor
 # exists is that the span tracer (bench/spans.py, TARGETS) wraps
 # asymnd.airy_ai_scaled by name.  It goes when TARGETS drops that entry.
 from .airy import airy_ai_scaled  # noqa: F401
-from .asym1d import (
-    ZetaParams,
-    _over_grid,
-    _saddle_form,
-    _saddle_zeta,
-    approx_wkb,
-    classify_regime,
-)
+from .asym1d import _over_grid, _saddle_form, approx_wkb
 from .errors import CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
 from .integrand import Integrand1D, IntegrandND
 from .saddle import NdSaddleInfo, SaddleInfo, find_caustic, find_saddle, find_saddle_nd
@@ -89,6 +82,8 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
             guess = intg.saddle_guess(a) if intg.saddle_guess else 1.0 + 0.0j
             s = find_saddle(intg, a, guess)
             wkbs = approx_wkb(intg, a, N_grid, s)
+            if s.f3 == 0:  # the records' zeta' is infinite there, and R undefined
+                raise DegenerateCubic("f''' vanishes at the saddle")
             # status of the Gaussian term at the coalescing (fold) saddle,
             # which depends on alpha only
             fold_status = "finite"
@@ -101,8 +96,7 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
             except CausticaError:
                 fold_status = "unavailable"
             for N, wkb in zip(N_grid, wkbs):
-                zp = ZetaParams.from_zeta(_saddle_zeta(s), N).zeta_prime
-                corr = wkb.value * recovery_factor(zp)
+                corr = wkb.value * recovery_factor(wkb.zeta_prime)
                 log_corr = math.log(abs(corr)) if corr != 0 else -math.inf
                 rows.append(
                     {
@@ -115,8 +109,8 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
                         "corrected": corr,
                         "wkb": wkb.value,
                         "fold_wkb": fold_status,
-                        "zeta_prime": zp,
-                        "regime": classify_regime(zp).value,
+                        "zeta_prime": wkb.zeta_prime,
+                        "regime": wkb.regime.value,
                     }
                 )
         return rows
@@ -146,7 +140,7 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
                     "wkb": None if wkb is None else wkb.value,
                     "fold_wkb": "divergent" if wkb is None else "finite",
                     "zeta_prime": corr.zeta_prime,
-                    "regime": classify_regime(corr.zeta_prime).value,
+                    "regime": corr.regime.value,
                 }
             )
     return rows

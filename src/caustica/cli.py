@@ -34,18 +34,13 @@ from __future__ import annotations
 
 import configparser
 import math
+import numbers
 import sys
 
 import click
 
 from . import asymnd
-from .asym1d import (
-    approx_cfu,
-    approx_saddle_form,
-    approx_tilde,
-    approx_wkb,
-    classify_regime,
-)
+from .asym1d import approx_cfu, approx_saddle_form, approx_tilde, approx_wkb
 from .errors import (
     BadParameter,
     CausticaError,
@@ -185,8 +180,9 @@ def _sweep_rows(intg, cfg, branches):
     whole N grid; a per-alpha error it raises marks every N's cell
     ``divergent``.  The oracle, too, runs once per alpha over the grid,
     before that alpha's rows; its error at any N raises _OracleFailed, so no
-    row of that alpha is written.  Adds each row's cube-root branch index,
-    when a method reports one, to ``branches``."""
+    row of that alpha is written.  A row's zeta_prime and regime come from
+    the ``tilde`` record, else the first method's.  Adds every cube-root
+    branch index that a record reports (only ``tilde``'s do) to ``branches``."""
     sw = _sweep_kind(intg)(intg, cfg)
     methods, ns = cfg["methods"], cfg["N"]
     for a in cfg["alphas"]:
@@ -203,7 +199,7 @@ def _sweep_rows(intg, cfg, branches):
             except CausticaError as exc:
                 raise _OracleFailed(exc) from exc
         for i, N in enumerate(ns):
-            values, warnings, zp, branch = {}, [], None, None
+            values, warnings, placed = {}, [], None
             for m in methods:
                 if isinstance(grid[m], CausticaError):
                     warnings.append(f"{m}: {grid[m]}")
@@ -211,13 +207,12 @@ def _sweep_rows(intg, cfg, branches):
                 av = grid[m][i]
                 values[m] = av.value
                 warnings.extend(av.warnings)
-                if zp is None or m == "tilde":
-                    zp = av.zeta_prime
-                if branch is None and av.params is not None:
-                    branch = av.params.branch_index
-            if branch is not None:
-                branches.add(branch)
-            row = [a, N, zp, None if zp is None else classify_regime(zp).value]
+                if placed is None or m == "tilde":
+                    placed = av
+                if av.branch is not None:
+                    branches.add(av.branch)
+            row = [a, N] + ([None, None] if placed is None
+                            else [placed.zeta_prime, placed.regime.value])
             for m in methods:
                 v = values.get(m)
                 row += ["divergent", None] if v is None else [v.real, v.imag]
@@ -236,7 +231,7 @@ def _cell(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    if isinstance(v, int):
+    if isinstance(v, numbers.Integral):
         return "%d" % v
     return "%.17g" % v
 

@@ -11,9 +11,7 @@ from caustica import (
     BranchAmbiguous,
     CausticaError,
     CausticDivergence,
-    Method,
     Regime,
-    ZetaParams,
     approx_cfu,
     approx_corrected_nd,
     approx_saddle_form,
@@ -45,12 +43,6 @@ def test_classify_regime_thresholds():
     assert classify_regime(1.99) is Regime.CAUSTIC_WINDOW
     assert classify_regime(5.0) is Regime.TRANSITION
     assert classify_regime(10.01) is Regime.WKB_SAFE
-
-
-def test_zeta_params_scaling():
-    zp = ZetaParams.from_zeta(0.25, 8.0)
-    assert zp.zeta_prime == pytest.approx(8.0 ** (2.0 / 3.0) * 0.25)
-    assert zp.exp_shift == pytest.approx((2.0 / 3.0) * zp.zeta_prime ** 1.5)
 
 
 def test_regime_examples():
@@ -316,7 +308,7 @@ def test_tilde_branch_stable_across_sweep():
     intg = registry_get("bessel-sinh")
     c = find_caustic(intg)
     branches = {
-        approx_tilde(intg, a, 30.0, c).params.branch_index
+        approx_tilde(intg, a, 30.0, c).branch
         for a in np.linspace(0.85, 1.0, 7)
     }
     assert len(branches) == 1
@@ -375,6 +367,16 @@ def test_formulas_over_grid_equal_scalar_calls(name, params, alpha):
         if all(isinstance(v, ApproxValue) for v in single):
             assert isinstance(grid, tuple) and grid == tuple(single), method
             assert _outcome(formula, GRID) == grid
+            for N, v in zip(GRID, grid):
+                fields = [f.name for f in dataclasses.fields(v)]
+                assert fields == ["value", "zeta_prime", "warnings", "branch"]
+                assert v.regime is classify_regime(v.zeta_prime)
+                if method == "tilde":
+                    assert isinstance(v.branch, int)
+                else:
+                    assert v.branch is None
+                if method in ("wkb", "saddle"):
+                    assert v.zeta_prime == N ** (2 / 3) * asym1d._saddle_zeta(s)
             evaluated += 1
         else:
             # errors depend on alpha only: every N and the grid raise alike

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import io
 import math
@@ -307,6 +308,46 @@ def test_sweep_tilde_called_once_per_alpha(runner, tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 2 + 6
 
 
+@pytest.mark.parametrize("methods", ["tilde,saddle", "saddle,tilde"])
+def test_sweep_branch_flip_trailer(runner, tmp_path, monkeypatch, methods):
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        f"""\
+        [integrand]
+        name = bessel-sinh
+
+        [sweep]
+        alpha = 0.85:1.0:4
+        N = 10,30
+        methods = {methods}
+        """,
+    )
+    trailer = "# warning: cube-root branch flip across sweep: [0, 1]"
+
+    def lines():
+        out = tmp_path / "o.csv"
+        result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        return out.read_text().splitlines()
+
+    unpatched = lines()
+    assert len(unpatched) == 2 + 8
+    assert not any("branch flip" in line for line in unpatched)
+
+    approx_tilde, alphas = cli.approx_tilde, []
+
+    def alternating(intg, alpha, N, c):
+        alphas.append(alpha)
+        branch = (len(alphas) - 1) % 2
+        return [dataclasses.replace(v, branch=branch) for v in approx_tilde(intg, alpha, N, c)]
+
+    monkeypatch.setattr(cli, "approx_tilde", alternating)
+    patched = lines()
+    assert patched[-1] == trailer
+    assert patched[:-1] == unpatched
+
+
 def test_sweep_wkb_divergent_at_caustic(runner, tmp_path):
     # at alpha = 0 the cubic's Gaussian prefactor diverges: the per-alpha
     # CausticDivergence marks every N's wkb cell divergent and says why
@@ -472,8 +513,8 @@ def test_trace_targets_resolve(monkeypatch):
 
 def test_write_csv_cell_bytes():
     # each type keeps the text the isinstance chain of _cell gives it: bool
-    # as %d, numpy scalars as %.17g (np.float64 is a float subclass, np.int64
-    # is no int subclass)
+    # and numpy integers as %d (both are numbers.Integral, so np.int64(2**62)
+    # keeps every digit), numpy floats as %.17g
     row = [None, "x;y", "", 7, -12, True, False, 0.1, -0.0, 1e300, 5e-324,
            math.inf, -math.inf, math.nan, np.float64(0.1), np.float64(-0.0),
            np.float64(math.inf), np.int64(-3), np.int64(2 ** 62), 2 ** 70]
@@ -483,7 +524,7 @@ def test_write_csv_cell_bytes():
         "# caustica-csv v1\na,b\n"
         ",x;y,,7,-12,1,0,0.10000000000000001,-0,1.0000000000000001e+300,"
         "4.9406564584124654e-324,inf,-inf,nan,0.10000000000000001,-0,inf,-3,"
-        "4.6116860184273879e+18,1180591620717411303424\n"
+        "4611686018427387904,1180591620717411303424\n"
         "1,2\n"
     )
 
