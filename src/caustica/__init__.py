@@ -15,7 +15,6 @@ from .asym1d import (
     approx_tilde,
     approx_wkb,
     classify_regime,
-    regime_report,
 )
 from .asymnd import approx_corrected_nd, approx_wkb_nd, mean_field_compare
 from .errors import (

@@ -2,8 +2,11 @@
 
 Thin wrappers over ``scipy.special.airy`` and ``airye``; this is the only
 module in caustica that decides how Ai and Bi are evaluated.  There is no
-range limit: the scaled Ai stays finite for any x >= 0, which is what
-overflow-free fold corrections need.  Every formula is built on the
+range limit: the scaled Ai and Ai' stay finite for any finite x >= 0, which
+is what overflow-free fold corrections need.  ``airye`` (AMOS) returns NaN
+from about x = 2^20 up, so from 2^19 on two terms of the asymptotic series
+(DLMF 9.7.5-9.7.6) take over; there they are exact to rounding.  Every
+formula is built on the
 recessive solution Ai; Bi is here for checks against tabulated values.
 The recovery factor R interpolates between 0 at the caustic and 1 deep in
 the Gaussian-saddle regime; ``_recovery`` builds it from a scaled Ai that
@@ -27,6 +30,8 @@ __all__ = [
     "airy_ai_scaled_pair",
     "recovery_factor",
 ]
+
+_SERIES_MIN = 2.0 ** 19  # from here on the asymptotic series, not airye
 
 
 def airy_ai(x: float) -> float:
@@ -52,20 +57,25 @@ def _airy_bi_prime(x: float) -> float:
 def airy_ai_scaled_pair(
     x: "float | Sequence[float]",
 ) -> "tuple[float, float] | tuple[tuple[float, float], ...]":
-    """(Ai(x), Ai'(x)) * exp(+(2/3) x^{3/2}) for x >= 0, from one airye call.
+    """(Ai(x), Ai'(x)) * exp(+(2/3) x^{3/2}) for x >= 0, from one airye call
+    and, from x = 2^19 on, two terms of the asymptotic series.
 
     For a sequence of x, a tuple of such pairs, one per entry and each equal
-    to the pair for that entry alone, still from one airye call.
+    to the pair for that entry alone.
     """
-    if isinstance(x, (int, float)):  # one number: no array round trip
-        if x < 0:
-            raise NegativeArgument("scaled Ai defined for x >= 0 only")
-        ai, aip, _, _ = airye(x)
-        return float(ai), float(aip)
     xs = np.asarray(x, dtype=float)
     if (xs < 0).any():
         raise NegativeArgument("scaled Ai defined for x >= 0 only")
     ai, aip, _, _ = airye(xs)
+    big = xs >= _SERIES_MIN
+    if big.any():
+        xa = np.maximum(xs, _SERIES_MIN)  # no 1/0 on the entries airye serves
+        xi = (2.0 / 3.0) * xa ** 1.5
+        c = 0.5 / math.sqrt(math.pi)
+        ai = np.where(big, c * xa ** -0.25 * (1.0 - 5.0 / (72.0 * xi)), ai)
+        aip = np.where(big, -c * xa ** 0.25 * (1.0 + 7.0 / (72.0 * xi)), aip)
+    if xs.ndim == 0:
+        return float(ai), float(aip)
     return tuple(zip(ai.tolist(), aip.tolist()))
 
 
@@ -78,12 +88,14 @@ def recovery_factor(zeta_prime: float) -> float:
     """Dimensionless multiplier converting the Gaussian saddle term into the
     fold-corrected value.
 
-    Normalized so R -> 1 as zeta_prime -> infinity and R(0) = 0 exactly (the
-    zeta_prime^{1/4} suppression; caustic values must come from the
-    cancelled forms in asym1d/asymnd).  Evaluated by ``_recovery``.
+    Normalized so R -> 1 as zeta_prime -> infinity, R(inf) = 1 and R(0) = 0
+    exactly (the zeta_prime^{1/4} suppression; caustic values must come from
+    the cancelled forms in asym1d/asymnd).  Evaluated by ``_recovery``.
     """
     if zeta_prime < 0:
         raise NegativeArgument("negative fold argument: two-complex-saddle side is unsupported")
+    if zeta_prime == math.inf:  # the limit, where inf^{1/4} * 0 is NaN
+        return 1.0
     return _recovery(zeta_prime, airy_ai_scaled(zeta_prime))
 
 

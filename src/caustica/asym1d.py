@@ -39,15 +39,9 @@ from dataclasses import dataclass
 from numbers import Number
 
 from .airy import _recovery, airy_ai_scaled_pair
-from .errors import (
-    CausticaError,
-    CausticDivergence,
-    BranchAmbiguous,
-    DegenerateCubic,
-    WrongRegime,
-)
+from .errors import CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
 from .integrand import Integrand1D, _derivatives
-from .saddle import CausticInfo, SaddleInfo, _fold_point, find_caustic, find_saddle
+from .saddle import CausticInfo, SaddleInfo, _fold_point
 # nothing in the package calls these names here; the span tracer (bench/spans.py,
 # TARGETS) wraps them in asym1d by name.  They go when TARGETS drops them.
 from .airy import airy_ai_scaled, recovery_factor  # noqa: F401
@@ -60,7 +54,6 @@ __all__ = [
     "approx_tilde",
     "approx_saddle_form",
     "approx_cfu",
-    "regime_report",
 ]
 
 # regime thresholds (zeta_prime)
@@ -377,34 +370,3 @@ def approx_cfu(
             warnings.append("cfu: nonzero imaginary part despite real_result_hint")
         out.append(ApproxValue(value, x, tuple(warnings)))
     return out
-
-
-def regime_report(intg: Integrand1D, alpha: float, N: float) -> dict:
-    """Best-effort diagnostic of where (alpha, N) sits relative to the fold.
-
-    ``zeta_prime`` and ``regime`` are those of ``approx_tilde`` at (alpha,
-    N).  Where a step raises a CausticaError, the report names the error
-    in ``caustic_error`` or ``saddle_error`` instead.
-    """
-    report = {"alpha": alpha, "N": N}
-    zt = None
-    try:
-        c = find_caustic(intg)
-        zt, (f1t, _, f3t, _) = _fold_point(intg, alpha, c.z_tilde, c.f3_tilde)
-        tilde = approx_tilde(intg, alpha, N, c)
-        report["zeta_prime"] = tilde.zeta_prime
-        report["regime"] = tilde.regime.value
-        report["fold_displacement"] = (
-            N ** (2.0 / 3.0) * abs(f1t) * abs(2.0 / f3t) ** (1.0 / 3.0)
-        )
-    except CausticaError as exc:
-        report["caustic_error"] = f"{type(exc).__name__}: {exc}"
-    try:
-        guess = intg.saddle_guess(alpha) if intg.saddle_guess else 0.1 + 0.0j
-        s = find_saddle(intg, alpha, guess)
-        report["curvature_scale"] = N ** (1.0 / 3.0) * abs(s.f2)
-        if zt is not None:
-            report["saddle_tilde_gap"] = abs(zt - s.z0)
-    except CausticaError as exc:
-        report["saddle_error"] = f"{type(exc).__name__}: {exc}"
-    return report

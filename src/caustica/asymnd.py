@@ -8,6 +8,8 @@ transverse Gaussian factor (2 pi / N)^((n-1)/2).  The saddle is the one the
 soft contour passes through: the recessive one on the registry families.
 ``corrected-nd`` reads its exponent sign at the fold point z_tilde(alpha) of
 that saddle's own pair, from one Newton solve at this alpha, not alpha_hat.
+
+``mean_field_compare`` sets ``wkb`` beside WKB * R on the 1-D mean-field toy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .airy import airy_ai_scaled  # noqa: F401
 from .asym1d import _over_grid, _saddle_form, approx_wkb
 from .errors import CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
 from .integrand import Integrand1D, IntegrandND
-from .saddle import NdSaddleInfo, SaddleInfo, find_caustic, find_saddle, find_saddle_nd
+from .saddle import NdSaddleInfo, SaddleInfo, find_caustic, find_saddle
 from .saddle import _check_fold, _fold_point
 
 __all__ = ["approx_wkb_nd", "approx_corrected_nd", "mean_field_compare"]
@@ -72,75 +74,46 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
     """Leading-exponent comparison of WKB and corrected values.
 
     Demonstrates that both share the mean-field exponent while only the
-    corrected prefactor stays finite through the caustic.  Accepts a 1-D
-    real-line integrand (the mean-field toy) or an IntegrandND.
+    corrected prefactor stays finite through the caustic.  Takes a 1-D
+    integrand (the mean-field toy) and raises WrongRegime for anything else.
     """
+    if not isinstance(intg, Integrand1D):
+        raise WrongRegime("mean_field_compare needs an Integrand1D")
     rows = []
-    if isinstance(intg, Integrand1D):
-        caustic = find_caustic(intg)
-        for a in alpha_grid:
-            guess = intg.saddle_guess(a) if intg.saddle_guess else 1.0 + 0.0j
-            s = find_saddle(intg, a, guess)
-            wkbs = approx_wkb(intg, a, N_grid, s)
-            if s.f3 == 0:  # the records' zeta' is infinite there, and R undefined
-                raise DegenerateCubic("f''' vanishes at the saddle")
-            # status of the Gaussian term at the coalescing (fold) saddle,
-            # which depends on alpha only
-            fold_status = "finite"
-            try:
-                zt = caustic.z_tilde_at(a)
-                fold_s = find_saddle(intg, a, zt + 0.05)
-                approx_wkb(intg, a, N_grid, fold_s)
-            except CausticDivergence:
-                fold_status = "divergent"
-            except CausticaError:
-                fold_status = "unavailable"
-            for N, wkb in zip(N_grid, wkbs):
-                corr = wkb.value * recovery_factor(wkb.zeta_prime)
-                log_corr = math.log(abs(corr)) if corr != 0 else -math.inf
-                rows.append(
-                    {
-                        "alpha": a,
-                        "N": N,
-                        "wkb_exponent": math.log(abs(wkb.value)) / N,
-                        "corrected_exponent": log_corr / N,
-                        "exponent_gap": abs(math.log(abs(wkb.value)) - log_corr) / N,
-                        "prefactor_ratio": abs(corr) / abs(wkb.value),
-                        "corrected": corr,
-                        "wkb": wkb.value,
-                        "fold_wkb": fold_status,
-                        "zeta_prime": wkb.zeta_prime,
-                        "regime": wkb.regime.value,
-                    }
-                )
-        return rows
-
-    if not isinstance(intg, IntegrandND):
-        raise WrongRegime("mean_field_compare needs an Integrand1D or IntegrandND")
+    caustic = find_caustic(intg)
     for a in alpha_grid:
-        guess = intg.saddle_guess(a) if intg.saddle_guess else [0.0] * intg.dim
-        s = find_saddle_nd(intg, a, guess)
-        corrs = approx_corrected_nd(intg, a, N_grid, s)
+        guess = intg.saddle_guess(a) if intg.saddle_guess else 1.0 + 0.0j
+        s = find_saddle(intg, a, guess)
+        wkbs = approx_wkb(intg, a, N_grid, s)
+        if s.f3 == 0:  # no cubic term: the records' zeta' is infinite, no fold
+            raise DegenerateCubic("f''' vanishes at the saddle")
+        # status of the Gaussian term at the coalescing (fold) saddle,
+        # which depends on alpha only
+        fold_status = "finite"
         try:
-            wkbs = approx_wkb_nd(intg, a, N_grid, s)
+            zt = caustic.z_tilde_at(a)
+            fold_s = find_saddle(intg, a, zt + 0.05)
+            approx_wkb(intg, a, N_grid, fold_s)
         except CausticDivergence:
-            wkbs = [None] * len(corrs)
-        for N, corr, wkb in zip(N_grid, corrs, wkbs):
-            corr_exp = math.log(abs(corr.value)) / N
-            wkb_exp = math.nan if wkb is None else math.log(abs(wkb.value)) / N
+            fold_status = "divergent"
+        except CausticaError:
+            fold_status = "unavailable"
+        for N, wkb in zip(N_grid, wkbs):
+            corr = wkb.value * recovery_factor(wkb.zeta_prime)
+            log_corr = math.log(abs(corr)) if corr != 0 else -math.inf
             rows.append(
                 {
                     "alpha": a,
                     "N": N,
-                    "wkb_exponent": wkb_exp,
-                    "corrected_exponent": corr_exp,
-                    "exponent_gap": abs(wkb_exp - corr_exp),
-                    "prefactor_ratio": math.inf if wkb is None else abs(corr.value / wkb.value),
-                    "corrected": corr.value,
-                    "wkb": None if wkb is None else wkb.value,
-                    "fold_wkb": "divergent" if wkb is None else "finite",
-                    "zeta_prime": corr.zeta_prime,
-                    "regime": corr.regime.value,
+                    "wkb_exponent": math.log(abs(wkb.value)) / N,
+                    "corrected_exponent": log_corr / N,
+                    "exponent_gap": abs(math.log(abs(wkb.value)) - log_corr) / N,
+                    "prefactor_ratio": abs(corr) / abs(wkb.value),
+                    "corrected": corr,
+                    "wkb": wkb.value,
+                    "fold_wkb": fold_status,
+                    "zeta_prime": wkb.zeta_prime,
+                    "regime": wkb.regime.value,
                 }
             )
     return rows

@@ -52,12 +52,13 @@ class ContourPath:
     ``tail_angle`` is the direction in which the incoming ray recedes to
     infinity (travel enters from infinity toward ``nodes[0]``);
     ``head_angle`` the direction of the outgoing ray from ``nodes[-1]``.
+    To travel the other way, reverse ``nodes`` and swap the two angles; a
+    sign belongs in the integrand's ``prefactor``.
     """
 
     nodes: tuple[complex, ...]
     tail_angle: float
     head_angle: float
-    orientation: int = 1
 
     def __post_init__(self):
         if len(self.nodes) < 1:
@@ -68,8 +69,6 @@ class ContourPath:
         for ang in (self.tail_angle, self.head_angle):
             if not (-math.pi < ang <= math.pi):
                 raise BadParameter("ray angles must lie in (-pi, pi]")
-        if self.orientation not in (1, -1):
-            raise BadParameter("orientation must be +1 or -1")
         object.__setattr__(self, "nodes", tuple(complex(z) for z in self.nodes))
 
     def polyline(self, r_in: float, r_out: float) -> tuple[np.ndarray, np.ndarray]:

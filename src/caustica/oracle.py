@@ -263,7 +263,7 @@ def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
             raise ToleranceNotMet(
                 f"|I| = {t:.2e} e^({ls:.4g}) at N={N:g} is outside the double range"
             )
-    scale = scale * contour.orientation * prefactor
+    scale = scale * prefactor
     return QuadResult(value=total * scale, abs_error_estimate=abs_err * np.abs(scale),
                       evaluations=nev)
 

@@ -117,10 +117,14 @@ def find_saddle(
     guess: complex,
     tol: float = 1e-12,
 ) -> SaddleInfo:
-    """Damped Newton iteration on f'(z, alpha) = 0."""
+    """Damped Newton iteration on f'(z, alpha) = 0; NoConvergence also where
+    the derivatives overflow at an iterate."""
     z = complex(guess)
     for it in range(1, _MAX_ITERS + 1):
-        f1, f2, f3 = derive(intg, z, alpha, 3)
+        try:
+            f1, f2, f3 = derive(intg, z, alpha, 3)
+        except OverflowError as exc:
+            raise NoConvergence(f"find_saddle: derivatives overflow at z = {z:.6g}") from exc
         if it == 1:
             scale = max(1.0, abs(f1))
         if abs(f1) <= tol * scale:

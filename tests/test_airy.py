@@ -78,6 +78,8 @@ def test_wronskian_on_grid():
 def test_recovery_factor_endpoints():
     assert recovery_factor(0.0) == 0.0
     assert abs(recovery_factor(25.0) - 1.0) < 1e-2
+    assert recovery_factor(1e8) == pytest.approx(1.0, abs=1e-12)
+    assert recovery_factor(math.inf) == 1.0
 
 
 def test_recovery_factor_monotone():
@@ -93,6 +95,20 @@ def test_recovery_factor_asymptotic_rate():
     for z in np.linspace(10.0, 50.0, 41):
         cs.append(abs(recovery_factor(z) - 1.0) * z ** 1.5)
     assert max(cs) < 0.2
+
+
+@pytest.mark.parametrize("x", [1e5, 2.0 ** 19, 1e6, 2.0 ** 20 * (1 + 1e-12), 2.0 ** 21, 1e9, 1e15])
+def test_scaled_pair_beyond_airye_range(x):
+    # airye is NaN from about 2^20 on; the asymptotic series takes over at
+    # 2^19 (mpmath's own airyai is unreliable beyond about 1e30)
+    with mpmath.workdps(40):
+        X = mpmath.mpf(x)
+        scale = mpmath.exp(mpmath.mpf(2) / 3 * X ** 1.5)
+        ref = (mpmath.airyai(X) * scale, mpmath.airyai(X, derivative=1) * scale)
+    for got in (airy_ai_scaled_pair(x), airy_ai_scaled_pair(np.asarray(x)),
+                airy_ai_scaled_pair([x])[0]):
+        assert got[0] == pytest.approx(float(ref[0]), rel=5e-16)
+        assert got[1] == pytest.approx(float(ref[1]), rel=5e-16)
 
 
 def test_recovery_factor_guards():

@@ -12,6 +12,7 @@ from caustica import (
     CausticaError,
     CausticDivergence,
     Regime,
+    WrongRegime,
     approx_cfu,
     approx_corrected_nd,
     approx_saddle_form,
@@ -25,7 +26,6 @@ from caustica import (
     quad_contour,
     recovery_factor,
     registry_get,
-    regime_report,
 )
 from caustica import asym1d, asymnd, saddle
 from caustica.airy import airy_ai
@@ -47,34 +47,13 @@ def test_classify_regime_thresholds():
 
 def test_regime_examples():
     bessel = registry_get("bessel-sinh")
-    r = regime_report(bessel, 1.0, 30.0)
-    assert r["regime"] == "CausticWindow"
-    r = regime_report(bessel, 0.5, 100.0)
-    assert r["regime"] == "WkbSafe"
+    c = find_caustic(bessel)
+    assert approx_tilde(bessel, 1.0, 30.0, c).regime is Regime.CAUSTIC_WINDOW
+    assert approx_tilde(bessel, 0.5, 100.0, c).regime is Regime.WKB_SAFE
     # cubic at alpha = N^{-2/3} has zeta' = 1 exactly
     cubic = registry_get("cubic")
-    r = regime_report(cubic, 30.0 ** (-2.0 / 3.0), 30.0)
-    assert r["zeta_prime"] == pytest.approx(1.0, abs=1e-4)
-
-
-def test_regime_report_solves_z_tilde_once(monkeypatch):
-    # the report takes z_tilde and its jet from one fold-point Newton; only
-    # approx_tilde's own solve asks there again, so z_tilde is asked at most
-    # twice, and fold_displacement is the one an order-3 jet at z_tilde gives
-    intg = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
-    alpha, N = 0.3, 100.0
-    zt = find_caustic(intg).z_tilde_at(alpha)
-    f1, _, f3 = saddle.derive(intg, zt, alpha, 3)
-    asked = []
-    for module in (saddle, asym1d):
-        def counted(intg, z, alpha, order, derive=module.derive):
-            asked.append((z, alpha))
-            return derive(intg, z, alpha, order)
-
-        monkeypatch.setattr(module, "derive", counted)
-    r = regime_report(intg, alpha, N)
-    assert 1 <= asked.count((zt, alpha)) <= 2
-    assert r["fold_displacement"] == N ** (2.0 / 3.0) * abs(f1) * abs(2.0 / f3) ** (1.0 / 3.0)
+    v = approx_tilde(cubic, 30.0 ** (-2.0 / 3.0), 30.0, find_caustic(cubic))
+    assert v.zeta_prime == pytest.approx(1.0, abs=1e-4)
 
 
 @pytest.mark.parametrize("name, params, alpha", [
@@ -82,12 +61,22 @@ def test_regime_report_solves_z_tilde_once(monkeypatch):
     ("mean-field-toy", {"m": 0.1}, 1.0),
 ])
 def test_regime_report_names_wrong_regime(name, params, alpha):
-    # on the complex-saddle side no cube-root branch gives a real zeta, and
-    # approx_tilde raises; the report must say so, not read CausticWindow
-    r = regime_report(registry_get(name, params), alpha, 50.0)
-    assert "zeta_prime" not in r
-    assert "regime" not in r
-    assert r["caustic_error"].startswith("WrongRegime")
+    # on the complex-saddle side no cube-root branch gives a real zeta:
+    # approx_tilde raises there, it does not read CausticWindow
+    intg = registry_get(name, params)
+    with pytest.raises(WrongRegime):
+        approx_tilde(intg, alpha, 50.0, find_caustic(intg))
+
+
+def test_uniform_forms_beyond_airye_range():
+    # zeta' ~ 1.59e6 > 2^20, where scipy's airye returns NaN: the value has
+    # underflowed to zero, and the record must say so, not NaN
+    intg = registry_get("cubic")
+    c = find_caustic(intg)
+    s = find_saddle(intg, 1.0, intg.saddle_guess(1.0))
+    for v in (approx_tilde(intg, 1.0, 2e9, c), approx_saddle_form(intg, 1.0, 2e9, s, c)):
+        assert v.zeta_prime > 2.0 ** 20
+        assert v.value == 0j and v.warnings == ()
 
 
 # ---------------------------------------------------------------------------

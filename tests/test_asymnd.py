@@ -180,6 +180,22 @@ def test_wkb_nd_divergent_at_caustic():
     # the corrected value stays finite at the very same point
     v = approx_corrected_nd(intg, a, 50.0, s)
     assert np.isfinite(abs(v.value)) and abs(v.value) > 0.0
+    # on the coupled family: corrected-nd against the panel oracle at the
+    # fold and off it, and wkb-nd divergent at the fold only
+    nd = registry_get("nd-perturbed-cubic", {"dim": "2"})
+    grid = [50, 100]
+    for alpha, bound in [(a, 1e-4), (0.2, 1e-2), (0.4, 1e-2)]:
+        s = find_saddle_nd(nd, alpha, nd.saddle_guess(alpha))
+        refs = cubature_nd(nd, alpha, grid, saddle=s).value
+        corrs = approx_corrected_nd(nd, alpha, grid, s)
+        for v, ref in zip(corrs, refs):
+            assert abs(v.value - ref) <= bound * abs(ref)
+        if alpha == a:
+            with pytest.raises(CausticDivergence):
+                approx_wkb_nd(nd, alpha, grid, s)
+        else:  # finite, with the corrected value's leading exponent
+            for w, v in zip(approx_wkb_nd(nd, alpha, grid, s), corrs):
+                assert abs(math.log(abs(w.value / v.value))) <= 10.0
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.1, 0.01])
@@ -226,25 +242,6 @@ def test_mean_field_compare_1d():
     assert all(r["fold_wkb"] == "divergent" for r in crit)
 
 
-def test_mean_field_compare_nd():
-    # the n-D branch: wkb-nd and corrected-nd at the recessive saddle,
-    # against the panel oracle
-    intg = registry_get("nd-perturbed-cubic", {"dim": "2"})
-    alpha_hat = find_caustic(registry_get("perturbed-cubic", {"eps": "0.05"})).alpha_hat
-    alphas, grid = [alpha_hat, 0.2, 0.4], [50, 100]
-    rows = mean_field_compare(intg, alphas, grid)
-    assert [(r["alpha"], r["N"]) for r in rows] == [(a, n) for a in alphas for n in grid]
-    for r in rows:
-        at_fold = r["alpha"] == alpha_hat
-        assert r["fold_wkb"] == ("divergent" if at_fold else "finite")
-        s = find_saddle_nd(intg, r["alpha"], intg.saddle_guess(r["alpha"]))
-        ref = cubature_nd(intg, r["alpha"], r["N"], saddle=s).value
-        bound = 1e-4 if at_fold else 1e-2
-        assert abs(r["corrected"] - ref) <= bound * abs(ref)
-        if not at_fold:
-            assert r["exponent_gap"] <= 10.0 / r["N"]
-
-
 def test_mean_field_m0_degenerate():
     intg = registry_get("mean-field-toy", {"m": 0.0})
     with pytest.raises(DegenerateCubic):
@@ -254,6 +251,8 @@ def test_mean_field_m0_degenerate():
 def test_mean_field_compare_type_guard():
     with pytest.raises(WrongRegime):
         mean_field_compare("not an integrand", [1.0], [10])
+    with pytest.raises(WrongRegime):
+        mean_field_compare(registry_get("nd-perturbed-cubic", {"dim": "2"}), [0.2], [50])
 
 
 def test_mean_field_fold_check_typed_error_is_unavailable(monkeypatch):

@@ -279,6 +279,37 @@ def test_sweep_cfu_divergent_at_caustic(runner, tmp_path):
         assert r["warnings"].startswith("cfu: saddles have coalesced")
 
 
+@pytest.mark.parametrize("m", ["0.0001", "0.001"])
+def test_sweep_partner_overflow_is_typed(runner, tmp_path, m):
+    # the partner's cubic-model seed lands far out on the real axis, where
+    # cosh overflows in f''; cfu reads divergent, wkb keeps its value
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        f"""\
+        [integrand]
+        name = mean-field-toy
+        m = {m}
+
+        [sweep]
+        alpha = 0.5
+        N = 30,3000
+        methods = wkb,cfu
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, l.split(","))) for l in lines[2:]]
+    assert [r["N"] for r in rows] == ["30", "3000"]
+    for r in rows:
+        assert math.isfinite(float(r["wkb_re"])) and float(r["wkb_re"]) > 0.0
+        assert r["cfu_re"] == "divergent" and r["cfu_im"] == ""
+        assert r["warnings"].startswith("cfu: partner iteration diverged")
+
+
 def test_sweep_tilde_called_once_per_alpha(runner, tmp_path, monkeypatch):
     calls = []
     approx_tilde = cli.approx_tilde

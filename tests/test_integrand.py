@@ -89,8 +89,6 @@ def test_contour_validation():
         ContourPath((0j, 0j), tail_angle=0.0, head_angle=0.0)
     with pytest.raises(BadParameter):
         ContourPath((0j,), tail_angle=4.0, head_angle=0.0)
-    with pytest.raises(BadParameter):
-        ContourPath((0j,), tail_angle=0.0, head_angle=0.0, orientation=2)
 
 
 def test_contour_project_on_segment():

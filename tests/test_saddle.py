@@ -145,6 +145,17 @@ def test_partner_seed_relation():
     assert abs(p.z0 - seed) <= 0.2 * abs(p.z0 - s.z0)
 
 
+def test_partner_overflow_is_partner_not_found():
+    # m = 1e-4: the cubic model seeds the partner at z ~ -5e3, where f''
+    # overflows; the solve must end in a typed error, not OverflowError
+    intg = registry_get("mean-field-toy", {"m": "0.0001"})
+    s = find_saddle(intg, 0.5, intg.saddle_guess(0.5))
+    with pytest.raises(PartnerNotFound, match="overflow"):
+        find_partner(intg, 0.5, s)
+    with pytest.raises(NoConvergence, match="overflow"):
+        find_saddle(intg, 0.5, -5000.0)
+
+
 def test_partner_rejects_degenerate():
     intg = registry_get("bessel-sinh")
     s = find_saddle(intg, 1.0, intg.saddle_guess(1.0))
