@@ -180,22 +180,6 @@ def test_wkb_nd_divergent_at_caustic():
     # the corrected value stays finite at the very same point
     v = approx_corrected_nd(intg, a, 50.0, s)
     assert np.isfinite(abs(v.value)) and abs(v.value) > 0.0
-    # on the coupled family: corrected-nd against the panel oracle at the
-    # fold and off it, and wkb-nd divergent at the fold only
-    nd = registry_get("nd-perturbed-cubic", {"dim": "2"})
-    grid = [50, 100]
-    for alpha, bound in [(a, 1e-4), (0.2, 1e-2), (0.4, 1e-2)]:
-        s = find_saddle_nd(nd, alpha, nd.saddle_guess(alpha))
-        refs = cubature_nd(nd, alpha, grid, saddle=s).value
-        corrs = approx_corrected_nd(nd, alpha, grid, s)
-        for v, ref in zip(corrs, refs):
-            assert abs(v.value - ref) <= bound * abs(ref)
-        if alpha == a:
-            with pytest.raises(CausticDivergence):
-                approx_wkb_nd(nd, alpha, grid, s)
-        else:  # finite, with the corrected value's leading exponent
-            for w, v in zip(approx_wkb_nd(nd, alpha, grid, s), corrs):
-                assert abs(math.log(abs(w.value / v.value))) <= 10.0
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.1, 0.01])
@@ -242,6 +226,29 @@ def test_mean_field_compare_1d():
     assert all(r["fold_wkb"] == "divergent" for r in crit)
 
 
+def test_mean_field_compare_nd():
+    # mean_field_compare takes the 1-D toy only; the n-D comparison is made
+    # from wkb-nd and corrected-nd directly: corrected-nd against the panel
+    # oracle at the fold and off it, and wkb-nd divergent at the fold only
+    nd = registry_get("nd-perturbed-cubic", {"dim": "2"})
+    with pytest.raises(WrongRegime):
+        mean_field_compare(nd, [0.2], [50])
+    a = find_caustic(registry_get("perturbed-cubic", {"eps": "0.05"})).alpha_hat
+    grid = [50, 100]
+    for alpha, bound in [(a, 1e-4), (0.2, 1e-2), (0.4, 1e-2)]:
+        s = find_saddle_nd(nd, alpha, nd.saddle_guess(alpha))
+        refs = cubature_nd(nd, alpha, grid, saddle=s).value
+        corrs = approx_corrected_nd(nd, alpha, grid, s)
+        for v, ref in zip(corrs, refs):
+            assert abs(v.value - ref) <= bound * abs(ref)
+        if alpha == a:
+            with pytest.raises(CausticDivergence):
+                approx_wkb_nd(nd, alpha, grid, s)
+        else:  # finite, with the corrected value's leading exponent
+            for w, v in zip(approx_wkb_nd(nd, alpha, grid, s), corrs):
+                assert abs(math.log(abs(w.value / v.value))) <= 10.0
+
+
 def test_mean_field_m0_degenerate():
     intg = registry_get("mean-field-toy", {"m": 0.0})
     with pytest.raises(DegenerateCubic):
@@ -251,8 +258,6 @@ def test_mean_field_m0_degenerate():
 def test_mean_field_compare_type_guard():
     with pytest.raises(WrongRegime):
         mean_field_compare("not an integrand", [1.0], [10])
-    with pytest.raises(WrongRegime):
-        mean_field_compare(registry_get("nd-perturbed-cubic", {"dim": "2"}), [0.2], [50])
 
 
 def test_mean_field_fold_check_typed_error_is_unavailable(monkeypatch):
