@@ -46,7 +46,6 @@ from .errors import (
     CausticaError,
     CausticDivergence,
     DegenerateCubic,
-    NoConvergence,
     PartnerNotFound,
     UnknownIntegrand,
 )
@@ -81,6 +80,15 @@ def _parse_range(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
+def _parse_n_list(text: str) -> list[int]:
+    values = [float(t) for t in text.split(",") if t.strip()]
+    if not values:
+        raise BadParameter("missing N list")
+    if not all(2 <= v < math.inf for v in values):
+        raise BadParameter("N must be finite and >= 2")
+    return [int(v) for v in values]
+
+
 def _parse_config(path: str) -> dict:
     cp = configparser.ConfigParser()
     read = cp.read(path)
@@ -96,11 +104,7 @@ def _parse_config(path: str) -> dict:
     alphas = _parse_range(sw.get("alpha", ""))
     if not alphas:
         raise BadParameter("missing alpha range")
-    n_list = [int(float(t)) for t in sw.get("n", sw.get("N", "")).split(",") if t.strip()]
-    if not n_list:
-        raise BadParameter("missing N list")
-    if any(n < 2 for n in n_list):
-        raise BadParameter("N must be >= 2")
+    n_list = _parse_n_list(sw.get("n", ""))
     methods = tuple(
         m.strip() for m in sw.get("methods", "wkb,tilde").split(",") if m.strip()
     )
@@ -140,10 +144,8 @@ class _Sweep1D:
 
     def solve(self, a):
         if self.want_saddle:
-            if self.saddle is not None:
-                guess = self.saddle.z0  # continuation across the sweep
-            else:
-                guess = self.intg.saddle_guess(a) if self.intg.saddle_guess else 0.1 + 0.0j
+            # continuation across the sweep
+            guess = self.saddle.z0 if self.saddle is not None else self.intg.saddle_guess(a)
             self.saddle = find_saddle(self.intg, a, guess)
 
     def oracle(self, a, ns):
@@ -163,8 +165,7 @@ class _SweepND:
         self.intg, self.tol = intg, cfg["tol"]
 
     def solve(self, a):
-        g = self.intg.saddle_guess(a) if self.intg.saddle_guess else [0.0] * self.intg.dim
-        self.saddle = find_saddle_nd(self.intg, a, g)
+        self.saddle = find_saddle_nd(self.intg, a, self.intg.saddle_guess(a))
 
     def oracle(self, a, ns):
         return cubature_nd(self.intg, a, ns, tol=max(self.tol, 1e-8), saddle=self.saddle).value
@@ -303,20 +304,18 @@ def sweep(config_path, output_path):
 @click.option("--param", "params", multiple=True, help="registry parameter k=v")
 def critical(name, params):
     """Locate the expansion point z_tilde and critical parameter alpha_hat."""
-    pmap = {}
-    for p in params:
-        if "=" not in p:
-            click.echo(f"config error: --param expects k=v, got {p!r}", err=True)
-            sys.exit(EXIT_CONFIG)
-        k, v = p.split("=", 1)
-        pmap[k.strip()] = v.strip()
     try:
+        pmap = {}
+        for p in params:
+            k, eq, v = p.partition("=")
+            if not eq:
+                raise BadParameter(f"--param expects k=v, got {p!r}")
+            pmap[k.strip()] = v.strip()
         intg = registry_get(name, pmap)
-    except (UnknownIntegrand, BadParameter) as exc:
+        if not isinstance(intg, Integrand1D):
+            raise BadParameter("critical supports one-variable integrands")
+    except (BadParameter, UnknownIntegrand, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    if not isinstance(intg, Integrand1D):
-        click.echo("config error: critical supports one-variable integrands", err=True)
         sys.exit(EXIT_CONFIG)
     try:
         c = find_caustic(intg)
@@ -324,8 +323,8 @@ def critical(name, params):
         click.echo(f"degenerate: {exc}")
         click.echo("status: degenerate (higher-order catastrophe, fold model invalid)")
         return
-    except NoConvergence as exc:
-        click.echo(f"solver failed: {exc}", err=True)
+    except CausticaError as exc:
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_SOLVER)
     click.echo(f"alpha_hat = {c.alpha_hat:.6f}")
     click.echo(f"z_tilde   = {c.z_tilde.real:.6f} {c.z_tilde.imag:+.6f}i")
@@ -341,22 +340,18 @@ def critical(name, params):
               type=click.Path(), show_default=True)
 def demo_meanfield(m, gamma, n_list, output_path):
     """Compare WKB and corrected fluctuation prefactors for the mean-field toy."""
-    if m <= 0:
-        click.echo(
-            "config error: m must be positive (the chiral limit m=0 is a "
-            "degenerate cusp: the soft-mode cubic coefficient vanishes)",
-            err=True,
-        )
-        sys.exit(EXIT_CONFIG)
     try:
+        if m <= 0:
+            raise BadParameter("m must be positive (the chiral limit m=0 is a degenerate "
+                               "cusp: the soft-mode cubic coefficient vanishes)")
         gammas = _parse_range(gamma)
-        ns = [int(float(t)) for t in n_list.split(",") if t.strip()]
-        if not gammas or not ns:
-            raise BadParameter("empty gamma range or N list")
+        if not gammas:
+            raise BadParameter("empty gamma range")
+        ns = _parse_n_list(n_list)
+        intg = registry_get("mean-field-toy", {"m": m})
     except (BadParameter, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    intg = registry_get("mean-field-toy", {"m": m})
     try:
         rows = asymnd.mean_field_compare(intg, gammas, ns)
     except CausticaError as exc:

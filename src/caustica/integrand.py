@@ -313,6 +313,14 @@ def _cube_third(z):
     return (x2 * x - y2 * y) / 3.0 + 1j * ((x2 * y + y2 * x) / 3.0)
 
 
+def _finite(params, key, default):
+    """The float registry parameter ``key``; BadParameter where it is not finite."""
+    v = float(params.get(key, default))
+    if not math.isfinite(v):
+        raise BadParameter(f"{key} must be finite, got {v}")
+    return v
+
+
 def _build_cubic(params):
     def f(z, a):
         return _cube_third(z) - a * z
@@ -337,7 +345,7 @@ def _build_cubic(params):
 
 
 def _build_perturbed_cubic(params):
-    eps = float(params.get("eps", 0.05))
+    eps = _finite(params, "eps", 0.05)
     if eps <= 0:
         raise BadParameter("perturbed-cubic requires eps > 0 (ray convergence)")
 
@@ -364,7 +372,7 @@ def _build_perturbed_cubic(params):
 
 
 def _build_bessel_sinh(params):
-    x0 = float(params.get("x0", 0.3))
+    x0 = _finite(params, "x0", 0.3)
 
     def f(z, a):
         return a * np.sinh(z) - z
@@ -406,7 +414,7 @@ def _build_bessel_sinh(params):
 
 
 def _build_mean_field_toy(params):
-    m = float(params.get("m", 0.1))
+    m = _finite(params, "m", 0.1)
 
     def f(z, g):
         if isinstance(z, np.ndarray):
@@ -437,17 +445,15 @@ def _build_mean_field_toy(params):
 
 
 def _nd_lambdas(params, dim):
-    lams = []
-    for i in range(2, dim + 1):
-        lams.append(float(params.get(f"lambda{i}", -1.0)))
+    lams = [_finite(params, f"lambda{i}", -1.0) for i in range(2, dim + 1)]
     if any(l >= 0 for l in lams):
         raise BadParameter("transverse eigenvalues lambda_i must be negative")
     return np.array(lams)
 
 
 def _build_nd_perturbed_cubic(params, separable=False):
-    eps = float(params.get("eps", 0.05))
-    c = 0.0 if separable else float(params.get("c", 0.1))
+    eps = _finite(params, "eps", 0.05)
+    c = 0.0 if separable else _finite(params, "c", 0.1)
     dim = int(params.get("dim", 2))
     if eps <= 0:
         raise BadParameter("nd-perturbed-cubic requires eps > 0")

@@ -65,11 +65,19 @@ class CausticInfo:
         return _fold_point(self.intg, alpha, self.z_tilde, self.f3_tilde)[0]
 
 
+def _derive(solver: str, intg: Integrand1D, z: complex, alpha: float, order: int):
+    """``derive`` at an iterate of ``solver``; NoConvergence where it overflows."""
+    try:
+        return derive(intg, z, alpha, order)
+    except OverflowError as exc:
+        raise NoConvergence(f"{solver}: derivatives overflow at z = {z:.6g}") from exc
+
+
 def _fold_point(intg: Integrand1D, alpha: float, z: complex, f3_scale: complex):
     """z_tilde(alpha), where |f''(z, alpha)| <= 1e-12 max(1, |f3_scale|), by
     damped Newton from z, and the jet (f', ..., f'''') taken there."""
     for _ in range(_MAX_ITERS):
-        jet = derive(intg, z, alpha, 4)
+        jet = _derive("z_tilde continuation", intg, z, alpha, 4)
         _, r, f3, _ = jet
         if abs(r) <= 1e-12 * max(1.0, abs(f3_scale)):
             return z, jet
@@ -121,10 +129,7 @@ def find_saddle(
     the derivatives overflow at an iterate."""
     z = complex(guess)
     for it in range(1, _MAX_ITERS + 1):
-        try:
-            f1, f2, f3 = derive(intg, z, alpha, 3)
-        except OverflowError as exc:
-            raise NoConvergence(f"find_saddle: derivatives overflow at z = {z:.6g}") from exc
+        f1, f2, f3 = _derive("find_saddle", intg, z, alpha, 3)
         if it == 1:
             scale = max(1.0, abs(f1))
         if abs(f1) <= tol * scale:
@@ -149,7 +154,7 @@ def find_caustic(intg: Integrand1D) -> CausticInfo:
 
     Gauss-Newton on the stacked real system in (Re z, Im z, alpha); the
     Jacobian columns are built from f'' , f''' and finite differences in
-    alpha.
+    alpha.  NoConvergence also where the derivatives overflow at an iterate.
     """
     if intg.caustic_guess is None:
         raise NoConvergence("find_caustic needs a guess for this integrand")
@@ -157,13 +162,13 @@ def find_caustic(intg: Integrand1D) -> CausticInfo:
     da = 1e-6
 
     for _ in range(_MAX_ITERS):
-        f1, f2, f3, f4 = derive(intg, z, a, 4)
+        f1, f2, f3, f4 = _derive("find_caustic", intg, z, a, 4)
         r = np.array([f1.real, f1.imag, f2.real, f2.imag])
         res = float(np.linalg.norm(r))
         if res <= 1e-11:
             break
-        p1, p2 = derive(intg, z, a + da, 2)
-        m1, m2 = derive(intg, z, a - da, 2)
+        p1, p2 = _derive("find_caustic", intg, z, a + da, 2)
+        m1, m2 = _derive("find_caustic", intg, z, a - da, 2)
         dfa1 = (p1 - m1) / (2 * da)
         dfa2 = (p2 - m2) / (2 * da)
         # Cauchy-Riemann blocks for the complex derivatives wrt z
@@ -188,12 +193,7 @@ def find_caustic(intg: Integrand1D) -> CausticInfo:
     return CausticInfo(z_tilde=complex(z), alpha_hat=float(a), f3_tilde=f3, intg=intg)
 
 
-def find_partner(
-    intg: Integrand1D,
-    alpha: float,
-    s: SaddleInfo,
-    tol: float = 1e-12,
-) -> SaddleInfo:
+def find_partner(intg: Integrand1D, alpha: float, s: SaddleInfo) -> SaddleInfo:
     """The other member of the coalescing pair, seeded from the cubic model."""
     if s.f3 == 0:
         raise PartnerNotFound("cubic coefficient vanishes; no local pair")
@@ -204,7 +204,7 @@ def find_partner(
     if abs(seed - s.z0) < max(1e-10 * max(1.0, abs(s.z0)), floor):
         raise PartnerNotFound("saddles have coalesced (seed collapses onto z0)")
     try:
-        p = find_saddle(intg, alpha, seed, tol=tol)
+        p = find_saddle(intg, alpha, seed)
     except NoConvergence as exc:
         raise PartnerNotFound(f"partner iteration diverged: {exc}") from exc
     sep = abs(p.z0 - s.z0)
@@ -213,12 +213,7 @@ def find_partner(
     return p
 
 
-def find_saddle_nd(
-    intg: IntegrandND,
-    alpha: float,
-    guess: np.ndarray,
-    tol: float = 1e-10,
-) -> NdSaddleInfo:
+def find_saddle_nd(intg: IntegrandND, alpha: float, guess: np.ndarray) -> NdSaddleInfo:
     """The saddle of the integrand reduced to the soft coordinate, by
     ``find_saddle`` from guess[0], the transverse coordinates solved from
     guess[1:].
@@ -231,7 +226,8 @@ def find_saddle_nd(
     if guess.shape != (intg.dim,):
         raise WrongRegime(f"guess has shape {guess.shape}, expected ({intg.dim},)")
     reduced = _reduce(intg, alpha, guess[1:])
-    s = find_saddle(reduced, alpha, complex(guess[0]), tol=tol)
+    # 1e-10: at find_caustic's alpha_hat, ~1e-11 off the fold, a 1e-12 solve fails (A6)
+    s = find_saddle(reduced, alpha, complex(guess[0]), tol=1e-10)
     x, h = _transverse_solve(intg, alpha, np.array([s.z0]), guess[1:])
     h = h[:, :, 0]
     if np.any(np.linalg.eigvals(h).real >= 0.0):
@@ -261,7 +257,7 @@ def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray) -> Integrand1D:
     return Integrand1D(f=f, g=g, contour=intg.soft_path, name=f"{intg.name} reduced")
 
 
-def _transverse_solve(intg, alpha, z, seed, tol=1e-12):
+def _transverse_solve(intg, alpha, z, seed):
     """The columns (z_k, x_perp*(z_k)) of an (n, M) array, with the
     transverse gradient zero by Newton from ``seed``, and the transverse
     Hessians there, of shape (n-1, n-1, M)."""
@@ -271,7 +267,7 @@ def _transverse_solve(intg, alpha, z, seed, tol=1e-12):
         grad, h = _transverse_derivatives(intg, x, alpha)
         step = np.linalg.solve(np.moveaxis(h, -1, 0), -grad.T[:, :, None])[:, :, 0].T
         x[1:] += step
-        if np.abs(step).max() <= tol * max(1.0, np.abs(x[1:]).max()):
+        if np.abs(step).max() <= 1e-12 * max(1.0, np.abs(x[1:]).max()):
             return x, h
     raise NoConvergence("transverse Newton did not converge")
 

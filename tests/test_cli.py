@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from caustica import ToleranceNotMet, cli
+from caustica import ToleranceNotMet, cli, registry_get
 from caustica.cli import main
-from caustica.saddle import find_partner
+from caustica.saddle import find_caustic, find_partner
 
 
 @pytest.fixture
@@ -584,6 +584,56 @@ def test_sweep_bad_n_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "alpha, n, message",
+    [
+        ("1:2", "30", "range must be start:stop:steps"),
+        ("0:1:0", "30", "steps must be >= 1"),
+        ("0.1", "30,inf", "N must be finite and >= 2"),
+    ],
+)
+def test_sweep_bad_range_exit_2(runner, tmp_path, alpha, n, message):
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        f"""\
+        [integrand]
+        name = cubic
+
+        [sweep]
+        alpha = {alpha}
+        N = {n}
+        """,
+    )
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(tmp_path / "o.csv")])
+    assert result.exit_code == 2
+    assert f"config error: {message}" in result.output
+
+
+def test_sweep_caustic_overflow_exit_3(runner, tmp_path):
+    # m = 1e10: f'' overflows at find_caustic's first iterate
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = mean-field-toy
+        m = 1e10
+
+        [sweep]
+        alpha = 1.2
+        N = 30
+        methods = wkb,tilde
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 3, result.output
+    lines = out.read_text().splitlines()
+    assert lines[-1].startswith("# error: NoConvergence: find_caustic: derivatives overflow")
+    assert len(lines) == 3
+
+
 def test_critical_bessel(runner):
     result = runner.invoke(main, ["critical", "bessel-sinh"])
     assert result.exit_code == 0, result.output
@@ -611,6 +661,27 @@ def test_critical_unknown_name(runner):
 def test_critical_bad_param(runner):
     result = runner.invoke(main, ["critical", "mean-field-toy", "--param", "m"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bessel-sinh", "--param", "x0=abc"], "could not convert"),
+        (["bessel-sinh", "--param", "x0=nan"], "x0 must be finite"),
+        (["mean-field-toy", "--param", "m=inf"], "m must be finite"),
+        (["nd-perturbed-cubic"], "supports one-variable integrands"),
+    ],
+)
+def test_critical_config_error_exit_2(runner, args, message):
+    result = runner.invoke(main, ["critical", *args])
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output and message in result.output
+
+
+def test_critical_solver_error_exit_3(runner):
+    result = runner.invoke(main, ["critical", "mean-field-toy", "--param", "m=1e10"])
+    assert result.exit_code == 3, result.output
+    assert "error: NoConvergence: find_caustic: derivatives overflow" in result.output
 
 
 def test_demo_meanfield(runner, tmp_path):
@@ -641,3 +712,46 @@ def test_demo_meanfield_m0_exit_2(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "chiral" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--m", "0.1", "--N", "0"], "N must be finite and >= 2"),
+        (["--m", "0.1", "--N", "1"], "N must be finite and >= 2"),
+        (["--m", "0.1", "--N", "50,inf"], "N must be finite and >= 2"),
+        (["--m", "0.1", "--N", ","], "missing N list"),
+        (["--m", "nan", "--N", "50"], "m must be finite"),
+        (["--m", "inf", "--N", "50"], "m must be finite"),
+    ],
+)
+def test_demo_meanfield_config_error_exit_2(runner, tmp_path, args, message):
+    result = runner.invoke(
+        main,
+        ["demo-meanfield", "--gamma", "1.1:1.2:2", *args, "-o", str(tmp_path / "mf.csv")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"config error: {message}" in result.output
+
+
+def test_demo_meanfield_solver_error_exit_3(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["demo-meanfield", "--m", "1e10", "--gamma", "1.1:1.2:2", "--N", "50",
+         "-o", str(tmp_path / "mf.csv")],
+    )
+    assert result.exit_code == 3, result.output
+    assert "error: NoConvergence: find_caustic: derivatives overflow" in result.output
+
+
+def test_demo_meanfield_reports_divergent_fold_saddle(runner, tmp_path):
+    # at gamma = alpha_hat the fold saddles coalesce and their Gaussian term
+    # diverges; the printout names the first such gamma
+    a_hat = find_caustic(registry_get("mean-field-toy", {"m": 0.1})).alpha_hat
+    result = runner.invoke(
+        main,
+        ["demo-meanfield", "--m", "0.1", "--gamma", f"1.2,{a_hat!r}", "--N", "50,100",
+         "-o", str(tmp_path / "mf.csv")],
+    )
+    assert result.exit_code == 0, result.output
+    assert "fold-saddle WKB divergent at gamma = 1.29788" in result.output

@@ -78,6 +78,35 @@ def test_registry_nd_bad_lambda():
         registry_get("nd-perturbed-cubic", {"lambda2": "0.5"})
 
 
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("perturbed-cubic", "eps"),
+        ("bessel-sinh", "x0"),
+        ("mean-field-toy", "m"),
+        ("nd-perturbed-cubic", "eps"),
+        ("nd-perturbed-cubic", "c"),
+        ("nd-perturbed-cubic", "lambda2"),
+        ("nd-separable", "lambda3"),
+    ],
+)
+@pytest.mark.parametrize("value", ["inf", "nan", -math.inf])
+def test_registry_params_must_be_finite(name, key, value):
+    params = {key: value, "dim": "3"} if key == "lambda3" else {key: value}
+    with pytest.raises(BadParameter, match=f"{key} must be finite"):
+        registry_get(name, params)
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_registry_families_define_guesses(name):
+    # the CLI starts every saddle solve from saddle_guess and every caustic
+    # solve from caustic_guess, with no fallback of its own
+    intg = registry_get(name)
+    assert intg.saddle_guess is not None
+    if isinstance(intg, Integrand1D):
+        assert intg.caustic_guess is not None
+
+
 # ---------------------------------------------------------------------------
 # contour geometry
 

@@ -117,6 +117,24 @@ def test_cancellation_raises():
         quad_contour(intg, 1.0, 1000)
 
 
+def test_failed_saddle_solve_uses_declared_contour():
+    # find_saddle from 1e6 raises NoConvergence; the oracle then integrates
+    # the declared contour, bit for bit as without a guess
+    intg = registry_get("cubic")
+    bad = quad_contour(dataclasses.replace(intg, saddle_guess=lambda a: 1e6), 0.3, 30).value
+    none = quad_contour(dataclasses.replace(intg, saddle_guess=None), 0.3, 30).value
+    assert bad == none
+    exact = 2.0j * math.pi * 30 ** (-1.0 / 3.0) * airy_ai(0.3 * 30 ** (2.0 / 3.0))
+    assert abs(bad - exact) <= 1e-9 * abs(exact)
+
+
+def test_value_outside_double_range_raises():
+    # |I| = 3.9e-2 e^(-707) at alpha = 0.5, N = 3000 is below the smallest
+    # normal double
+    with pytest.raises(ToleranceNotMet, match="outside the double range"):
+        quad_contour(registry_get("cubic"), 0.5, 3000)
+
+
 def test_bessel_golden_values():
     assert bessel_ref(1, 1.0) == pytest.approx(J1_1, abs=1e-12)
     assert bessel_ref(30, 24.0) == pytest.approx(J30_24, abs=1e-12)

@@ -89,6 +89,26 @@ def test_mean_field_m0_is_degenerate():
         find_caustic(intg)
 
 
+def test_caustic_overflow_is_no_convergence():
+    # m = 1e10: cosh(z + m) overflows in the f'' provider at the first iterate
+    intg = registry_get("mean-field-toy", {"m": "1e10"})
+    with pytest.raises(NoConvergence, match="find_caustic: derivatives overflow"):
+        find_caustic(intg)
+
+
+def test_z_tilde_continuation_overflow_is_no_convergence():
+    c = find_caustic(registry_get("mean-field-toy", {"m": "0.1"}))
+    far = dataclasses.replace(c, z_tilde=-1e6 + 0j)
+    with pytest.raises(NoConvergence, match="z_tilde continuation: derivatives overflow"):
+        far.z_tilde_at(1.3)
+
+
+def test_caustic_needs_a_guess():
+    intg = dataclasses.replace(registry_get("cubic"), caustic_guess=None)
+    with pytest.raises(NoConvergence, match="needs a guess"):
+        find_caustic(intg)
+
+
 def test_z_tilde_continuation():
     intg = registry_get("bessel-sinh")
     c = find_caustic(intg)
