@@ -5,7 +5,7 @@ Config grammar for ``caustica sweep`` (flat key=value with section headers)::
 
     [integrand]
     name = bessel-sinh
-    # any further keys in this section are passed to the registry builder
+    # further keys are registry parameters; one the family does not read is an error
 
     [sweep]
     alpha = 0.8:1.0:21        # start:stop:steps, or a comma list 0.8,0.9
@@ -74,10 +74,14 @@ def _parse_range(text: str) -> list[float]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
         if steps < 1:
             raise BadParameter("steps must be >= 1")
-        if steps == 1:
-            return [start]
-        return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
-    return [float(t) for t in text.split(",") if t.strip()]
+        values = [start] if steps == 1 else [
+            start + (stop - start) * i / (steps - 1) for i in range(steps)
+        ]
+    else:
+        values = [float(t) for t in text.split(",") if t.strip()]
+    if not all(map(math.isfinite, values)):
+        raise BadParameter(f"range values must be finite, got {text!r}")
+    return values
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -86,6 +90,8 @@ def _parse_n_list(text: str) -> list[int]:
         raise BadParameter("missing N list")
     if not all(2 <= v < math.inf for v in values):
         raise BadParameter("N must be finite and >= 2")
+    if not all(v == int(v) for v in values):
+        raise BadParameter("N must be a whole number")
     return [int(v) for v in values]
 
 
@@ -108,6 +114,11 @@ def _parse_config(path: str) -> dict:
     methods = tuple(
         m.strip() for m in sw.get("methods", "wkb,tilde").split(",") if m.strip()
     )
+    if not methods or len(set(methods)) != len(methods):
+        raise BadParameter(f"methods must be a list of distinct names, got {methods}")
+    tol = float(sw.get("tol", "1e-10"))
+    if not 0 < tol < math.inf:
+        raise BadParameter(f"tol must be finite and > 0, got {tol}")
     return {
         "name": name,
         "params": params,
@@ -115,7 +126,7 @@ def _parse_config(path: str) -> dict:
         "N": n_list,
         "methods": methods,
         "oracle": sw.getboolean("oracle", fallback=False),
-        "tol": float(sw.get("tol", "1e-10")),
+        "tol": tol,
     }
 
 
@@ -267,7 +278,7 @@ def sweep(config_path, output_path):
         for m in cfg["methods"]:
             if m not in known:
                 raise BadParameter(f"method {m!r} does not apply to {cfg['name']}; known: {known}")
-    except (BadParameter, UnknownIntegrand, ValueError) as exc:
+    except (BadParameter, UnknownIntegrand, ValueError, configparser.Error) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 

@@ -286,69 +286,33 @@ def _logcosh_c(t: complex) -> complex:
     return s + cmath.log(0.5 * (1.0 + cmath.exp(-2.0 * s)))
 
 
-def _mean_field_array(z: np.ndarray, g: float, m: float) -> np.ndarray:
-    # the two branches of the scalar mean-field f, per entry of a complex
-    # array: real arithmetic at real entries, complex ones elsewhere
-    x = z.real
-    a = np.abs(x + m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        real = -x * x / (2.0 * g) + a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
-        t = z + m
-        s = np.where(t.real > 0, t, -t)
-        cplx = -z * z / (2.0 * g) + np.where(
-            np.abs(t.real) < 30.0, np.log(np.cosh(t)), s + np.log(0.5 * (1.0 + np.exp(-2.0 * s)))
-        )
-    return np.where(z.imag == 0.0, real, cplx)
-
-
 def _cube_third(z):
-    # z * z * z / 3.0 as Python evaluates it on a complex, also on arrays:
-    # numpy fuses the real part of a complex product into one FMA and
-    # divides by a float as a multiplication by its reciprocal, and either
-    # changes the last bit
-    if not isinstance(z, np.ndarray):
-        return z * z * z / 3.0
+    # z * z * z / 3.0 in real arithmetic, so that scalars and arrays get the
+    # same bits: numpy fuses the real part of a complex product into one FMA
+    # and divides by a float as a multiplication by its reciprocal, and
+    # Python's complex-by-float division rounds differently between versions
     x, y = z.real, z.imag
     x2, y2 = x * x - y * y, x * y + y * x
     return (x2 * x - y2 * y) / 3.0 + 1j * ((x2 * y + y2 * x) / 3.0)
 
 
 def _finite(params, key, default):
-    """The float registry parameter ``key``; BadParameter where it is not finite."""
-    v = float(params.get(key, default))
+    """Pop the float registry parameter ``key``; BadParameter if not finite."""
+    v = float(params.pop(key, default))
     if not math.isfinite(v):
         raise BadParameter(f"{key} must be finite, got {v}")
     return v
-
-
-def _build_cubic(params):
-    def f(z, a):
-        return _cube_third(z) - a * z
-
-    derivs = (
-        lambda z, a: z * z - a,
-        lambda z, a: 2.0 * z,
-        lambda z, a: 2.0 + 0.0 * z,
-        lambda z, a: 0.0 * z,
-    )
-    contour = ContourPath((0.0 + 0.0j,), tail_angle=-math.pi / 3.0, head_angle=math.pi / 3.0)
-    return Integrand1D(
-        f=f,
-        g=lambda z: 1.0 + 0.0 * z,
-        contour=contour,
-        analytic_derivs=derivs,
-        alpha_range=(0.0, 1.0),
-        saddle_guess=lambda a: complex(math.sqrt(max(a, 0.0)) + 1e-3),
-        caustic_guess=(0.1 + 0.0j, 0.05),
-        name="cubic",
-    )
 
 
 def _build_perturbed_cubic(params):
     eps = _finite(params, "eps", 0.05)
     if eps <= 0:
         raise BadParameter("perturbed-cubic requires eps > 0 (ray convergence)")
+    return _cubic_family(eps, (0.0, 0.6), "perturbed-cubic")
 
+
+def _cubic_family(eps, alpha_range, name):
+    # z^3/3 - a z + eps z^4; the pure cubic is eps = 0
     def f(z, a):
         return _cube_third(z) - a * z + eps * z ** 4
 
@@ -364,10 +328,10 @@ def _build_perturbed_cubic(params):
         g=lambda z: 1.0 + 0.0 * z,
         contour=contour,
         analytic_derivs=derivs,
-        alpha_range=(0.0, 0.6),
+        alpha_range=alpha_range,
         saddle_guess=lambda a: complex(math.sqrt(max(a, 0.0)) + 1e-3),
         caustic_guess=(0.1 + 0.0j, 0.05),
-        name="perturbed-cubic",
+        name=name,
     )
 
 
@@ -416,13 +380,18 @@ def _build_bessel_sinh(params):
 def _build_mean_field_toy(params):
     m = _finite(params, "m", 0.1)
 
-    def f(z, g):
-        if isinstance(z, np.ndarray):
-            return _mean_field_array(z, g, m)
-        if isinstance(z, complex) and z.imag != 0.0:
+    def rule(z, g):
+        z = complex(z)  # np.vectorize passes numpy scalars; take Python's arithmetic
+        if z.imag != 0.0:
             return -z * z / (2.0 * g) + _logcosh_c(z + m)
-        s = float(z.real) if isinstance(z, complex) else float(z)
+        s = z.real
         return complex(-s * s / (2.0 * g) + _logcosh(s + m))
+
+    # arrays get the scalar rule entry by entry, and so its bits
+    rule_array = np.vectorize(rule, otypes=[complex])
+
+    def f(z, g):
+        return rule_array(z, g) if isinstance(z, np.ndarray) else rule(z, g)
 
     derivs = (
         lambda z, g: -z / g + cmath.tanh(z + m),
@@ -454,7 +423,7 @@ def _nd_lambdas(params, dim):
 def _build_nd_perturbed_cubic(params, separable=False):
     eps = _finite(params, "eps", 0.05)
     c = 0.0 if separable else _finite(params, "c", 0.1)
-    dim = int(params.get("dim", 2))
+    dim = int(params.pop("dim", 2))
     if eps <= 0:
         raise BadParameter("nd-perturbed-cubic requires eps > 0")
     lams = _nd_lambdas(params, dim)
@@ -490,7 +459,7 @@ def _build_nd_perturbed_cubic(params, separable=False):
 
 
 _BUILDERS = {
-    "cubic": _build_cubic,
+    "cubic": lambda p: _cubic_family(0.0, (0.0, 1.0), "cubic"),
     "perturbed-cubic": _build_perturbed_cubic,
     "bessel-sinh": _build_bessel_sinh,
     "mean-field-toy": _build_mean_field_toy,
@@ -504,7 +473,13 @@ def registry_names() -> list[str]:
 
 
 def registry_get(name: str, params: Optional[dict] = None):
-    """Build a fully configured registry integrand by name."""
+    """Build a fully configured registry integrand by name.  Its builder pops
+    each parameter it reads from a copy of ``params``; one left over, which
+    the family does not read, raises BadParameter."""
     if name not in _BUILDERS:
         raise UnknownIntegrand(f"unknown integrand {name!r}; known: {registry_names()}")
-    return _BUILDERS[name](params or {})
+    unread = dict(params or {})
+    intg = _BUILDERS[name](unread)
+    if unread:
+        raise BadParameter(f"{name} does not read parameter(s) {sorted(unread)}")
+    return intg

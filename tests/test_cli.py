@@ -610,6 +610,49 @@ def test_sweep_bad_range_exit_2(runner, tmp_path, alpha, n, message):
     assert f"config error: {message}" in result.output
 
 
+def _sweep_config(integrand="name = cubic", **sweep):
+    keys = {"alpha": "0.5", "N": "30", "methods": "wkb", "oracle": "true", "tol": "1e-10"}
+    keys.update(sweep)
+    lines = [f"{k} = {v}" for k, v in keys.items() if v is not None]
+    return "\n".join(["[integrand]", integrand, "", "[sweep]", *lines]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("[integrand]\nname = cubic\n", "config needs [integrand] and [sweep] sections"),
+        (_sweep_config(integrand=""), "missing integrand name"),
+        (_sweep_config(alpha=None), "missing alpha range"),
+        (_sweep_config(tol="-1"), "tol must be finite and > 0"),
+        (_sweep_config(tol="0"), "tol must be finite and > 0"),
+        (_sweep_config(tol="inf"), "tol must be finite and > 0"),
+        (_sweep_config(tol="nan"), "tol must be finite and > 0"),
+        (_sweep_config(alpha="nan"), "range values must be finite"),
+        (_sweep_config(alpha="0.1,inf"), "range values must be finite"),
+        (_sweep_config(N="30.7"), "N must be a whole number"),
+        (_sweep_config(methods=","), "methods must be a list of distinct names"),
+        (_sweep_config(methods="wkb,wkb"), "methods must be a list of distinct names"),
+        (_sweep_config("name = cubic\nname = cubic"), "option 'name' in section"),
+        (_sweep_config("name = perturbed-cubic\nepsilon = 0.3"),
+         "perturbed-cubic does not read parameter(s) ['epsilon']"),
+        (_sweep_config("name = cubic\neps = 0.3"), "cubic does not read parameter(s) ['eps']"),
+        (_sweep_config("name = nd-separable\nc = 0.2", methods="wkb-nd"),
+         "nd-separable does not read parameter(s) ['c']"),
+    ],
+    ids=[
+        "no-sweep-section", "no-name", "no-alpha", "tol-negative", "tol-zero", "tol-inf",
+        "tol-nan", "alpha-nan", "alpha-inf", "N-fraction", "methods-empty", "methods-repeat",
+        "duplicate-key", "perturbed-cubic-epsilon", "cubic-eps", "nd-separable-c",
+    ],
+)
+def test_sweep_bad_input_exit_2(runner, tmp_path, body, message):
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(body)
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(tmp_path / "o.csv")])
+    assert result.exit_code == 2, result.output
+    assert "config error: " in result.output and message in result.output
+
+
 def test_sweep_caustic_overflow_exit_3(runner, tmp_path):
     # m = 1e10: f'' overflows at find_caustic's first iterate
     cfg = tmp_path / "sweep.ini"
@@ -670,6 +713,8 @@ def test_critical_bad_param(runner):
         (["bessel-sinh", "--param", "x0=nan"], "x0 must be finite"),
         (["mean-field-toy", "--param", "m=inf"], "m must be finite"),
         (["nd-perturbed-cubic"], "supports one-variable integrands"),
+        (["cubic", "--param", "eps=0.3"], "cubic does not read parameter(s) ['eps']"),
+        (["perturbed-cubic", "--param", "epsilon=0.3"], "does not read parameter(s) ['epsilon']"),
     ],
 )
 def test_critical_config_error_exit_2(runner, args, message):
@@ -723,6 +768,9 @@ def test_demo_meanfield_m0_exit_2(runner, tmp_path):
         (["--m", "0.1", "--N", ","], "missing N list"),
         (["--m", "nan", "--N", "50"], "m must be finite"),
         (["--m", "inf", "--N", "50"], "m must be finite"),
+        (["--m", "0.1", "--N", "50.5"], "N must be a whole number"),
+        # the last --gamma given wins
+        (["--m", "0.1", "--N", "50", "--gamma", "1.1:nan:3"], "range values must be finite"),
     ],
 )
 def test_demo_meanfield_config_error_exit_2(runner, tmp_path, args, message):

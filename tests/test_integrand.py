@@ -47,18 +47,14 @@ _ARRAY_POINTS = np.concatenate((
 
 @pytest.mark.parametrize("name", ["cubic", "perturbed-cubic", "bessel-sinh", "mean-field-toy"])
 def test_array_calls_match_scalar_calls(name):
-    # quad_contour and the derivative jet call f and g on numpy arrays
+    # quad_contour and the derivative jet call f and g on numpy arrays, and
+    # get the bits the formulas get from scalar calls
     intg = registry_get(name)
     for alpha in intg.alpha_range:
         for fn, args in ((intg.f, (alpha,)), (intg.g, ())):
             arr = fn(_ARRAY_POINTS, *args)
             ref = np.array([complex(fn(z, *args)) for z in _ARRAY_POINTS.tolist()])
-            if name != "mean-field-toy":
-                assert np.array_equal(arr.view(np.uint64), ref.view(np.uint64))
-            else:
-                # numpy's exp, log and cosh differ from math's and cmath's in
-                # the last bit, and f passes through 0 on the real axis
-                assert np.all(np.abs(arr - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+            assert np.array_equal(arr.view(np.uint64), ref.view(np.uint64))
 
 
 def test_registry_unknown():
@@ -71,6 +67,30 @@ def test_registry_bad_eps():
         registry_get("perturbed-cubic", {"eps": "0"})
     with pytest.raises(BadParameter):
         registry_get("nd-perturbed-cubic", {"eps": "-0.1"})
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("perturbed-cubic", {"epsilon": "0.3"}),
+        ("cubic", {"eps": "0.3"}),
+        ("nd-separable", {"c": "0.2"}),
+        ("nd-perturbed-cubic", {"dim": "2", "lambda3": "-1"}),
+    ],
+)
+def test_registry_refuses_unread_params(name, params):
+    given = dict(params)
+    with pytest.raises(BadParameter, match=f"{name} does not read parameter"):
+        registry_get(name, params)
+    assert params == given
+
+
+def test_registry_leaves_params_unchanged():
+    # a caller may build from one dict again and again
+    params = {"dim": "3", "eps": "0.1", "lambda3": "-2"}
+    for _ in range(2):
+        assert registry_get("nd-perturbed-cubic", params).dim == 3
+    assert params == {"dim": "3", "eps": "0.1", "lambda3": "-2"}
 
 
 def test_registry_nd_bad_lambda():
@@ -196,6 +216,20 @@ def test_derive_bad_order():
     intg = registry_get("cubic")
     with pytest.raises(BadParameter):
         derive(intg, 0j, 0.1, 5)
+
+
+def test_analytic_derivs_need_four_orders():
+    intg = registry_get("cubic")
+    with pytest.raises(BadParameter, match="orders 1..4"):
+        dataclasses.replace(intg, analytic_derivs=intg.analytic_derivs[:3])
+
+
+def test_derive_error_bound_above_tol_raises():
+    # the rounding of samples near 1e12 bounds f' only to about 7e-3 > _JET_TOL
+    c = ContourPath((0j,), tail_angle=math.pi - 1e-9, head_angle=0.0)
+    intg = Integrand1D(f=lambda z, a: 1e12 + z, g=lambda z: 1.0, contour=c)
+    with pytest.raises(StepUnderflow, match="order-1 derivative error bound"):
+        derive(intg, 0.5 + 0.0j, 0.0, 1)
 
 
 def _fd_clone(intg):
