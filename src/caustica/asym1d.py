@@ -19,13 +19,17 @@ the warnings and, for ``tilde`` only, the cube-root branch index; its
 
 Phase conventions
 -----------------
-All square and cube roots are taken in the descent frame: the effective
-curvature at a saddle is |f''| with phase theta0 = (pi - arg f'')/2,
+``wkb``'s and ``saddle``'s square roots are taken in the descent frame: the
+effective curvature at a saddle is |f''| with phase theta0 = (pi - arg f'')/2,
 adjusted mod pi so that exp(i*theta0) has positive projection onto the
 travel direction of the integration contour at its point nearest the
 saddle (``ContourPath.project``), the point that ``quad_contour`` moves
-through the saddle.  This single rule fixes every root branch and
-reproduces the classical Debye formula on the Bessel family.
+through the saddle.  This rule reproduces the classical Debye formula on
+the Bessel family.  ``tilde``'s cube root r of 2/f''' is the branch that
+makes zeta = -r f' real and non-negative; where several do (zeta ~ 0, at
+the caustic) it is the most nearly real r.  ``cfu`` takes principal square
+roots.  Neither ``tilde`` nor ``cfu`` reads the contour, so on a contour
+traversed the other way both return -I.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from numbers import Number
 
 from .airy import _recovery, airy_ai_scaled_pair
-from .errors import CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
+from .errors import BadParameter, CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
 from .integrand import Integrand1D, _derivatives
 from .saddle import CausticInfo, SaddleInfo, _fold_point
 # nothing in the package calls these names here; the span tracer (bench/spans.py,
@@ -126,7 +130,9 @@ def _over_grid(formula):
     def over_grid(intg, alpha, N, *args, **kwargs):
         if isinstance(N, Number):
             return formula(intg, alpha, (N,), *args, **kwargs)[0]
-        return tuple(formula(intg, alpha, tuple(N), *args, **kwargs))
+        if not (N := tuple(N)):
+            raise BadParameter("N must be a number or a non-empty sequence, got ()")
+        return tuple(formula(intg, alpha, N, *args, **kwargs))
 
     return over_grid
 
@@ -164,12 +170,6 @@ def _gaussian(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, rotation
             for n in N]
 
 
-def _cube_roots(w: complex) -> list[complex]:
-    r = abs(w) ** (1.0 / 3.0)
-    p = cmath.phase(w)
-    return [r * cmath.exp(1j * (p + 2.0 * math.pi * k) / 3.0) for k in range(3)]
-
-
 @_over_grid
 def approx_tilde(
     intg: Integrand1D, alpha: float, N: "float | Sequence[float]", c: CausticInfo
@@ -188,8 +188,8 @@ def approx_tilde(
     Exact for a pure cubic exponent with g at most linear.  N is one number
     or a sequence of them (then one ApproxValue per N, in order); z_tilde
     and its derivatives are found once, and DegenerateCubic and WrongRegime
-    depend on alpha only and raise for the whole grid.  With
-    ``real_result_hint`` the cube-root branch is chosen per N.
+    depend on alpha only and raise for the whole grid, as does the
+    cube-root branch (module docstring).
     """
     zt, (f1, _, f3, f4) = _fold_point(intg, alpha, c.z_tilde, c.f3_tilde)
     ft = intg.f(zt, alpha)
@@ -198,57 +198,53 @@ def approx_tilde(
     g0 = intg.g(zt)
     g1 = complex(_derivatives(lambda s: intg.g(zt + s), max(1.0, abs(zt)), 1)[0])
 
-    candidates = []
-    for k, r in enumerate(_cube_roots(2.0 / f3)):
+    w, candidates = 2.0 / f3, []
+    for k in range(3):
+        r = abs(w) ** (1.0 / 3.0) * cmath.exp(1j * (cmath.phase(w) + 2.0 * math.pi * k) / 3.0)
         zeta_c = -r * f1
         # an absolute floor: at the caustic zeta is zero up to the rounding
         # that the solve for z_tilde leaves in its imaginary part
-        if abs(zeta_c.imag) > _IM_TOL * max(abs(zeta_c), 1e-12):
-            continue
-        if zeta_c.real < -_IM_TOL:
-            continue
-        candidates.append((k, r, max(zeta_c.real, 0.0)))
+        if not (abs(zeta_c.imag) > _IM_TOL * max(abs(zeta_c), 1e-12) or zeta_c.real < -_IM_TOL):
+            candidates.append((k, r, max(zeta_c.real, 0.0)))
     if not candidates:
         raise WrongRegime(
             f"no cube-root branch yields a real fold parameter at alpha={alpha} "
             "(complex-saddle side?)"
         )
-    # the first branch, unless real_result_hint asks for the most nearly
-    # real value, which is chosen per N
-    if not (intg.real_result_hint and len(candidates) > 1):
-        candidates = candidates[:1]
+    # several branches pass only where zeta ~ 0; the most nearly real r is
+    # the one that continues from the real-saddle side, where r = -zeta/f'
+    k, r, zeta = min(candidates, key=lambda t: abs(t[1].imag) / abs(t[1]))
 
-    # per branch: its index, the constant prefixes of the quartic term, of
-    # the value and of the g' term, and the fold parameters over the grid
-    prefixes = [
-        (k, f4 * r ** 4 / 24.0, intg.prefactor * 2.0j * math.pi * r, g1 * r)
-        for k, r, _ in candidates
-    ]
-    xs = [[n ** (2.0 / 3.0) * zeta for n in N] for _, _, zeta in candidates]
-    pairs = airy_ai_scaled_pair([x for row in xs for x in row])
+    quartic_c, g1r = f4 * r ** 4 / 24.0, g1 * r
+    return _airy_grid(
+        intg, "tilde", N, zeta, intg.prefactor * 2.0j * math.pi * r, ft,
+        lambda n3, x, ai, aip: (
+            g0 * (ai + quartic_c * n3 * (2.0 * aip + x * x * ai)) - g1r * n3 * aip
+        ),
+        branch=k,
+    )
 
+
+def _airy_grid(intg, name, N, zeta, amplitude, exponent, inner, branch=None):
+    """``tilde``'s and ``cfu``'s values over the tuple N: per N, with
+    zeta' = N^{2/3} zeta, n3 = N^{-1/3} and the scaled Ai, Ai' at zeta' from
+    one Airy call, the log-safe product
+    amplitude * n3 * inner(n3, zeta', Ai, Ai') * exp(N exponent - (2/3) zeta'^{3/2}).
+    """
+    xs = [n ** (2.0 / 3.0) * zeta for n in N]
     out = []
-    for i, n in enumerate(N):
+    for n, x, (ai, aip) in zip(N, xs, airy_ai_scaled_pair(xs)):
         n3 = n ** (-1.0 / 3.0)
-        built = []
-        for j, (k, quartic_c, value_c, g1r) in enumerate(prefixes):
-            x = xs[j][i]
-            ai, aip = pairs[j * len(N) + i]
-            quartic = quartic_c * n3 * (2.0 * aip + x * x * ai)
-            val = (
-                value_c
-                * n3
-                * (g0 * (ai + quartic) - g1r * n3 * aip)
-                * cmath.exp(n * ft - (2.0 / 3.0) * x ** 1.5)
-            )
-            built.append((k, x, val))
-        k, x, val = built[0] if len(built) == 1 else min(
-            built, key=lambda t: abs(t[2].imag) / max(abs(t[2]), 1e-300))
-
+        value = (
+            amplitude
+            * n3
+            * inner(n3, x, ai, aip)
+            * cmath.exp(n * exponent - (2.0 / 3.0) * x ** 1.5)
+        )
         warnings = []
-        if intg.real_result_hint and abs(val.imag) > _IM_TOL * abs(val):
-            warnings.append("tilde: nonzero imaginary part despite real_result_hint")
-        out.append(ApproxValue(val, x, tuple(warnings), branch=k))
+        if intg.real_result_hint and abs(value.imag) > _IM_TOL * abs(value):
+            warnings.append(f"{name}: nonzero imaginary part despite real_result_hint")
+        out.append(ApproxValue(value, x, tuple(warnings), branch))
     return out
 
 
@@ -352,21 +348,8 @@ def approx_cfu(
     a0 = 0.5 * (term_s + term_p)
     b0 = 0.5 * (term_s - term_p) / sq
 
-    big_a = 0.5 * (s.f0 + p.f0)
-    amplitude = intg.prefactor * 2.0j * math.pi
-    xs = [n ** (2.0 / 3.0) * zeta for n in N]
-    out = []
-    for n, x, (ai, aip) in zip(N, xs, airy_ai_scaled_pair(xs)):
-        n3 = n ** (-1.0 / 3.0)
-        # exp(N*A) * Ai(zeta') evaluated log-safe: N*A - (2/3) zeta'^{3/2} = N f(z0^*)
-        value = (
-            amplitude
-            * n3
-            * (a0 * ai + b0 * n3 * aip)
-            * cmath.exp(n * big_a - (2.0 / 3.0) * x ** 1.5)
-        )
-        warnings = []
-        if intg.real_result_hint and abs(value.imag) > _IM_TOL * max(abs(value), 1e-300):
-            warnings.append("cfu: nonzero imaginary part despite real_result_hint")
-        out.append(ApproxValue(value, x, tuple(warnings)))
-    return out
+    # A = (f(z0) + f(z0^*))/2, and N A - (2/3) zeta'^{3/2} = N f(z0^*)
+    return _airy_grid(
+        intg, "cfu", N, zeta, intg.prefactor * 2.0j * math.pi, 0.5 * (s.f0 + p.f0),
+        lambda n3, x, ai, aip: a0 * ai + b0 * n3 * aip,
+    )

@@ -7,7 +7,7 @@ Config grammar for ``caustica sweep`` (flat key=value with section headers)::
     name = bessel-sinh
     # further keys are registry parameters; one the family does not read is an error
 
-    [sweep]
+    [sweep]                   # these keys only; another is an error
     alpha = 0.8:1.0:21        # start:stop:steps, or a comma list 0.8,0.9
     N = 30,50
     methods = wkb,tilde,saddle,cfu
@@ -107,6 +107,9 @@ def _parse_config(path: str) -> dict:
         raise BadParameter("missing integrand name")
     params = {k: v for k, v in cp["integrand"].items() if k != "name"}
     sw = cp["sweep"]
+    unknown = sorted(set(sw) - {"alpha", "n", "methods", "oracle", "tol"})
+    if unknown:
+        raise BadParameter(f"[sweep] does not read key(s) {unknown}")
     alphas = _parse_range(sw.get("alpha", ""))
     if not alphas:
         raise BadParameter("missing alpha range")

@@ -14,7 +14,7 @@ class UnknownIntegrand(CausticaError):
 
 
 class BadParameter(CausticaError):
-    """Registry parameter outside its documented range."""
+    """Input parameter outside its documented range."""
 
 
 class NoConvergence(CausticaError):

@@ -41,6 +41,7 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import (
+    BadParameter,
     CausticaError,
     DimensionTooLarge,
     RayDivergence,
@@ -74,7 +75,7 @@ def _n_grid(N) -> np.ndarray:
     """N as a float array: a single N is a one-element grid."""
     ns = np.atleast_1d(np.asarray(N, dtype=float))
     if ns.ndim != 1 or not ns.size:
-        raise ValueError(f"N must be a number or a non-empty sequence, got {N!r}")
+        raise BadParameter(f"N must be a number or a non-empty sequence, got {N!r}")
     return ns
 
 

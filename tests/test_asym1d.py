@@ -8,9 +8,14 @@ from scipy.special import airy
 
 from caustica import (
     ApproxValue,
+    BadParameter,
     BranchAmbiguous,
     CausticaError,
     CausticDivergence,
+    CausticInfo,
+    ContourPath,
+    DegenerateCubic,
+    Integrand1D,
     Regime,
     WrongRegime,
     approx_cfu,
@@ -19,6 +24,7 @@ from caustica import (
     approx_tilde,
     approx_wkb,
     classify_regime,
+    cubature_nd,
     find_caustic,
     find_partner,
     find_saddle,
@@ -329,8 +335,8 @@ def _outcome(formula, N):
         ("cubic", {}, 0.3),
         ("perturbed-cubic", {"eps": "0.05"}, 0.3),
         ("bessel-sinh", {}, 0.999),
-        # three cube-root branches give a real fold parameter at alpha_hat,
-        # so real_result_hint chooses one per N
+        # three cube-root branches give a real fold parameter at alpha_hat;
+        # tilde takes the most nearly real r, once for the whole grid
         ("bessel-sinh", {}, 1.0),
         ("mean-field-toy", {"m": "0.1"}, 1.35),
     ],
@@ -378,7 +384,6 @@ def test_formula_single_n_is_not_wrapped():
     s = find_saddle(intg, 0.3, intg.saddle_guess(0.3))
     assert isinstance(approx_wkb(intg, 0.3, 30, s), ApproxValue)
     assert approx_wkb(intg, 0.3, [30], s) == (approx_wkb(intg, 0.3, 30, s),)
-    assert approx_wkb(intg, 0.3, [], s) == ()
 
 
 def _library_sweep(intg, alphas, grid):
@@ -472,3 +477,83 @@ def test_one_derive_per_point(monkeypatch, solve):
     assert len(asked) > 1
     assert len(set(asked)) == len(asked)
     assert caustic_solves == []
+
+
+def test_empty_n_grid_is_bad_parameter():
+    intg = registry_get("cubic")
+    c = find_caustic(intg)
+    s = find_saddle(intg, 0.5, intg.saddle_guess(0.5))
+    p = find_partner(intg, 0.5, s)
+    nd = registry_get("nd-separable", {"dim": "2"})
+    for call in (
+        lambda: quad_contour(intg, 0.5, []),
+        lambda: cubature_nd(nd, 0.3, []),
+        lambda: approx_wkb(intg, 0.5, [], s),
+        lambda: approx_tilde(intg, 0.5, [], c),
+        lambda: approx_saddle_form(intg, 0.5, [], s, c),
+        lambda: approx_cfu(intg, 0.5, [], s, p),
+    ):
+        with pytest.raises(BadParameter, match="non-empty"):
+            call()
+
+
+def test_cfu_conjugate_pair_is_branch_ambiguous():
+    # above bessel-sinh's fold the saddles are the pair +-i acos(1/alpha),
+    # whose exponents differ by an imaginary amount
+    intg = registry_get("bessel-sinh")
+    z = 1j * math.acos(1.0 / 1.05)
+    s, p = find_saddle(intg, 1.05, z), find_saddle(intg, 1.05, z.conjugate())
+    with pytest.raises(BranchAmbiguous, match=r"Im = 1\.55e-02"):
+        approx_cfu(intg, 1.05, 30, s, p)
+
+
+def test_saddle_form_zero_cubic_coefficient_is_degenerate():
+    intg = registry_get("cubic")
+    c = find_caustic(intg)
+    s = dataclasses.replace(find_saddle(intg, 0.3, intg.saddle_guess(0.3)), f3=0j)
+    with pytest.raises(DegenerateCubic, match="vanishes at the saddle"):
+        approx_saddle_form(intg, 0.3, 30, s, c)
+
+
+def test_tilde_zero_cubic_coefficient_is_degenerate():
+    # f = z^4/12 - alpha z: f'' and f''' both vanish at z = 0
+    intg = Integrand1D(
+        f=lambda z, a: z ** 4 / 12.0 - a * z,
+        g=lambda z: 1.0 + 0.0 * z,
+        contour=ContourPath((0j,), tail_angle=-math.pi / 4.0, head_angle=math.pi / 4.0),
+        analytic_derivs=(
+            lambda z, a: z ** 3 / 3.0 - a,
+            lambda z, a: z * z,
+            lambda z, a: 2.0 * z,
+            lambda z, a: 2.0 + 0.0 * z,
+        ),
+    )
+    c = CausticInfo(z_tilde=0j, alpha_hat=0.0, f3_tilde=0j, intg=intg)
+    with pytest.raises(DegenerateCubic, match="vanishes at the expansion point"):
+        approx_tilde(intg, 0.0, 30, c)
+
+
+def test_tilde_mirrored_cubic_takes_the_real_branch():
+    # f = -z^3/3 + alpha z from infinity e^{2 pi i/3} to infinity e^{-2 pi i/3},
+    # with no real_result_hint: f''' < 0, and at alpha = 0 every cube-root
+    # branch gives zeta ~ 0; the real one, r = -1, continues from the
+    # real-saddle side
+    intg = Integrand1D(
+        f=lambda z, a: -(z ** 3) / 3.0 + a * z,
+        g=lambda z: 1.0 + 0.0 * z,
+        contour=ContourPath((0j,), tail_angle=2 * math.pi / 3, head_angle=-2 * math.pi / 3),
+        analytic_derivs=(
+            lambda z, a: -z * z + a,
+            lambda z, a: -2.0 * z,
+            lambda z, a: -2.0 + 0.0 * z,
+            lambda z, a: 0.0 * z,
+        ),
+        saddle_guess=lambda a: complex(-math.sqrt(max(a, 0.0)) - 1e-3),
+        caustic_guess=(0.1 + 0.0j, 0.05),
+    )
+    c = find_caustic(intg)
+    for alpha in (0.0, 0.3):
+        t = approx_tilde(intg, alpha, 30, c)
+        ref = quad_contour(intg, alpha, 30, tol=1e-12).value
+        assert t.branch == 2
+        assert abs(t.value - ref) <= 1e-12 * abs(ref)

@@ -638,11 +638,14 @@ def _sweep_config(integrand="name = cubic", **sweep):
         (_sweep_config("name = cubic\neps = 0.3"), "cubic does not read parameter(s) ['eps']"),
         (_sweep_config("name = nd-separable\nc = 0.2", methods="wkb-nd"),
          "nd-separable does not read parameter(s) ['c']"),
+        (_sweep_config(methods=None, oracle=None, method="cfu", orcale="true"),
+         "[sweep] does not read key(s) ['method', 'orcale']"),
     ],
     ids=[
         "no-sweep-section", "no-name", "no-alpha", "tol-negative", "tol-zero", "tol-inf",
         "tol-nan", "alpha-nan", "alpha-inf", "N-fraction", "methods-empty", "methods-repeat",
         "duplicate-key", "perturbed-cubic-epsilon", "cubic-eps", "nd-separable-c",
+        "sweep-misspelt-keys",
     ],
 )
 def test_sweep_bad_input_exit_2(runner, tmp_path, body, message):

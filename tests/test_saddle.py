@@ -266,3 +266,10 @@ def test_nd_bad_guess_shape():
     intg = registry_get("nd-separable", {"dim": "3"})
     with pytest.raises(WrongRegime):
         find_saddle_nd(intg, 0.2, np.zeros(2))
+
+
+def test_partner_zero_cubic_coefficient():
+    intg = registry_get("cubic")
+    s = dataclasses.replace(find_saddle(intg, 0.3, intg.saddle_guess(0.3)), f3=0j)
+    with pytest.raises(PartnerNotFound, match="cubic coefficient vanishes"):
+        find_partner(intg, 0.3, s)
