@@ -44,7 +44,7 @@ from numbers import Number
 
 from .airy import _recovery, airy_ai_scaled_pair
 from .errors import BadParameter, CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
-from .integrand import Integrand1D, _derivatives
+from .integrand import Integrand1D, _derivatives, _jet
 from .saddle import CausticInfo, SaddleInfo, _fold_point
 # nothing in the package calls these names here; the span tracer (bench/spans.py,
 # TARGETS) wraps them in asym1d by name.  They go when TARGETS drops them.
@@ -102,10 +102,10 @@ def classify_regime(zeta_prime: float) -> Regime:
     return Regime.TRANSITION
 
 
-def _descent_phase(intg: Integrand1D, z0: complex, f2: complex) -> float:
+def _descent_phase(intg: Integrand1D, alpha: float, z0: complex, f2: complex) -> float:
     """theta0 = (pi - arg f2)/2, flipped by pi if anti-parallel to the contour."""
     theta = (math.pi - cmath.phase(f2)) / 2.0
-    u = intg.contour.project(z0)[2]
+    u = intg._memoized("project", z0, alpha, lambda: intg.contour.project(z0))[2]
     if math.cos(theta - cmath.phase(u)) < 0.0:
         theta += math.pi
     return theta
@@ -147,7 +147,7 @@ def approx_wkb(
     order); CausticDivergence depends on alpha only and raises for the
     whole grid.
     """
-    rotation = cmath.exp(1j * _descent_phase(intg, s.z0, s.f2))
+    rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
     values = _gaussian(intg, alpha, N, s, rotation)
     zeta = None if s.f3 == 0 else _saddle_zeta(s)
     return [ApproxValue(value, math.inf if zeta is None else n ** (2.0 / 3.0) * zeta)
@@ -196,7 +196,9 @@ def approx_tilde(
     if abs(f3) < 1e-8 * max(1.0, abs(c.f3_tilde)):
         raise DegenerateCubic("f''' vanishes at the expansion point")
     g0 = intg.g(zt)
-    g1 = complex(_derivatives(lambda s: intg.g(zt + s), max(1.0, abs(zt)), 1)[0])
+    g1 = complex(_derivatives(*intg._memoized(
+        "g", zt, alpha, lambda: _jet(lambda s: intg.g(zt + s), max(1.0, abs(zt)))
+    ), 1)[0])
 
     w, candidates = 2.0 / f3, []
     for k in range(3):
@@ -281,7 +283,7 @@ def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: c
     sgn = -1.0 if df <= 0.0 else 1.0
     shift = sgn + 1.0
 
-    rotation = cmath.exp(1j * _descent_phase(intg, s.z0, s.f2))
+    rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
     amplitude = (
         intg.prefactor * 2.0 * math.pi * intg.g(s.z0) * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
     )

@@ -251,17 +251,29 @@ def _cell(v) -> str:
     return "%.17g" % v
 
 
-# by exact type; other types (bool, numpy scalars, subclasses) take _cell
-_CELL_BY_TYPE = {float: "%.17g".__mod__, int: "%d".__mod__, str: str, type(None): _cell}
+# the %-specifier of each exact cell type that a row template may hold
+_SPEC_BY_TYPE = {float: "%.17g", int: "%d", str: "%s"}
 
 
 def _write_csv(out, cols, rows):
     """The versioned header, the column line, then one line per row: None is
-    an empty cell, ints are written %d and floats %.17g."""
+    an empty cell, ints are written %d and floats %.17g.  A row whose cells
+    are all exact floats, ints or strs is written from one %-template built
+    for its cell types; any other row (an empty cell, a numpy scalar) cell
+    by cell."""
     out.write(_CSV_HEADER + "\n")
     out.write(",".join(cols) + "\n")
+    templates = {}
     for row in rows:
-        out.write(",".join([_CELL_BY_TYPE.get(type(v), _cell)(v) for v in row]) + "\n")
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            specs = [_SPEC_BY_TYPE.get(k) for k in kinds]
+            template = templates[kinds] = None not in specs and ",".join(specs) + "\n"
+        if template:
+            out.write(template % tuple(row))
+        else:
+            out.write(",".join([_cell(v) for v in row]) + "\n")
 
 
 @click.group()

@@ -15,8 +15,16 @@ element by element: the jet samples its circle in one call, and
 declared contour translated through the saddle, so f and g must be
 analytic between the declared contour and that translate.
 
-All objects are immutable after construction and safe to share across
-parallel workers.
+Every field is fixed at construction.  An ``Integrand1D`` also keeps a
+private memo of the pure per-point work that the solvers and formulas
+repeat within one alpha: the Taylor jets of f and g with their error
+bounds, and the contour projection of the descent frame.  It holds one
+alpha at a time, and a call at another alpha empties it first.  Its keys
+are the exact bits of z and alpha, and for pure f and g a hit returns the
+bits a fresh computation would, so callers cannot tell it is there.  The
+objects are still safe to share across parallel workers: a value depends
+only on its key, so a race can at worst compute an entry twice.
+``dataclasses.replace`` starts the new instance with an empty memo.
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,6 +51,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_BITS, _BITS_Z = struct.Struct("d").pack, struct.Struct("2d").pack
 _RAY_MAX = 400.0  # the furthest out a ray is followed, by the oracle and by project
 
 
@@ -119,10 +129,27 @@ class Integrand1D:
     saddle_guess: Optional[Callable[[float], complex]] = None
     caustic_guess: Optional[tuple[complex, float]] = None
     name: str = ""
+    # {alpha bits: {(kind, z bits): value}} for one alpha; see _memoized
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.analytic_derivs is not None and len(self.analytic_derivs) != 4:
             raise BadParameter("analytic_derivs must provide orders 1..4")
+
+    def _memoized(self, kind: str, z: complex, alpha: float, compute: Callable):
+        """``compute()``, the pure work named ``kind`` at (z, alpha), taken
+        from the memo or stored there.  The memo holds one alpha: a call at
+        another empties it first.  Keys are the exact bits of z and alpha, so
+        0.0 and -0.0 never share an entry."""
+        entries = self._memo.get(a := _BITS(alpha))
+        if entries is None:
+            self._memo.clear()
+            entries = self._memo.setdefault(a, {})
+        key = (kind, _BITS_Z(z.real, z.imag))
+        value = entries.get(key)
+        if value is None:
+            value = entries[key] = compute()
+        return value
 
 
 @dataclass(frozen=True)
@@ -210,11 +237,10 @@ def _jet(func, scale):
     )
 
 
-def _derivatives(func, scale, order):
-    """Derivatives 1..order of ``func`` at 0 from one jet; StepUnderflow when
-    the error bound of any of them exceeds ``_JET_TOL`` relative to
-    max(1, |value|)."""
-    jet, err = _jet(func, scale)
+def _derivatives(jet, err, order):
+    """Derivatives 1..order from a jet and its error bounds (``_jet``);
+    StepUnderflow when the bound of any of them exceeds ``_JET_TOL``
+    relative to max(1, |value|)."""
     for k in range(1, order + 1):
         if err[k] > _JET_TOL * max(1.0, abs(jet[k])):
             raise StepUnderflow(f"order-{k} derivative error bound {err[k]:.2e} exceeds tol")
@@ -225,18 +251,24 @@ def derive(intg: Integrand1D, z: complex, alpha: float, order: int) -> tuple[com
     """The complex derivatives (f', ..., f^(order)) of f at z, order 1..4.
 
     Uses the analytic providers when available, otherwise one Taylor jet of
-    f on a circle around z, which gives every order at once.  f must be
-    analytic near z and accept complex arguments; where it is not, or where
-    the error bound of any returned order is too large, StepUnderflow is
-    raised.  At a real z, an f that is real on the real axis gives exactly
-    real derivatives.
+    f on a circle around z, which gives every order at once.  The jet is
+    kept in the integrand's memo (module docstring), so a repeated ask at
+    one (z, alpha), at any order, costs a lookup and the error-bound check.
+    f must be analytic near z and accept complex arguments; where it is
+    not, or where the error bound of any returned order is too large,
+    StepUnderflow is raised.  At a real z, an f that is real on the real
+    axis gives exactly real derivatives.
     """
     if order not in (1, 2, 3, 4):
         raise BadParameter(f"order must be 1..4, got {order}")
     if intg.analytic_derivs is not None:
         return tuple(d(z, alpha) for d in intg.analytic_derivs[:order])
-    jet = _derivatives(lambda s: intg.f(z + s, alpha), max(1.0, abs(z)), order)
-    return tuple(complex(v) for v in jet)
+
+    def jet():
+        values, err = _jet(lambda s: intg.f(z + s, alpha), max(1.0, abs(z)))
+        return tuple(complex(v) for v in values), err.tolist()
+
+    return _derivatives(*intg._memoized("f", z, alpha, jet), order)
 
 
 def derive_nd(
@@ -259,11 +291,10 @@ def derive_nd(
     if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
         raise BadParameter("direction must be a unit vector")
     x = np.asarray(x, dtype=float)
-    val = _derivatives(
+    val = _derivatives(*_jet(
         lambda s: [intg.F(x + si * direction, alpha) for si in s.tolist()],
         max(1.0, float(np.linalg.norm(x))),
-        order,
-    )[-1]
+    ), order)[-1]
     if abs(val.imag) > _JET_TOL * max(1.0, abs(val)):
         raise BadParameter(f"F is not real at real points: derivative {val:.3e}")
     return float(val.real)

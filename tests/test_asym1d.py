@@ -33,7 +33,7 @@ from caustica import (
     recovery_factor,
     registry_get,
 )
-from caustica import asym1d, asymnd, saddle
+from caustica import asym1d, asymnd, integrand, saddle
 from caustica.airy import airy_ai
 
 AI_1 = 0.13529241631288141  # Ai(1)
@@ -477,6 +477,73 @@ def test_one_derive_per_point(monkeypatch, solve):
     assert len(asked) > 1
     assert len(set(asked)) == len(asked)
     assert caustic_solves == []
+
+
+def test_one_jet_per_point_and_alpha(monkeypatch):
+    # the per-N library path (every formula and find_partner called once per
+    # N) repeats each alpha's solves at the same points; the integrand's memo
+    # serves every repeat, so a finite-difference sweep takes one f jet per
+    # distinct (z, alpha) and one g' jet per alpha, and each per-N cell has
+    # the bits of the grid call on a fresh instance
+    base = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
+    calls = {"f": 0, "g": 0}
+
+    def f(z, a):
+        calls["f"] += 1
+        return base.f(z, a)
+
+    def g(z):
+        calls["g"] += 1
+        return base.g(z)
+
+    intg = dataclasses.replace(base, f=f, g=g)
+    c = find_caustic(intg)
+    jets, asked = [], []
+
+    def counted_jet(func, scale, jet=integrand._jet):
+        before = dict(calls)
+        out = jet(func, scale)
+        jets.append("f" if calls["f"] > before["f"] else "g")
+        return out
+
+    for module in (integrand, asym1d):
+        monkeypatch.setattr(module, "_jet", counted_jet)
+    for module in (saddle, asym1d):
+        def counted(intg, z, alpha, order, derive=module.derive):
+            asked.append((z, alpha))
+            return derive(intg, z, alpha, order)
+
+        monkeypatch.setattr(module, "derive", counted)
+
+    def cells(intg, a, N, s, c):
+        out = []
+        for method in (
+            lambda: approx_wkb(intg, a, N, s),
+            lambda: approx_tilde(intg, a, N, c),
+            lambda: approx_saddle_form(intg, a, N, s, c),
+            lambda: approx_cfu(intg, a, N, s, find_partner(intg, a, s)),
+        ):
+            try:
+                out.append(method())
+            except CausticaError:
+                out.append(None)
+        return out
+
+    alphas, ns = (0.05, 0.2, 0.35, 0.5), (10, 19, 37, 72, 139, 268, 518, 1000)
+    per_n, s = [], None
+    for a in alphas:
+        s = find_saddle(intg, a, intg.saddle_guess(a) if s is None else s.z0)
+        per_n.append([cells(intg, a, n, s, c) for n in ns])
+    assert jets.count("f") == len(set(asked)) < len(asked)
+    assert jets.count("g") == len(alphas)
+
+    fresh, s = dataclasses.replace(intg), None
+    c = find_caustic(fresh)
+    for a, rows in zip(alphas, per_n):
+        s = find_saddle(fresh, a, fresh.saddle_guess(a) if s is None else s.z0)
+        grid = cells(fresh, a, ns, s, c)
+        for k, column in enumerate(zip(*rows)):
+            assert repr(column) == repr(grid[k])
 
 
 def test_empty_n_grid_is_bad_parameter():

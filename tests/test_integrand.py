@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,9 +13,14 @@ from caustica import (
     Integrand1D,
     StepUnderflow,
     UnknownIntegrand,
+    approx_cfu,
+    approx_saddle_form,
+    approx_tilde,
     approx_wkb,
     derive,
     derive_nd,
+    find_caustic,
+    find_partner,
     find_saddle,
     registry_get,
     registry_names,
@@ -294,6 +300,57 @@ def test_fd_real_on_real_is_exactly_real():
     fd = _fd_clone(registry_get("bessel-sinh"))
     for z in (0.7 + 0.0j, -1.1 + 0.0j, 0.0j):
         assert all(v.imag == 0.0 for v in derive(fd, z, 1.02, 4))
+
+
+# ---------------------------------------------------------------------------
+# per-alpha memo
+
+
+def test_memo_holds_only_the_last_alpha():
+    # a library sweep, each formula called once per N: the memo empties
+    # itself at each new alpha, so it ends with the last alpha's jets of f
+    # and g and its descent-frame projection, and nothing else
+    intg = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
+    c = find_caustic(intg)
+    alphas = (0.1, 0.25, 0.4)
+    for a in alphas:
+        s = find_saddle(intg, a, intg.saddle_guess(a))
+        for n in (30, 100, 300):
+            approx_wkb(intg, a, n, s)
+            approx_tilde(intg, a, n, c)
+            approx_saddle_form(intg, a, n, s, c)
+            approx_cfu(intg, a, n, s, find_partner(intg, a, s))
+    assert list(intg._memo) == [struct.pack("d", alphas[-1])]
+    (entries,) = intg._memo.values()
+    assert {kind for kind, _ in entries} == {"f", "g", "project"}
+
+
+def test_replace_gets_the_new_f():
+    # dataclasses.replace builds a new instance with an empty memo, so the
+    # jet of the old f at the same (z, alpha) is never served
+    intg = _fd_clone(registry_get("cubic"))
+    z, a = 0.7 + 0.2j, 0.4
+    derive(intg, z, a, 4)
+    quartic = dataclasses.replace(intg, f=lambda z, a: z ** 4)
+    ref = (4.0 * z ** 3, 12.0 * z ** 2, 24.0 * z, 24.0)
+    for v, r in zip(derive(quartic, z, a, 4), ref):
+        assert abs(v - r) <= 1e-7 * max(1.0, abs(r))
+    fresh = Integrand1D(f=quartic.f, g=intg.g, contour=intg.contour)
+    assert derive(quartic, z, a, 4) == derive(fresh, z, a, 4)
+
+
+def test_memo_keeps_signed_zero_alpha_apart():
+    # 0.0 == -0.0, but the memo keys on bits: a family that reads the sign
+    # of a zero alpha gets its -0.0 jet, not the cached 0.0 one
+    c = ContourPath((0j,), tail_angle=math.pi, head_angle=0.0)
+    f = lambda z, a: math.copysign(1.0, a) * z * z
+    used = Integrand1D(f=f, g=lambda z: 1.0, contour=c)
+    fresh = Integrand1D(f=f, g=lambda z: 1.0, contour=c)
+    z = 0.5 + 0.0j
+    at_zero = derive(used, z, 0.0, 4)
+    at_minus_zero = derive(used, z, -0.0, 4)
+    assert repr(at_minus_zero) == repr(derive(fresh, z, -0.0, 4))
+    assert at_minus_zero[0] == -at_zero[0] == -1.0
 
 
 # ---------------------------------------------------------------------------
