@@ -11,8 +11,10 @@ contour is no larger than |I| calls for, so the error test is relative to
 |I|, and a rounding term makes cancellation raise rather than pass.
 ``cubature_nd`` runs the same panel loop over the soft coordinate of an
 n-D integrand, through its saddle, and at each soft node a tensor
-Gauss–Legendre sum over a real box in the transverse coordinates, whose own
-error estimate enters the same relative test.  ``bessel_ref`` is J_N from
+Gauss–Hermite sum in the real transverse coordinates, centred on the
+saddle's and scaled to the width of its peak (adaptive Gauss–Hermite, Liu &
+Pierce, Biometrika 1994); the difference from a coarser such sum is its
+error bound, which enters the same relative test.  ``bessel_ref`` is J_N from
 scipy.  Quadrature values carry an error estimate and are exponent-shifted
 so that the largest integrand magnitude is O(1) during quadrature.
 
@@ -26,8 +28,9 @@ that have not accepted it yet, and every N starts on the panels that reach
 into its own ray cuts and keeps its own totals, error test and range check,
 so each N gets the value and error estimate a pass of its own would give,
 to within those estimates.  ``cubature_nd`` shares the soft panels the same
-way but gives each N its own transverse box, cut at that N: one box cut at
-the smallest N is too wide for the fixed rule at the largest.
+way but gives each N its own transverse scale, from the ray cuts at that N:
+the transverse peak narrows as N^(-1/2), and a rule of fixed size fits one
+width only.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ __all__ = ["QuadResult", "quad_contour", "cubature_nd", "bessel_ref"]
 
 _TRUNC_FACTOR = 1e-3  # envelope cutoff relative to tol
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_GH_X, _GH_W = np.polynomial.hermite.hermgauss(16)  # transverse value in cubature_nd
+_GH_X_ERR, _GH_W_ERR = np.polynomial.hermite.hermgauss(10)  # and its error bound
 _MAX_ROUNDS = 10  # rounds of quad_contour, each halving the panels it rejects
 _ROUNDING = 8.0  # c in the rounding term c eps sum |w h|
 _EPS = np.finfo(float).eps
@@ -64,7 +69,9 @@ _MAX_POINTS = 2 ** 18  # integrand points per call of F in cubature_nd
 class QuadResult:
     """``value`` and ``abs_error_estimate`` are one number for one N and
     arrays in the grid's order for a grid; ``evaluations`` counts the
-    integrand points evaluated, once for the whole grid."""
+    integrand points evaluated.  ``quad_contour`` evaluates each point once
+    for the whole grid, ``cubature_nd`` each N's transverse points on its
+    own and counts them all."""
 
     value: "complex | np.ndarray"
     abs_error_estimate: "float | np.ndarray"
@@ -269,16 +276,13 @@ def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
                       evaluations=nev)
 
 
-def _box_rule(lo, hi, panels):
-    """Nodes (d, P) and weights (P,) of the tensor product over the box
-    [lo, hi] of the 16-node rule on ``panels`` equal panels per axis."""
-    axes = []
-    for a, b in zip(lo, hi):
-        edges = np.linspace(a, b, panels + 1)
-        axes.append(_gauss_legendre(edges[:-1], edges[1:]))
-    nodes = np.meshgrid(*[x.ravel() for x, _ in axes], indexing="ij")
-    weights = np.meshgrid(*[w.ravel() for _, w in axes], indexing="ij")
-    return np.array([x.ravel() for x in nodes]), np.prod([w.ravel() for w in weights], axis=0)
+def _hermite_rule(center, scale, x, w):
+    """Nodes (d, P) and weights (P,) of the tensor product of the rule (x, w)
+    for the weight e^(-t^2), moved to ``center`` and stretched by ``scale``
+    per axis, with e^(t^2) folded into the weights."""
+    nodes = np.meshgrid(*[c + s * x for c, s in zip(center, scale)], indexing="ij")
+    weights = np.meshgrid(*[s * w * np.exp(x * x) for s in scale], indexing="ij")
+    return np.array([t.ravel() for t in nodes]), np.prod([v.ravel() for v in weights], axis=0)
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
@@ -296,14 +300,19 @@ def cubature_nd(
     ``find_saddle_nd`` started at ``saddle_guess(alpha)``, or graded from
     the node of largest Re F where there is neither, with the transverse
     coordinates held at the saddle's (the guess's) for the ray cuts.  At
-    each soft node the transverse coordinates are summed over one real box
-    per N around the saddle's: each axis is cut in both directions where
-    N (Re F - Re F(saddle)) drops below log(tol 1e-3) for good, on a grid
-    of ratio 2^(1/8), and carries the 16-node rule on 2 and on 4 equal
-    panels.  The tensor sum on 4 panels per axis is the value at the node,
-    its difference from the sum on 2 panels plus a rounding term its error
-    bound, which enters that N's error estimate.  Each N's exponent shift
-    is the largest Re F over its first round's nodes.
+    each soft node the transverse coordinates are summed by a tensor
+    Gauss–Hermite rule per N, centred on the saddle's: each axis is cut in
+    both directions where N (Re F - Re F(saddle)) drops below
+    L = log(tol 1e-3) for good, on a grid of ratio 2^(1/8), and the larger
+    cut over sqrt(-L) scales its nodes, about sqrt(2) times the peak's
+    standard deviation where it is Gaussian.  The integrand is weighted by
+    e^(t^2), so a Gaussian peak is integrated almost exactly.  The 16-node
+    tensor sum is the value at the node, its difference from the 10-node
+    sum plus a rounding term its error bound, which enters that N's error
+    estimate.  Each N's exponent shift is the largest Re F over its first
+    round's nodes.  A transverse peak that moves away from the saddle's
+    with the soft node is followed only as far as the fixed centre allows;
+    beyond that the error bound grows and ToleranceNotMet is raised.
 
     N is one number or a grid; for a grid, ``value`` and
     ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
@@ -323,17 +332,18 @@ def cubature_nd(
     if saddle is not None:
         center, anchor = saddle.x0.real, (saddle.x0[0], float(intg.F(saddle.x0, alpha).real))
 
-    # each N's transverse box, cut on the same rays
+    # each N's transverse scales, from cuts on the same rays
     r = np.concatenate(([0.0], _RAY_MAX * 2.0 ** (np.arange(-160, 1) / 8.0)))
     axes = np.concatenate((np.eye(n)[1:], -np.eye(n)[1:]))
     x = (center[:, None, None] + axes.T[:, :, None] * r).reshape(n, -1)
     d = intg.F(x, alpha).real.reshape(len(axes), -1) - intg.F(center, alpha).real
-    boxes = []
+    rules = []
     for cut in _cuts(r, ns[:, None, None] * d, tol):
-        lo, hi = center[1:] - cut[n - 1:], center[1:] + cut[:n - 1]
-        (whole, w_whole), (halves, w_halves) = _box_rule(lo, hi, 2), _box_rule(lo, hi, 4)
-        boxes.append((np.concatenate((whole, halves), axis=1), w_whole, w_halves))
-    k, size = len(boxes[0][1]), boxes[0][0].shape[1]
+        scale = np.maximum(cut[:n - 1], cut[n - 1:]) / math.sqrt(-math.log(tol * _TRUNC_FACTOR))
+        coarse, w_coarse = _hermite_rule(center[1:], scale, _GH_X_ERR, _GH_W_ERR)
+        fine, w_fine = _hermite_rule(center[1:], scale, _GH_X, _GH_W)
+        rules.append((np.concatenate((coarse, fine), axis=1), w_coarse, w_fine))
+    k, size = len(rules[0][1]), rules[0][0].shape[1]
     chunk = max(1, _MAX_POINTS // size)
     points = 0
 
@@ -343,13 +353,13 @@ def cubature_nd(
         return intg.F(x, alpha).reshape(z.shape)
 
     def sample(z, live, shift):
-        # per N, F on its box at the nodes of its open panels and the
-        # transverse sums there, a chunk of nodes at a time.  In the first
-        # round the shift is the largest Re F so far, and the sums taken
-        # before it rose are rescaled
+        # per N, F at its transverse points about the nodes of its open
+        # panels and the sums there, a chunk of nodes at a time.  In the
+        # first round the shift is the largest Re F so far, and the sums
+        # taken before it rose are rescaled
         nonlocal points
         shifts, value, bound = [], [], []
-        for j, (nk, open_, (xt, w_whole, w_halves)) in enumerate(zip(ns, live, boxes)):
+        for j, (nk, open_, (xt, w_coarse, w_fine)) in enumerate(zip(ns, live, rules)):
             if not open_.any():
                 continue
             zk = z[:, open_].ravel()
@@ -367,9 +377,9 @@ def cubature_nd(
                     b[:i] *= math.exp(nk * (sh - top))
                     sh = top
                 t = np.exp(nk * (e - sh))
-                v[i:i + chunk] = (t[:, k:] * w_halves).sum(axis=1)
-                b[i:i + chunk] = (np.abs((t[:, :k] * w_whole).sum(axis=1) - v[i:i + chunk])
-                                  + _ROUNDING * _EPS * np.abs(t[:, k:] * w_halves).sum(axis=1))
+                v[i:i + chunk] = (t[:, k:] * w_fine).sum(axis=1)
+                b[i:i + chunk] = (np.abs((t[:, :k] * w_coarse).sum(axis=1) - v[i:i + chunk])
+                                  + _ROUNDING * _EPS * np.abs(t[:, k:] * w_fine).sum(axis=1))
             shifts.append(sh)
             value.append(v.reshape(3, -1, z.shape[2]))
             bound.append(b.reshape(3, -1, z.shape[2]))

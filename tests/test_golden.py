@@ -35,6 +35,7 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
         ("perturbed-cubic", 0),
         ("nd-separable", 0),
         ("nd-oracle", 0),
+        ("nd-oracle-3d", 0),
     ],
 )
 def test_sweep_matches_golden_csv(tmp_path, name, exit_code):

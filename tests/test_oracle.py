@@ -241,6 +241,59 @@ def test_cubature_transverse_quartic_is_product():
         assert r.value / reduced - 1.0 == pytest.approx(-0.15 / N, rel=0.1)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name, c", [("nd-perturbed-cubic", 0.1), ("nd-separable", 0.0)])
+def test_cubature_matches_exact_transverse_gaussian(name, c, dim):
+    # both n-D families are quadratic in x_perp, so the transverse integral
+    # is Gaussian: sqrt(2 pi / N)^(dim - 1) prod_{i>=3} |lambda_i|^(-1/2)
+    # times the 1-D contour integral of exp(N f) (-lambda_2 - 2 c z)^(-1/2)
+    params = {"dim": str(dim), "lambda3": "-2"} if dim == 3 else {"dim": "2"}
+    intg = registry_get(name, params)
+    one_d = dataclasses.replace(
+        registry_get("perturbed-cubic"), g=lambda z: 1.0 / np.sqrt(1.0 - 2.0 * c * z)
+    )
+    grid = np.array([30.0, 100.0, 300.0])
+    factor = np.sqrt(2.0 * np.pi / grid) ** (dim - 1) * (2.0 ** -0.5 if dim == 3 else 1.0)
+    for alpha in (0.0, 0.1, 0.25, 0.5):
+        exact = quad_contour(one_d, alpha, grid, tol=1e-13).value * factor
+        r = cubature_nd(intg, alpha, grid, tol=1e-10)
+        err = np.abs(r.value - exact)
+        assert np.all(err <= 1e-12 * np.abs(exact)), (alpha, err / np.abs(exact))
+        assert np.all(err <= r.abs_error_estimate), (alpha, err, r.abs_error_estimate)
+
+
+def test_cubature_moving_transverse_peak_is_exact_or_raises():
+    # nd-separable + c x1 x2 puts the transverse peak at x2 = c x1, which
+    # moves with the soft node off the saddle; completing the square leaves
+    # sqrt(2 pi / N) times the 1-D integral of exp(N (f + c^2 z^2 / 2)).  The
+    # transverse rule sits at the saddle's x2: it must follow a small move
+    # and raise, not return a wrong value, on a large one.  The reference
+    # keeps perturbed-cubic's saddle_guess: through the declared contour
+    # alone, quad_contour meets cancellation
+    sep = registry_get("nd-separable", {"dim": "2"})
+    cubic = registry_get("perturbed-cubic")
+    for c in (0.3, 1.0):
+        intg = IntegrandND(
+            F=lambda x, a, c=c: sep.F(x, a) + c * x[0] * x[1],
+            dim=2,
+            soft_contour=sep.soft_contour,
+            saddle_guess=sep.saddle_guess,
+        )
+        one_d = dataclasses.replace(
+            cubic, f=lambda z, a, c=c: cubic.f(z, a) + 0.5 * c * c * z * z, analytic_derivs=None
+        )
+        for alpha in (0.1, 0.3):
+            for N in (30.0, 100.0):
+                if c == 1.0:
+                    with pytest.raises(ToleranceNotMet):
+                        cubature_nd(intg, alpha, N, tol=1e-10)
+                    continue
+                exact = quad_contour(one_d, alpha, N, tol=1e-13).value
+                exact *= math.sqrt(2.0 * math.pi / N)
+                r = cubature_nd(intg, alpha, N, tol=1e-10)
+                assert abs(r.value - exact) <= 1e-12 * abs(exact)
+
+
 def _assert_grid_matches_scalar(oracle, intg, alpha, grid, tol):
     g = oracle(intg, alpha, grid, tol=tol)
     assert isinstance(g.evaluations, int)
