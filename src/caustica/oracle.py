@@ -1,10 +1,10 @@
 """Brute-force reference values.
 
 ``quad_contour`` integrates g(z) exp(N f(z, alpha)) along the declared
-contour moved through the saddle: a fixed 16-node Gauss–Legendre rule on
-panels graded geometrically away from the saddle, halved where the rule
-disagrees with itself on the two halves of a panel, all nodes of a round in
-one array call of f and g.  The rule converges exponentially for these
+contour moved through the saddle: a 21-node Gauss–Kronrod rule on panels
+graded geometrically away from the saddle, halved where it disagrees with
+the 10-node Gauss rule on every other one of its nodes, all nodes of a round
+in one array call of f and g.  The rules converge exponentially for these
 analytic integrands (Trefethen & Weideman, SIAM Rev. 2014; Gil, Segura &
 Temme 2007, ch. 5).  Where one saddle dominates, the integrand on the moved
 contour is no larger than |I| calls for, so the error test is relative to
@@ -56,7 +56,21 @@ from .saddle import NdSaddleInfo, find_saddle, find_saddle_nd
 __all__ = ["QuadResult", "quad_contour", "cubature_nd", "bessel_ref"]
 
 _TRUNC_FACTOR = 1e-3  # envelope cutoff relative to tol
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# QUADPACK dqk21's (G10, K21) pair (Kronrod 1965; Piessens et al. 1983) in doubles: the
+# nodes in [0, 1), largest first, K21's weights, and G10's at the 2nd, 4th, ..., 10th node
+_KR_X = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+                  0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+                  0.2943928627014602, 0.14887433898163122, 0.0])
+_KR_WK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                   0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+                   0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+                   0.14773910490133849, 0.1494455540029169])
+_KR_WG = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+                   0.26926671930999635, 0.29552422471475287])
+# the 21 nodes on [-1, 1], K21's weights, and K21's less G10's (on the odd nodes)
+_GK_X = np.concatenate((-_KR_X, _KR_X[-2::-1]))
+_GK_W = np.concatenate((_KR_WK, _KR_WK[-2::-1]))
+_GK_D = _GK_W - np.insert(np.concatenate((_KR_WG, _KR_WG[::-1])), range(11), 0.0)
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(16)  # transverse value in cubature_nd
 _GH_X_ERR, _GH_W_ERR = np.polynomial.hermite.hermgauss(10)  # and its error bound
 _MAX_ROUNDS = 10  # rounds of quad_contour, each halving the panels it rejects
@@ -94,12 +108,6 @@ def _as_given(res: QuadResult, N) -> QuadResult:
                    abs_error_estimate=float(res.abs_error_estimate[0]))
 
 
-def _gauss_legendre(a, b):
-    """Nodes and weights (dz included) of the rule on each panel [a, b]."""
-    half = (b - a) / 2.0
-    return ((a + b) / 2.0)[:, None] + half[:, None] * _GL_X, half[:, None] * _GL_W
-
-
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def quad_contour(
     intg: Integrand1D, alpha: float, N: "float | Sequence[float]", tol: float = 1e-10
@@ -115,11 +123,11 @@ def quad_contour(
     geometric grid of radii; the panels run to the smallest N's cuts, and
     each N starts on those that reach into its own.  Panel breakpoints lie
     at arc distances N^(-1/2) 2^k from the saddle, at the largest N, and at
-    the contour's corners; each panel gets a 16-node Gauss–Legendre rule,
-    and its error estimate is |GL(panel) - GL(left half) - GL(right half)|.  Each N
-    halves the panels whose estimate exceeds its share of tol |I| at that N,
-    for at most ``_MAX_ROUNDS`` rounds, and accepts the rest.  The exponent
-    is shifted by the largest Re f over the first round's nodes.
+    the contour's corners; each panel gets the Gauss–Kronrod rule K21, and
+    its error estimate is |K21 - G10|.  Each N halves the panels whose
+    estimate exceeds its share of tol |I| at that N, for at most
+    ``_MAX_ROUNDS`` rounds, and accepts the rest.  The exponent is shifted
+    by the largest Re f over the first round's nodes.
 
     Per N, the error estimate sums the panel estimates, a rounding term
     8 eps sum |w h| over the nodes, and the truncation cutoff.  Unless it is
@@ -147,7 +155,7 @@ def quad_contour(
             shift = float(np.max(fz.real))
         gz = np.broadcast_to(intg.g(z), z.shape)
         kk, pp = np.nonzero(live)
-        return gz[:, pp] * np.exp(ns[kk, None] * (fz[:, pp] - shift)), None, shift
+        return gz[pp] * np.exp(ns[kk, None] * (fz[pp] - shift)), None, shift
 
     res = _contour_sum(
         intg.contour, anchor, lambda z: intg.f(z, alpha), sample, ns, tol, intg.prefactor
@@ -178,14 +186,13 @@ def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
     ``anchor`` is (z_s, Re f(z_s)) for the saddle, or None; ``f`` maps an
     array of points to the exponent there, which grades the declared
     contour and cuts the rays.  ``sample(z, live, shift)`` gets the nodes
-    z, shape (3, panels, 16) for each panel and its two halves, and the
-    (len(ns), panels) mask of the N each panel is open for.  It returns,
-    for every open (N, panel) pair in ``np.nonzero(live)`` order, the
-    integrand times e^(-N shift) at the panel's nodes, shape (3, pairs, 16),
-    an error bound for each value (None where they are exact to rounding)
-    and the shift, one number or one per N, which it picks itself when
-    given None.  The bounds,
-    weighted by |w|, add to the error estimate but do not halve panels.
+    z, shape (panels, 21), and the (len(ns), panels) mask of the N each
+    panel is open for.  It returns, for every open (N, panel) pair in
+    ``np.nonzero(live)`` order, the integrand times e^(-N shift) at the
+    panel's nodes, shape (pairs, 21), an error bound for each value (None
+    where they are exact to rounding) and the shift, one number or one per
+    N, which it picks itself when given None.  The bounds, weighted by
+    |w|, add to the error estimate but do not halve panels.
     Returns a QuadResult over the grid.
     """
     if anchor is None:
@@ -225,27 +232,22 @@ def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
     err, absum, inner = np.zeros(K), np.zeros(K), np.zeros(K)
     nev = 0
     for rnd in range(_MAX_ROUNDS):
-        # every panel open for some N, and its two halves, in one call of sample
-        n, m = len(a), (a + b) / 2.0
-        z, w = _gauss_legendre(np.concatenate((a, a, m)), np.concatenate((b, m, b)))
-        z, w = z.reshape(3, n, -1), w.reshape(3, n, -1)
+        # the 21 nodes of every panel open for some N in one call of sample
+        n, m, half = len(a), (a + b) / 2.0, (b - a) / 2.0
+        z = m[:, None] + half[:, None] * _GK_X
         h, h_err, shift = sample(z, live, shift)
         kk, pp = np.nonzero(live)
-        w = w[:, pp]
-        hw = h * w
+        hw = h * half[pp, None]
         nev += z.size
-        whole, left, right = hw.sum(axis=2)
-        mag = np.abs(hw[1:]).sum(axis=(0, 2))
-        pair = left + right
-        est = np.abs(whole - pair)
-        share = (tol * np.abs(total + _per_n(kk, pair, K)) - err) / np.maximum(live.sum(1), 1)
+        value, est, mag = hw @ _GK_W, np.abs(hw @ _GK_D), np.abs(hw) @ _GK_W
+        share = (tol * np.abs(total + _per_n(kk, value, K)) - err) / np.maximum(live.sum(1), 1)
         done = (est <= share[kk]) | (rnd == _MAX_ROUNDS - 1)
         kd = kk[done]
-        total += _per_n(kd, pair[done], K)
+        total += _per_n(kd, value[done], K)
         err += np.bincount(kd, est[done], K)
         absum += np.bincount(kd, mag[done], K)
         if h_err is not None:
-            inner += np.bincount(kd, np.abs(h_err * w)[1:].sum(axis=(0, 2))[done], K)
+            inner += np.bincount(kd, (np.abs(h_err) @ _GK_W * np.abs(half[pp]))[done], K)
         # halve each panel some N rejected; the halves are open for those N
         live = np.zeros((K, n), dtype=bool)
         live[kk[~done], pp[~done]] = True
@@ -362,7 +364,7 @@ def cubature_nd(
         for j, (nk, open_, (xt, w_coarse, w_fine)) in enumerate(zip(ns, live, rules)):
             if not open_.any():
                 continue
-            zk = z[:, open_].ravel()
+            zk = z[open_].ravel()
             points += zk.size * size
             sh = -math.inf if shift is None else shift[j]
             v, b = np.empty(zk.size, dtype=complex), np.empty(zk.size)
@@ -381,11 +383,11 @@ def cubature_nd(
                 b[i:i + chunk] = (np.abs((t[:, :k] * w_coarse).sum(axis=1) - v[i:i + chunk])
                                   + _ROUNDING * _EPS * np.abs(t[:, k:] * w_fine).sum(axis=1))
             shifts.append(sh)
-            value.append(v.reshape(3, -1, z.shape[2]))
-            bound.append(b.reshape(3, -1, z.shape[2]))
+            value.append(v.reshape(-1, z.shape[1]))
+            bound.append(b.reshape(-1, z.shape[1]))
         if shift is None:
             shift = np.array(shifts)
-        return np.concatenate(value, axis=1), np.concatenate(bound, axis=1), shift
+        return np.concatenate(value), np.concatenate(bound), shift
 
     res = _contour_sum(intg.soft_path, anchor, on_axis, sample, ns, tol)
     return _as_given(replace(res, evaluations=points), N)

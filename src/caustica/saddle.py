@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCubic, NoConvergence, PartnerNotFound, StepUnderflow, WrongRegime
-from .integrand import _JET_TOL, Integrand1D, IntegrandND, _jet, derive
+from .integrand import _BITS, _BITS_Z, _JET_TOL, Integrand1D, IntegrandND, _jet, derive
 # nothing in the package calls this name here; the only reason the import
 # exists is that the span tracer (bench/spans.py, TARGETS) wraps
 # saddle.derive_nd by name.  It goes when TARGETS drops that entry.
@@ -225,36 +225,47 @@ def find_saddle_nd(intg: IntegrandND, alpha: float, guess: np.ndarray) -> NdSadd
     guess = np.asarray(guess)
     if guess.shape != (intg.dim,):
         raise WrongRegime(f"guess has shape {guess.shape}, expected ({intg.dim},)")
-    reduced = _reduce(intg, alpha, guess[1:])
+    reduced, solve = _reduce(intg, alpha, guess[1:])
     # 1e-10: at find_caustic's alpha_hat, ~1e-11 off the fold, a 1e-12 solve fails (A6)
     s = find_saddle(reduced, alpha, complex(guess[0]), tol=1e-10)
-    x, h = _transverse_solve(intg, alpha, np.array([s.z0]), guess[1:])
+    x, h = solve(s.z0, alpha)
     h = h[:, :, 0]
     if np.any(np.linalg.eigvals(h).real >= 0.0):
         raise WrongRegime(f"transverse Hessian must be negative definite, got {h}")
     return NdSaddleInfo(x0=x[:, 0], hessian=h, reduced=reduced, saddle=s)
 
 
-def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray) -> Integrand1D:
+def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray):
     """The one-variable integrand left by Laplace's method in the transverse
     coordinates: f(z) = F(z, x_perp*(z)) where the transverse gradient
     vanishes, and g(z) = det(-H_perp)^(-1/2); times (2 pi / N)^((n-1)/2) its
     integral along the soft contour is the n-D integral to relative order
     1/N, and exactly so where F is quadratic in x_perp.  x_perp* is found
     by Newton from ``seed``.  f and g accept complex points and arrays.
+    Also returns their transverse solve, which keeps (x, H) at each single
+    point, keyed by the bits of z and alpha: the solvers ask there often.
     """
+    solved = {}
+
+    def solve(z, a):
+        if np.ndim(z):
+            return _transverse_solve(intg, a, np.ravel(z), seed)
+        key = _BITS_Z(z.real, z.imag) + _BITS(a)
+        if key not in solved:
+            solved[key] = _transverse_solve(intg, a, np.ravel(z), seed)
+        return solved[key]
 
     def f(z, a):
-        x, _ = _transverse_solve(intg, a, np.ravel(z), seed)
+        x, _ = solve(z, a)
         v = intg.F(x, a)
         return v.reshape(np.shape(z)) if np.ndim(z) else complex(v[0])
 
     def g(z):
-        _, h = _transverse_solve(intg, alpha, np.ravel(z), seed)
+        _, h = solve(z, alpha)
         v = np.linalg.det(np.moveaxis(-h, -1, 0)) ** -0.5
         return v.reshape(np.shape(z)) if np.ndim(z) else complex(v[0])
 
-    return Integrand1D(f=f, g=g, contour=intg.soft_path, name=f"{intg.name} reduced")
+    return Integrand1D(f=f, g=g, contour=intg.soft_path, name=f"{intg.name} reduced"), solve
 
 
 def _transverse_solve(intg, alpha, z, seed):

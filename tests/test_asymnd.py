@@ -20,7 +20,7 @@ from caustica import (
     mean_field_compare,
     registry_get,
 )
-from caustica import asymnd
+from caustica import asymnd, saddle
 from caustica.airy import airy_ai
 from caustica.saddle import CausticInfo
 
@@ -301,3 +301,28 @@ def test_mean_field_fold_saddle_solved_once_per_gamma(monkeypatch):
     )
     assert len(rows) == 44
     assert calls == {"find_saddle": 22, "z_tilde_at": 11}
+
+
+def test_one_transverse_solve_per_point_and_alpha(monkeypatch):
+    # find_saddle, find_saddle_nd and both formulas ask the reduced f and g
+    # at z0, and corrected-nd asks f at z_tilde: the reduction keeps each
+    # single point's transverse solve, so each point is solved once per
+    # alpha, and the saddle's x0 and Hessian are the bits of a fresh solve
+    fresh, solves = saddle._transverse_solve, []
+
+    def counted(intg, alpha, z, seed):
+        if z.size == 1:
+            solves.append((complex(z[0]), alpha))
+        return fresh(intg, alpha, z, seed)
+
+    monkeypatch.setattr(saddle, "_transverse_solve", counted)
+    intg = _nd(c=0.1)
+    alphas = (0.0, 0.1, 0.25, 0.5)
+    for a in alphas:
+        s = find_saddle_nd(intg, a, intg.saddle_guess(a))
+        if a > 0.0:  # at alpha = 0 the saddle sits on the fold
+            approx_wkb_nd(intg, a, [30, 100], s)
+        approx_corrected_nd(intg, a, [30, 100], s)
+        x, h = fresh(intg, a, np.array([s.saddle.z0]), intg.saddle_guess(a)[1:])
+        assert np.array_equal(s.x0, x[:, 0]) and np.array_equal(s.hessian, h[:, :, 0])
+    assert len(solves) == len(set(solves)) == 2 * len(alphas)

@@ -19,6 +19,7 @@ from caustica import (
     quad_contour,
     registry_get,
 )
+from caustica import oracle
 from caustica.airy import airy_ai
 
 # frozen references, cross-checked against extended-precision evaluation
@@ -106,6 +107,20 @@ def test_bessel_against_jv():
         for N in (10, 31, 100, 316, 1000):
             ref = jv(N, alpha * N)
             assert abs(quad_contour(intg, alpha, N).value - ref) <= 1e-9 * abs(ref)
+
+
+def test_bessel_grid_within_estimate_of_jv():
+    # over the caustic window at 20 geometric N from 10 to 1000 (820 cells),
+    # the one-pass value is within 10 tol |I| and within its own error
+    # estimate of J_N(alpha N)
+    intg = registry_get("bessel-sinh")
+    grid = np.round(np.geomspace(10, 1000, 20))
+    for alpha in np.linspace(0.6, 1.0, 41):
+        r = quad_contour(intg, alpha, grid, tol=1e-10)
+        ref = jv(grid, alpha * grid)
+        err = np.abs(r.value - ref)
+        assert np.all(err <= 1e-9 * np.abs(ref)), (alpha, err / np.abs(ref))
+        assert np.all(err <= r.abs_error_estimate), (alpha, err, r.abs_error_estimate)
 
 
 def test_cancellation_raises():
@@ -262,6 +277,38 @@ def test_cubature_matches_exact_transverse_gaussian(name, c, dim):
         assert np.all(err <= r.abs_error_estimate), (alpha, err, r.abs_error_estimate)
 
 
+def test_cubature_matches_mpmath_transverse_gaussian():
+    # the reference of the test above comes from quad_contour, which shares
+    # cubature_nd's panel loop; here mpmath integrates
+    # exp(N f) (-lambda_2 - 2 c z)^(-1/2) in along the ray at -pi/3 and out
+    # along the ray at +pi/3
+    mpmath = pytest.importorskip("mpmath")
+    grid = np.array([30.0, 100.0])
+    for alpha in (0.0, 0.25, 0.5):
+        one_d = []
+        with mpmath.workdps(30):
+            a, eps, c = mpmath.mpf(alpha), mpmath.mpf("0.05"), mpmath.mpf("0.1")
+            for N in grid.astype(int):
+                def ray(u, N=N):
+                    def h(t):
+                        z = t * u
+                        return u * mpmath.exp(N * (z ** 3 / 3 - a * z + eps * z ** 4)) \
+                            / mpmath.sqrt(1 - 2 * c * z)
+
+                    return mpmath.quad(h, [0, 0.5, 1, 2, mpmath.inf])
+
+                u = mpmath.expj(mpmath.pi / 3)
+                one_d.append(complex(ray(u) - ray(mpmath.conj(u))))
+        for dim in (2, 3):
+            params = {"dim": str(dim), "lambda3": "-2"} if dim == 3 else {"dim": "2"}
+            r = cubature_nd(registry_get("nd-perturbed-cubic", params), alpha, grid, tol=1e-10)
+            ref = np.array(one_d) * np.sqrt(2.0 * np.pi / grid) ** (dim - 1)
+            ref *= 2.0 ** -0.5 if dim == 3 else 1.0
+            err = np.abs(r.value - ref)
+            assert np.all(err <= 1e-12 * np.abs(ref)), (alpha, dim, err / np.abs(ref))
+            assert np.all(err <= r.abs_error_estimate), (alpha, dim, err, r.abs_error_estimate)
+
+
 def test_cubature_moving_transverse_peak_is_exact_or_raises():
     # nd-separable + c x1 x2 puts the transverse peak at x2 = c x1, which
     # moves with the soft node off the saddle; completing the square leaves
@@ -336,3 +383,20 @@ def test_one_element_grid_is_the_scalar_call():
     g = cubature_nd(nd, 0.2, (30,))
     assert isinstance(s.value, complex) and isinstance(s.evaluations, int)
     assert g.value[0] == pytest.approx(s.value, rel=1e-15)
+
+
+def test_kronrod_table():
+    # K21 integrates x^k over [-1, 1] exactly for k <= 31, and the G10 rule
+    # on its odd-indexed nodes for k <= 19
+    x, w_k, w_g = oracle._GK_X, oracle._GK_W, oracle._GK_W - oracle._GK_D
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(x ** k @ w_k - exact) <= 1e-14, k
+        if k <= 19:
+            assert abs(x ** k @ w_g - exact) <= 1e-14, k
+    x_g, w_ref = np.polynomial.legendre.leggauss(10)
+    assert np.all(np.abs(x[1::2] - x_g) <= 1e-15)
+    assert np.all(np.abs(w_g[1::2] - w_ref) <= 1e-15)
+    assert np.all(w_g[::2] == 0.0)
+    assert np.all(w_k > 0.0) and np.all(w_g[1::2] > 0.0)
+    assert np.all(x == -x[::-1]) and np.all(w_k == w_k[::-1]) and np.all(w_g == w_g[::-1])
