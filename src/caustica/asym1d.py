@@ -44,7 +44,7 @@ from numbers import Number
 
 from .airy import _recovery, airy_ai_scaled_pair
 from .errors import BadParameter, CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
-from .integrand import Integrand1D, _derivatives, _jet
+from .integrand import Integrand1D, _derivatives, _jet, _n_grid
 from .saddle import CausticInfo, SaddleInfo, _fold_point
 # nothing in the package calls these names here; the span tracer (bench/spans.py,
 # TARGETS) wraps them in asym1d by name.  They go when TARGETS drops them.
@@ -124,15 +124,15 @@ def _over_grid(formula):
     The formula does its per-alpha work, and raises its per-alpha errors,
     once for the whole grid and returns one ApproxValue per N; a single N
     is a one-element grid and gets its ApproxValue back unwrapped.
+    BadParameter where alpha is not finite or N is not a grid (``_n_grid``).
     """
 
     @functools.wraps(formula)
     def over_grid(intg, alpha, N, *args, **kwargs):
-        if isinstance(N, Number):
-            return formula(intg, alpha, (N,), *args, **kwargs)[0]
-        if not (N := tuple(N)):
-            raise BadParameter("N must be a number or a non-empty sequence, got ()")
-        return tuple(formula(intg, alpha, N, *args, **kwargs))
+        if not math.isfinite(alpha):
+            raise BadParameter(f"alpha must be finite, got {alpha}")
+        values = formula(intg, alpha, _n_grid(N), *args, **kwargs)
+        return values[0] if isinstance(N, Number) else tuple(values)
 
     return over_grid
 

@@ -24,7 +24,7 @@ from .airy import recovery_factor
 from .airy import airy_ai_scaled  # noqa: F401
 from .asym1d import _over_grid, _saddle_form, approx_wkb
 from .errors import CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
-from .integrand import Integrand1D, IntegrandND
+from .integrand import Integrand1D, IntegrandND, _n_grid
 from .saddle import NdSaddleInfo, SaddleInfo, find_caustic, find_saddle
 from .saddle import _check_fold, _fold_point
 
@@ -75,10 +75,12 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
 
     Demonstrates that both share the mean-field exponent while only the
     corrected prefactor stays finite through the caustic.  Takes a 1-D
-    integrand (the mean-field toy) and raises WrongRegime for anything else.
+    integrand (the mean-field toy) and raises WrongRegime for anything else;
+    N_grid is one N or a grid of them, as for the formulas.
     """
     if not isinstance(intg, Integrand1D):
         raise WrongRegime("mean_field_compare needs an Integrand1D")
+    N_grid = _n_grid(N_grid)
     rows = []
     caustic = find_caustic(intg)
     for a in alpha_grid:

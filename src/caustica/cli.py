@@ -242,26 +242,18 @@ def _sweep_rows(intg, cfg, branches):
             yield row
 
 
-def _cell(v) -> str:
-    if v is None:
-        return ""
+def _spec(v) -> str:
+    # %.0s prints none of str(None)
     if isinstance(v, str):
-        return v
-    if isinstance(v, numbers.Integral):
-        return "%d" % v
-    return "%.17g" % v
-
-
-# the %-specifier of each exact cell type that a row template may hold
-_SPEC_BY_TYPE = {float: "%.17g", int: "%d", str: "%s"}
+        return "%s"
+    return "%.0s" if v is None else "%d" if isinstance(v, numbers.Integral) else "%.17g"
 
 
 def _write_csv(out, cols, rows):
     """The versioned header, the column line, then one line per row: None is
-    an empty cell, ints are written %d and floats %.17g.  A row whose cells
-    are all exact floats, ints or strs is written from one %-template built
-    for its cell types; any other row (an empty cell, a numpy scalar) cell
-    by cell."""
+    an empty cell, integers (bool and numpy ones too) are written %d and
+    other numbers %.17g.  Each row is written from one %-template, built
+    once per tuple of cell types."""
     out.write(_CSV_HEADER + "\n")
     out.write(",".join(cols) + "\n")
     templates = {}
@@ -269,12 +261,8 @@ def _write_csv(out, cols, rows):
         kinds = tuple(map(type, row))
         template = templates.get(kinds)
         if template is None:
-            specs = [_SPEC_BY_TYPE.get(k) for k in kinds]
-            template = templates[kinds] = None not in specs and ",".join(specs) + "\n"
-        if template:
-            out.write(template % tuple(row))
-        else:
-            out.write(",".join([_cell(v) for v in row]) + "\n")
+            template = templates[kinds] = ",".join(map(_spec, row)) + "\n"
+        out.write(template % tuple(row))
 
 
 @click.group()

@@ -18,7 +18,8 @@ analytic between the declared contour and that translate.
 Every field is fixed at construction.  An ``Integrand1D`` also keeps a
 private memo of the pure per-point work that the solvers and formulas
 repeat within one alpha: the Taylor jets of f and g with their error
-bounds, and the contour projection of the descent frame.  It holds one
+bounds, the contour projection of the descent frame and, on a reduced
+n-D integrand, the transverse solve at each point.  It holds one
 alpha at a time, and a call at another alpha empties it first.  Its keys
 are the exact bits of z and alpha, and for pure f and g a hit returns the
 bits a fresh computation would, so callers cannot tell it is there.  The
@@ -34,6 +35,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, field
+from numbers import Number, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -179,6 +181,27 @@ class IntegrandND:
     def soft_path(self) -> ContourPath:
         """The soft coordinate's contour: ``soft_contour``, or the real line."""
         return self.soft_contour or ContourPath((0j,), tail_angle=math.pi, head_angle=0.0)
+
+
+# the real types of an N: the concrete ones first, since an isinstance
+# check against numbers.Real alone is slow and runs on every formula call
+_REAL = (int, float, np.integer, np.floating, Real)
+
+
+def _n_grid(N) -> tuple:
+    """N as the tuple of its grid points, each as given; one number, or a 0-d
+    array, is a one-element grid.  BadParameter unless the grid is non-empty
+    and every N is real, finite and > 0."""
+    try:
+        if isinstance(N, Number):
+            ns = (N,)
+        else:
+            ns = tuple(np.atleast_1d(N) if isinstance(N, np.ndarray) else N)
+        if ns and all(isinstance(n, _REAL) and 0 < n < math.inf for n in ns):
+            return ns
+    except TypeError:  # N is neither a number nor iterable
+        pass
+    raise BadParameter(f"N must be a finite number > 0 or a non-empty sequence of them, got {N!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +350,13 @@ def _cube_third(z):
     return (x2 * x - y2 * y) / 3.0 + 1j * ((x2 * y + y2 * x) / 3.0)
 
 
-def _finite(params, key, default):
-    """Pop the float registry parameter ``key``; BadParameter if not finite."""
-    v = float(params.pop(key, default))
+def _finite(params, key, default, kind=float):
+    """Pop the registry parameter ``key`` as a ``kind``; BadParameter where
+    it does not convert or is not finite."""
+    try:
+        v = kind(params.pop(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"{key}: {exc}") from exc
     if not math.isfinite(v):
         raise BadParameter(f"{key} must be finite, got {v}")
     return v
@@ -454,7 +481,7 @@ def _nd_lambdas(params, dim):
 def _build_nd_perturbed_cubic(params, separable=False):
     eps = _finite(params, "eps", 0.05)
     c = 0.0 if separable else _finite(params, "c", 0.1)
-    dim = int(params.pop("dim", 2))
+    dim = _finite(params, "dim", 2, int)
     if eps <= 0:
         raise BadParameter("nd-perturbed-cubic requires eps > 0")
     lams = _nd_lambdas(params, dim)

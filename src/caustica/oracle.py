@@ -44,13 +44,12 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import (
-    BadParameter,
     CausticaError,
     DimensionTooLarge,
     RayDivergence,
     ToleranceNotMet,
 )
-from .integrand import _RAY_MAX, Integrand1D, IntegrandND
+from .integrand import _RAY_MAX, Integrand1D, IntegrandND, _n_grid
 from .saddle import NdSaddleInfo, find_saddle, find_saddle_nd
 
 __all__ = ["QuadResult", "quad_contour", "cubature_nd", "bessel_ref"]
@@ -90,14 +89,6 @@ class QuadResult:
     value: "complex | np.ndarray"
     abs_error_estimate: "float | np.ndarray"
     evaluations: int
-
-
-def _n_grid(N) -> np.ndarray:
-    """N as a float array: a single N is a one-element grid."""
-    ns = np.atleast_1d(np.asarray(N, dtype=float))
-    if ns.ndim != 1 or not ns.size:
-        raise BadParameter(f"N must be a number or a non-empty sequence, got {N!r}")
-    return ns
 
 
 def _as_given(res: QuadResult, N) -> QuadResult:
@@ -140,7 +131,7 @@ def quad_contour(
     ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
     integrand points.
     """
-    ns = _n_grid(N)
+    ns = np.asarray(_n_grid(N), dtype=float)
     anchor = None
     if intg.saddle_guess is not None:
         try:
@@ -320,7 +311,7 @@ def cubature_nd(
     ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
     integrand points.
     """
-    ns = _n_grid(N)
+    ns = np.asarray(_n_grid(N), dtype=float)
     n = intg.dim
     if n > 4:
         raise DimensionTooLarge(f"cubature supports n <= 4, got {n}")

@@ -13,13 +13,14 @@ its saddle is found by the one-variable solver.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateCubic, NoConvergence, PartnerNotFound, StepUnderflow, WrongRegime
-from .integrand import _BITS, _BITS_Z, _JET_TOL, Integrand1D, IntegrandND, _jet, derive
+from .integrand import _JET_TOL, Integrand1D, IntegrandND, _jet, derive
 # nothing in the package calls this name here; the only reason the import
 # exists is that the span tracer (bench/spans.py, TARGETS) wraps
 # saddle.derive_nd by name.  It goes when TARGETS drops that entry.
@@ -126,10 +127,12 @@ def find_saddle(
     tol: float = 1e-12,
 ) -> SaddleInfo:
     """Damped Newton iteration on f'(z, alpha) = 0; NoConvergence also where
-    the derivatives overflow at an iterate."""
+    the derivatives overflow at an iterate or f' there is not finite."""
     z = complex(guess)
     for it in range(1, _MAX_ITERS + 1):
         f1, f2, f3 = _derive("find_saddle", intg, z, alpha, 3)
+        if not cmath.isfinite(f1):
+            raise NoConvergence(f"find_saddle: f' = {f1:.6g} is not finite at z = {z:.6g}")
         if it == 1:
             scale = max(1.0, abs(f1))
         if abs(f1) <= tol * scale:
@@ -243,17 +246,13 @@ def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray):
     1/N, and exactly so where F is quadratic in x_perp.  x_perp* is found
     by Newton from ``seed``.  f and g accept complex points and arrays.
     Also returns their transverse solve, which keeps (x, H) at each single
-    point, keyed by the bits of z and alpha: the solvers ask there often.
+    point in the reduced integrand's memo: the solvers ask there often.
     """
-    solved = {}
 
     def solve(z, a):
         if np.ndim(z):
             return _transverse_solve(intg, a, np.ravel(z), seed)
-        key = _BITS_Z(z.real, z.imag) + _BITS(a)
-        if key not in solved:
-            solved[key] = _transverse_solve(intg, a, np.ravel(z), seed)
-        return solved[key]
+        return reduced._memoized("perp", z, a, lambda: solve(np.ravel(z), a))
 
     def f(z, a):
         x, _ = solve(z, a)
@@ -265,7 +264,8 @@ def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray):
         v = np.linalg.det(np.moveaxis(-h, -1, 0)) ** -0.5
         return v.reshape(np.shape(z)) if np.ndim(z) else complex(v[0])
 
-    return Integrand1D(f=f, g=g, contour=intg.soft_path, name=f"{intg.name} reduced"), solve
+    reduced = Integrand1D(f=f, g=g, contour=intg.soft_path, name=f"{intg.name} reduced")
+    return reduced, solve
 
 
 def _transverse_solve(intg, alpha, z, seed):

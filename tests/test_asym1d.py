@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -23,12 +24,14 @@ from caustica import (
     approx_saddle_form,
     approx_tilde,
     approx_wkb,
+    approx_wkb_nd,
     classify_regime,
     cubature_nd,
     find_caustic,
     find_partner,
     find_saddle,
     find_saddle_nd,
+    mean_field_compare,
     quad_contour,
     recovery_factor,
     registry_get,
@@ -547,21 +550,46 @@ def test_one_jet_per_point_and_alpha(monkeypatch):
 
 
 def test_empty_n_grid_is_bad_parameter():
+    # N is one number or a non-empty grid, each N real, finite and > 0:
+    # otherwise every formula and both oracles raise BadParameter, where
+    # they used to return NaN or raise an untyped error
     intg = registry_get("cubic")
     c = find_caustic(intg)
     s = find_saddle(intg, 0.5, intg.saddle_guess(0.5))
     p = find_partner(intg, 0.5, s)
     nd = registry_get("nd-separable", {"dim": "2"})
-    for call in (
-        lambda: quad_contour(intg, 0.5, []),
-        lambda: cubature_nd(nd, 0.3, []),
-        lambda: approx_wkb(intg, 0.5, [], s),
-        lambda: approx_tilde(intg, 0.5, [], c),
-        lambda: approx_saddle_form(intg, 0.5, [], s, c),
-        lambda: approx_cfu(intg, 0.5, [], s, p),
+    snd = find_saddle_nd(nd, 0.3, nd.saddle_guess(0.3))
+    toy = registry_get("mean-field-toy", {"m": "0.1"})
+    for N, call in itertools.product(
+        ([], 0, -5, math.nan, math.inf, [30, 0], [[30]], "30", 2j),
+        (
+            lambda N: quad_contour(intg, 0.5, N),
+            lambda N: cubature_nd(nd, 0.3, N),
+            lambda N: approx_wkb(intg, 0.5, N, s),
+            lambda N: approx_tilde(intg, 0.5, N, c),
+            lambda N: approx_saddle_form(intg, 0.5, N, s, c),
+            lambda N: approx_cfu(intg, 0.5, N, s, p),
+            lambda N: approx_wkb_nd(nd, 0.3, N, snd),
+            lambda N: approx_corrected_nd(nd, 0.3, N, snd),
+            lambda N: mean_field_compare(toy, [1.3], N),
+        ),
     ):
         with pytest.raises(BadParameter, match="non-empty"):
-            call()
+            call(N)
+
+
+def test_non_finite_alpha_is_bad_parameter():
+    # approx_tilde used to return nan+nan*i here
+    intg = registry_get("cubic")
+    c = find_caustic(intg)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(BadParameter, match="alpha must be finite"):
+            approx_tilde(intg, alpha, 30, c)
+    # the toy's saddle solve converges at gamma = -inf, and mean_field_compare
+    # used to return -8.4e-17 - 0.458i from it; its approx_wkb call now raises
+    toy = registry_get("mean-field-toy", {"m": "0.1"})
+    with pytest.raises(BadParameter, match="alpha must be finite, got -inf"):
+        mean_field_compare(toy, [-math.inf], [30])
 
 
 def test_cfu_conjugate_pair_is_branch_ambiguous():

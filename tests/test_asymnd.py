@@ -224,6 +224,8 @@ def test_mean_field_compare_1d():
     # at the critical coupling the fold-saddle Gaussian must diverge
     crit = [r for r in rows if abs(r["alpha"] - gamma_hat) < 1e-9]
     assert all(r["fold_wkb"] == "divergent" for r in crit)
+    # one N is a one-element grid, as for the formulas
+    assert mean_field_compare(intg, [1.6], 100) == rows[-1:]
 
 
 def test_mean_field_compare_nd():

@@ -543,7 +543,7 @@ def test_trace_targets_resolve(monkeypatch):
 
 
 def test_write_csv_cell_bytes():
-    # each type keeps the text the isinstance chain of _cell gives it: bool
+    # each type keeps the text the isinstance rule of _write_csv gives it: bool
     # and numpy integers as %d (both are numbers.Integral, so np.int64(2**62)
     # keeps every digit), numpy floats as %.17g
     row = [None, "x;y", "", 7, -12, True, False, 0.1, -0.0, 1e300, 5e-324,
@@ -774,6 +774,7 @@ def test_demo_meanfield_m0_exit_2(runner, tmp_path):
         (["--m", "0.1", "--N", "50.5"], "N must be a whole number"),
         # the last --gamma given wins
         (["--m", "0.1", "--N", "50", "--gamma", "1.1:nan:3"], "range values must be finite"),
+        (["--m", "0.1", "--N", "50", "--gamma", ","], "empty gamma range"),
     ],
 )
 def test_demo_meanfield_config_error_exit_2(runner, tmp_path, args, message):

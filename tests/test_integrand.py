@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -120,6 +121,22 @@ def test_registry_nd_bad_lambda():
 def test_registry_params_must_be_finite(name, key, value):
     params = {key: value, "dim": "3"} if key == "lambda3" else {key: value}
     with pytest.raises(BadParameter, match=f"{key} must be finite"):
+        registry_get(name, params)
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("perturbed-cubic", {"eps": "x"}, "eps: could not convert"),
+        ("perturbed-cubic", {"eps": None}, "eps: float() argument"),
+        ("bessel-sinh", {"x0": "abc"}, "x0: could not convert"),
+        ("nd-perturbed-cubic", {"dim": "1.5"}, "dim: invalid literal"),
+        ("nd-separable", {"dim": None}, "dim: int() argument"),
+    ],
+)
+def test_registry_params_must_be_numbers(name, params, message):
+    # the conversion's own ValueError or TypeError used to escape
+    with pytest.raises(BadParameter, match=re.escape(message)):
         registry_get(name, params)
 
 

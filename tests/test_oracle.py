@@ -383,6 +383,11 @@ def test_one_element_grid_is_the_scalar_call():
     g = cubature_nd(nd, 0.2, (30,))
     assert isinstance(s.value, complex) and isinstance(s.evaluations, int)
     assert g.value[0] == pytest.approx(s.value, rel=1e-15)
+    # a 0-d array is a one-element grid, and its result stays an array
+    for oracle_, integrand, alpha in ((quad_contour, intg, 0.9), (cubature_nd, nd, 0.2)):
+        g, z = oracle_(integrand, alpha, [30]), oracle_(integrand, alpha, np.array(30.0))
+        assert z.value.shape == z.abs_error_estimate.shape == (1,)
+        assert z.value[0] == g.value[0] and z.abs_error_estimate[0] == g.abs_error_estimate[0]
 
 
 def test_kronrod_table():

@@ -55,6 +55,14 @@ def test_saddle_no_convergence():
         find_saddle(intg, -25.0, 50.0 + 0j)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf])
+def test_saddle_non_finite_derivative_is_no_convergence(alpha):
+    # f' = -alpha at the first iterate is infinite, and so was the scale of
+    # the convergence test, which then passed with f0 = -+inf + nan i
+    with pytest.raises(NoConvergence, match="not finite"):
+        find_saddle(registry_get("cubic"), alpha, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # caustic location
 
@@ -101,6 +109,14 @@ def test_z_tilde_continuation_overflow_is_no_convergence():
     far = dataclasses.replace(c, z_tilde=-1e6 + 0j)
     with pytest.raises(NoConvergence, match="z_tilde continuation: derivatives overflow"):
         far.z_tilde_at(1.3)
+
+
+def test_caustic_far_guess_is_no_convergence():
+    # from (50, -100) the damped joint Newton, capped at 0.5 per step, does
+    # not reach the fold at (0, 0) within its iterations
+    intg = dataclasses.replace(registry_get("cubic"), caustic_guess=(50 + 0j, -100.0))
+    with pytest.raises(NoConvergence, match="joint Newton did not converge"):
+        find_caustic(intg)
 
 
 def test_caustic_needs_a_guess():
