@@ -413,8 +413,11 @@ def _build_bessel_sinh(params):
     )
 
     # the real saddle acosh(1/a) below the fold, the conjugate pair
-    # +-i acos(1/a) above it; at a = 1 both coalesce at 0
+    # +-i acos(1/a) above it; at a = 1 both coalesce at 0.  For a <= 0
+    # there is no real saddle to guess
     def guess(a):
+        if not a > 0.0:
+            raise BadParameter(f"bessel-sinh's saddle guess needs alpha > 0, got {a}")
         if a == 1.0:
             return 0.05 + 0.0j
         if a > 1.0:

@@ -15,22 +15,24 @@ Gauss–Hermite sum in the real transverse coordinates, centred on the
 saddle's and scaled to the width of its peak (adaptive Gauss–Hermite, Liu &
 Pierce, Biometrika 1994); the difference from a coarser such sum is its
 error bound, which enters the same relative test.  ``bessel_ref`` is J_N from
-scipy.  Quadrature values carry an error estimate and are exponent-shifted
-so that the largest integrand magnitude is O(1) during quadrature.
+scipy.  Quadrature values carry an error estimate.  The panel loop forms
+exp(N (f - shift)) itself, with one shift per pass, the largest Re f over
+the first round's nodes; an oracle supplies only the integrand over
+exp(N f), so ``cubature_nd``'s values do not depend on how it chunks points.
 
 Both oracles take N as one number or as a grid, like the formulas, and
 serve the whole grid from one pass per alpha: one saddle solve and one
 contour move; rays cut at the smallest N, where they reach furthest; panel
 breakpoints graded at the largest N, where the saddle's width N^(-1/2) is
 smallest; f and g evaluated once per node, and exp(N (f - shift)) per N,
-with a shift that does not depend on N.  Each panel stays open for the N
-that have not accepted it yet, and every N starts on the panels that reach
-into its own ray cuts and keeps its own totals, error test and range check,
-so each N gets the value and error estimate a pass of its own would give,
-to within those estimates.  ``cubature_nd`` shares the soft panels the same
-way but gives each N its own transverse scale, from the ray cuts at that N:
-the transverse peak narrows as N^(-1/2), and a rule of fixed size fits one
-width only.
+with one shift for every N.  Each panel stays open for the N that have not
+accepted it yet, and every N starts on the panels that reach into its own
+ray cuts and keeps its own totals, error test and range check, so each N
+gets the value and error estimate a pass of its own would give, to within
+those estimates.  ``cubature_nd`` shares the soft panels the same way but
+gives each N its own transverse scale, from the ray cuts at that N: the
+transverse peak narrows as N^(-1/2), and a rule of fixed size fits one width
+only.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ class QuadResult:
     arrays in the grid's order for a grid; ``evaluations`` counts the
     integrand points evaluated.  ``quad_contour`` evaluates each point once
     for the whole grid, ``cubature_nd`` each N's transverse points on its
-    own and counts them all."""
+    own and counts them all, but not the on-axis points of the soft nodes
+    that grade, cut and shift its panel loop."""
 
     value: "complex | np.ndarray"
     abs_error_estimate: "float | np.ndarray"
@@ -140,16 +143,11 @@ def quad_contour(
         except CausticaError:
             pass
 
-    def sample(z, live, shift):
-        fz = intg.f(z, alpha)
-        if shift is None:
-            shift = float(np.max(fz.real))
-        gz = np.broadcast_to(intg.g(z), z.shape)
-        kk, pp = np.nonzero(live)
-        return gz[pp] * np.exp(ns[kk, None] * (fz[pp] - shift)), None, shift
+    def amplitude(z, fz, kk, pp):
+        return np.broadcast_to(intg.g(z), z.shape)[pp], None
 
     res = _contour_sum(
-        intg.contour, anchor, lambda z: intg.f(z, alpha), sample, ns, tol, intg.prefactor
+        intg.contour, anchor, lambda z: intg.f(z, alpha), amplitude, ns, tol, intg.prefactor
     )
     return _as_given(res, N)
 
@@ -170,21 +168,23 @@ def _per_n(k, x, size):
     return np.bincount(k, x.real, size) + 1j * np.bincount(k, x.imag, size)
 
 
-def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
+def _contour_sum(contour, anchor, f, amplitude, ns, tol, prefactor=1.0):
     """The panel loop that ``quad_contour`` documents, along ``contour``, for
     every N of the grid ``ns`` at once.
 
     ``anchor`` is (z_s, Re f(z_s)) for the saddle, or None; ``f`` maps an
     array of points to the exponent there, which grades the declared
-    contour and cuts the rays.  ``sample(z, live, shift)`` gets the nodes
-    z, shape (panels, 21), and the (len(ns), panels) mask of the N each
-    panel is open for.  It returns, for every open (N, panel) pair in
-    ``np.nonzero(live)`` order, the integrand times e^(-N shift) at the
-    panel's nodes, shape (pairs, 21), an error bound for each value (None
-    where they are exact to rounding) and the shift, one number or one per
-    N, which it picks itself when given None.  The bounds, weighted by
-    |w|, add to the error estimate but do not halve panels.
-    Returns a QuadResult over the grid.
+    contour, cuts the rays and is taken at every round's nodes.  The shift
+    is one number, the largest Re f over the first round's nodes, and the
+    loop forms e^(N (f - shift)) itself.  ``amplitude(z, fz, kk, pp)`` gets
+    the nodes z, shape (panels, 21), f there, and the grid and panel
+    indices of the open (N, panel) pairs, in ``np.nonzero`` order of the
+    (len(ns), panels) mask of the N each panel is open for.  It returns,
+    for every pair, the integrand over e^(N f) at the panel's nodes, shape
+    (pairs, 21), and an error bound in the same units (None where the
+    values are exact to rounding).  The bounds, weighted by |w|, add to the
+    error estimate but do not halve panels.  Returns a QuadResult over the
+    grid.
     """
     if anchor is None:
         fn = f(np.array(contour.nodes)).real
@@ -218,17 +218,21 @@ def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
 
     K = len(ns)
     live = (bp[:-1] < span_hi) & (bp[1:] > span_lo)
-    shift = None
     total = np.zeros(K, dtype=complex)
     err, absum, inner = np.zeros(K), np.zeros(K), np.zeros(K)
     nev = 0
     for rnd in range(_MAX_ROUNDS):
-        # the 21 nodes of every panel open for some N in one call of sample
+        # the 21 nodes of every panel open for some N in one call of f and
+        # of amplitude; the first round's largest Re f is the shift
         n, m, half = len(a), (a + b) / 2.0, (b - a) / 2.0
         z = m[:, None] + half[:, None] * _GK_X
-        h, h_err, shift = sample(z, live, shift)
+        fz = f(z)
+        if not rnd:
+            shift = float(np.max(fz.real))
         kk, pp = np.nonzero(live)
-        hw = h * half[pp, None]
+        ez = np.exp(ns[kk, None] * (fz[pp] - shift))
+        h, h_err = amplitude(z, fz, kk, pp)
+        hw = h * ez * half[pp, None]
         nev += z.size
         value, est, mag = hw @ _GK_W, np.abs(hw @ _GK_D), np.abs(hw) @ _GK_W
         share = (tol * np.abs(total + _per_n(kk, value, K)) - err) / np.maximum(live.sum(1), 1)
@@ -238,7 +242,7 @@ def _contour_sum(contour, anchor, f, sample, ns, tol, prefactor=1.0):
         err += np.bincount(kd, est[done], K)
         absum += np.bincount(kd, mag[done], K)
         if h_err is not None:
-            inner += np.bincount(kd, (np.abs(h_err) @ _GK_W * np.abs(half[pp]))[done], K)
+            inner += np.bincount(kd, (np.abs(h_err * ez) @ _GK_W * np.abs(half[pp]))[done], K)
         # halve each panel some N rejected; the halves are open for those N
         live = np.zeros((K, n), dtype=bool)
         live[kk[~done], pp[~done]] = True
@@ -302,10 +306,10 @@ def cubature_nd(
     e^(t^2), so a Gaussian peak is integrated almost exactly.  The 16-node
     tensor sum is the value at the node, its difference from the 10-node
     sum plus a rounding term its error bound, which enters that N's error
-    estimate.  Each N's exponent shift is the largest Re F over its first
-    round's nodes.  A transverse peak that moves away from the saddle's
-    with the soft node is followed only as far as the fixed centre allows;
-    beyond that the error bound grows and ToleranceNotMet is raised.
+    estimate.  Both sums are taken relative to e^(N F) at the soft node on
+    the axis.  A transverse peak that moves away from the saddle's with the
+    soft node is followed only as far as the fixed centre allows; beyond
+    that the error bound grows and ToleranceNotMet is raised.
 
     N is one number or a grid; for a grid, ``value`` and
     ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
@@ -345,42 +349,33 @@ def cubature_nd(
         x[0], x[1:] = z.ravel(), center[1:, None]
         return intg.F(x, alpha).reshape(z.shape)
 
-    def sample(z, live, shift):
+    def amplitude(z, fz, kk, pp):
         # per N, F at its transverse points about the nodes of its open
-        # panels and the sums there, a chunk of nodes at a time.  In the
-        # first round the shift is the largest Re F so far, and the sums
-        # taken before it rose are rescaled
+        # panels and the sums there relative to e^(N F) on the axis, a chunk
+        # of nodes at a time
         nonlocal points
-        shifts, value, bound = [], [], []
-        for j, (nk, open_, (xt, w_coarse, w_fine)) in enumerate(zip(ns, live, rules)):
-            if not open_.any():
+        value, bound = [], []
+        for j, (nk, (xt, w_coarse, w_fine)) in enumerate(zip(ns, rules)):
+            rows = pp[kk == j]
+            if not len(rows):
                 continue
-            zk = z[open_].ravel()
+            zk, fk = z[rows].ravel(), fz[rows].ravel()
             points += zk.size * size
-            sh = -math.inf if shift is None else shift[j]
             v, b = np.empty(zk.size, dtype=complex), np.empty(zk.size)
             for i in range(0, zk.size, chunk):
                 zc = zk[i:i + chunk]
                 x = np.empty((n, zc.size, size), dtype=complex)
                 x[0], x[1:] = zc[:, None], xt[:, None, :]
                 e = intg.F(x.reshape(n, -1), alpha).reshape(-1, size)
-                top = float(np.max(e.real))
-                if shift is None and top > sh:
-                    v[:i] *= math.exp(nk * (sh - top))
-                    b[:i] *= math.exp(nk * (sh - top))
-                    sh = top
-                t = np.exp(nk * (e - sh))
+                t = np.exp(nk * (e - fk[i:i + chunk, None]))
                 v[i:i + chunk] = (t[:, k:] * w_fine).sum(axis=1)
                 b[i:i + chunk] = (np.abs((t[:, :k] * w_coarse).sum(axis=1) - v[i:i + chunk])
                                   + _ROUNDING * _EPS * np.abs(t[:, k:] * w_fine).sum(axis=1))
-            shifts.append(sh)
             value.append(v.reshape(-1, z.shape[1]))
             bound.append(b.reshape(-1, z.shape[1]))
-        if shift is None:
-            shift = np.array(shifts)
-        return np.concatenate(value), np.concatenate(bound), shift
+        return np.concatenate(value), np.concatenate(bound)
 
-    res = _contour_sum(intg.soft_path, anchor, on_axis, sample, ns, tol)
+    res = _contour_sum(intg.soft_path, anchor, on_axis, amplitude, ns, tol)
     return _as_given(replace(res, evaluations=points), N)
 
 

@@ -457,6 +457,29 @@ def test_sweep_method_error_exit_3(runner, tmp_path):
     assert "oracle" not in trailer
 
 
+def test_sweep_bessel_nonpositive_alpha_exit_3(runner, tmp_path):
+    # bessel-sinh's saddle guess has no real saddle to give at alpha <= 0:
+    # a typed error and exit 3, not a math domain error
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        """\
+        [integrand]
+        name = bessel-sinh
+
+        [sweep]
+        alpha = -0.5
+        N = 30
+        methods = wkb
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == 3, result.output
+    trailer = out.read_text().splitlines()[-1]
+    assert trailer.startswith("# error: BadParameter: ") and "alpha > 0" in trailer
+
+
 def test_sweep_oracle_error_exit_4(runner, tmp_path, monkeypatch):
     # the oracle runs once per alpha over the N grid; where it raises at the
     # second alpha, every row of the first is written and none of the second

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.special import airye, jv
 
 from caustica import (
+    BadParameter,
     ContourPath,
     DimensionTooLarge,
     Integrand1D,
@@ -210,6 +211,19 @@ def test_quad_rejects_ray_growth():
         quad_contour(bad, 0.1, 10.0)
 
 
+def test_bessel_nonpositive_alpha_is_typed():
+    # bessel-sinh has no real saddle at alpha <= 0: the guess raises
+    # BadParameter, the oracle falls back to the declared contour, and what
+    # that meets is a typed error too
+    intg = registry_get("bessel-sinh")
+    for alpha, error in ((-0.5, RayDivergence), (-math.inf, RayDivergence),
+                         (0.0, ToleranceNotMet)):
+        with pytest.raises(BadParameter, match="alpha > 0"):
+            intg.saddle_guess(alpha)
+        with pytest.raises(error):
+            quad_contour(intg, alpha, 30)
+
+
 def test_real_line_gaussian():
     # mean-field toy at weak coupling: compare against direct numpy quadrature
     intg = registry_get("mean-field-toy", {"m": 0.1})
@@ -339,6 +353,17 @@ def test_cubature_moving_transverse_peak_is_exact_or_raises():
                 exact *= math.sqrt(2.0 * math.pi / N)
                 r = cubature_nd(intg, alpha, N, tol=1e-10)
                 assert abs(r.value - exact) <= 1e-12 * abs(exact)
+
+
+def test_cubature_does_not_depend_on_chunking(monkeypatch):
+    # 3-D: 256 transverse points per node, so a cap of 2^12 points per call
+    # of F splits each N's nodes into chunks of 16
+    intg = registry_get("nd-perturbed-cubic", {"dim": "3", "lambda3": "-2"})
+    whole = cubature_nd(intg, 0.25, [30, 100])
+    monkeypatch.setattr(oracle, "_MAX_POINTS", 2 ** 12)
+    chunked = cubature_nd(intg, 0.25, [30, 100])
+    assert np.array_equal(chunked.value, whole.value)
+    assert np.array_equal(chunked.abs_error_estimate, whole.abs_error_estimate)
 
 
 def _assert_grid_matches_scalar(oracle, intg, alpha, grid, tol):
