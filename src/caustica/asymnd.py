@@ -66,7 +66,7 @@ def approx_corrected_nd(intg: IntegrandND, alpha: float, N, s: NdSaddleInfo):
     if sd.f3 == 0:
         raise DegenerateCubic("f''' vanishes at the saddle")
     zt, (_, f2, f3, f4) = _fold_point(s.reduced, alpha, sd.z0 - sd.f2 / sd.f3, sd.f3)
-    _check_fold(f3, f4, abs(f2))
+    _check_fold(f3, f4, abs(f2), order=2)
     return _with_gaussians(intg, N, _saddle_form(s.reduced, alpha, N, sd, zt))
 
 

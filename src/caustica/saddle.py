@@ -1,9 +1,10 @@
 """Saddle-point, caustic, and partner-saddle solvers.
 
-One complex variable: damped Newton on f'(z)=0; a joint solve for the
-expansion point (z_tilde, alpha_hat) where f' and f'' vanish together; one
-damped Newton on f''(z, alpha) = 0 at fixed alpha for the fold point
-z_tilde(alpha), which hands the jet of its last step to its caller; and the
+One complex variable: damped Newton on f'(z)=0; one damped Newton on
+f''(z, alpha) = 0 at fixed alpha for the fold point z_tilde(alpha), which
+hands the jet of its last step to its caller; the expansion point
+(z_tilde, alpha_hat), where f' and f'' vanish together, as the root in alpha
+of f'(z_tilde(alpha), alpha), by secant steps over that Newton; and the
 partner saddle seeded from the local cubic model.  Several variables: the
 transverse coordinates are integrated out by Laplace's method (the
 splitting lemma; Poston & Stewart 1978, Bleistein & Handelsman 1975,
@@ -74,29 +75,34 @@ def _derive(solver: str, intg: Integrand1D, z: complex, alpha: float, order: int
         raise NoConvergence(f"{solver}: derivatives overflow at z = {z:.6g}") from exc
 
 
-def _fold_point(intg: Integrand1D, alpha: float, z: complex, f3_scale: complex):
+def _fold_point(
+    intg: Integrand1D, alpha: float, z: complex, f3_scale: complex, solver="z_tilde continuation"
+):
     """z_tilde(alpha), where |f''(z, alpha)| <= 1e-12 max(1, |f3_scale|), by
-    damped Newton from z, and the jet (f', ..., f'''') taken there."""
+    damped Newton from z, and the jet (f', ..., f'''') taken there; its
+    errors name ``solver``."""
     for _ in range(_MAX_ITERS):
-        jet = _derive("z_tilde continuation", intg, z, alpha, 4)
+        jet = _derive(solver, intg, z, alpha, 4)
         _, r, f3, _ = jet
         if abs(r) <= 1e-12 * max(1.0, abs(f3_scale)):
             return z, jet
         if f3 == 0:
-            raise NoConvergence(f"z_tilde continuation: f''' vanishes at alpha={alpha}")
+            raise NoConvergence(f"{solver}: f''' vanishes at alpha={alpha}")
         step = r / f3
         # damping: never move by more than O(1), as in find_saddle
         if abs(step) > 1.0:
             step /= abs(step)
         z = z - step
-    raise NoConvergence(f"z_tilde continuation stalled at alpha={alpha}")
+    raise NoConvergence(f"{solver} stalled at alpha={alpha}")
 
 
-def _check_fold(f3: complex, f4: complex, residual: float) -> None:
-    """DegenerateCubic where f''' at a fold point is zero: near a cusp a solver
-    stalls with f3 ~ f4*dz and residual ~ f4*dz^2/2, hence this floor."""
-    floor = math.sqrt(50.0 * max(abs(f4), 1.0) * max(residual, 1e-13))
-    if abs(f3) < max(1e-8, floor):
+def _check_fold(f3: complex, f4: complex, residual: float, order: int) -> None:
+    """DegenerateCubic where f''' at a fold point is zero: near a cusp, with
+    f''' ~ f''''*dz, a solve for f^(order) = 0 stops with a residual f'' ~ f''''*dz^2
+    (order 2) or, along z_tilde(alpha), f' ~ f''''*dz^3 (order 1), hence this floor."""
+    scale = max(abs(f4), 1.0)
+    floor = 50.0 * scale ** (3 - order) * max(residual, 1e-13)
+    if abs(f3) < 1e-8 or abs(f3) ** (4 - order) < floor:
         raise DegenerateCubic(f"f'''(z_tilde, alpha_hat) = {f3:.3e}: fold assumption violated")
 
 
@@ -152,48 +158,34 @@ def find_saddle(
 
 
 def find_caustic(intg: Integrand1D) -> CausticInfo:
-    """Joint solve of f'(z, alpha) = f''(z, alpha) = 0 for (z_tilde, alpha_hat),
-    from the integrand's ``caustic_guess``.
+    """The expansion point (z_tilde, alpha_hat), where f' and f'' vanish
+    together, from the integrand's ``caustic_guess``.
 
-    Gauss-Newton on the stacked real system in (Re z, Im z, alpha); the
-    Jacobian columns are built from f'' , f''' and finite differences in
-    alpha.  NoConvergence also where the derivatives overflow at an iterate.
+    A secant iteration in alpha on h(alpha) = f'(z_tilde(alpha), alpha), with
+    z_tilde(alpha) and its jet from the damped Newton of ``z_tilde_at``,
+    continued from one alpha to the next.  alpha moves by the real part of
+    the secant step, at most 0.5, until |h| <= 1e-14 max(1, |f'''|).
+    NoConvergence also where the derivatives overflow at an iterate, and
+    DegenerateCubic where the point found is a cusp, not a fold.
     """
     if intg.caustic_guess is None:
         raise NoConvergence("find_caustic needs a guess for this integrand")
     z, a = complex(intg.caustic_guess[0]), float(intg.caustic_guess[1])
-    da = 1e-6
-
+    f3, a_prev, h_prev = 1.0, None, None
     for _ in range(_MAX_ITERS):
-        f1, f2, f3, f4 = _derive("find_caustic", intg, z, a, 4)
-        r = np.array([f1.real, f1.imag, f2.real, f2.imag])
-        res = float(np.linalg.norm(r))
-        if res <= 1e-11:
-            break
-        p1, p2 = _derive("find_caustic", intg, z, a + da, 2)
-        m1, m2 = _derive("find_caustic", intg, z, a - da, 2)
-        dfa1 = (p1 - m1) / (2 * da)
-        dfa2 = (p2 - m2) / (2 * da)
-        # Cauchy-Riemann blocks for the complex derivatives wrt z
-        jac = np.array(
-            [
-                [f2.real, -f2.imag, dfa1.real],
-                [f2.imag, f2.real, dfa1.imag],
-                [f3.real, -f3.imag, dfa2.real],
-                [f3.imag, f3.real, dfa2.imag],
-            ]
-        )
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        nrm = np.linalg.norm(step)
-        if nrm > 0.5:
-            step *= 0.5 / nrm
-        z = z + complex(step[0], step[1])
-        a = a + step[2]
-    else:
-        raise NoConvergence("find_caustic: joint Newton did not converge")
-
-    _check_fold(f3, f4, res)
-    return CausticInfo(z_tilde=complex(z), alpha_hat=float(a), f3_tilde=f3, intg=intg)
+        z, (h, _, f3, f4) = _fold_point(intg, a, z, f3, "find_caustic")
+        if abs(h) <= 1e-14 * max(1.0, abs(f3)):
+            _check_fold(f3, f4, abs(h), order=1)
+            return CausticInfo(z_tilde=z, alpha_hat=a, f3_tilde=f3, intg=intg)
+        if h_prev is None:
+            step = 1e-6
+        elif h == h_prev:
+            raise NoConvergence(f"find_caustic: f' = {h:.3g} stalls at alpha = {a!r}")
+        else:
+            step = -(h / ((h - h_prev) / (a - a_prev))).real
+        a_prev, h_prev = a, h
+        a += max(-0.5, min(0.5, step))
+    raise NoConvergence(f"find_caustic: secant in alpha did not converge in {_MAX_ITERS} steps")
 
 
 def find_partner(intg: Integrand1D, alpha: float, s: SaddleInfo) -> SaddleInfo:
@@ -229,7 +221,8 @@ def find_saddle_nd(intg: IntegrandND, alpha: float, guess: np.ndarray) -> NdSadd
     if guess.shape != (intg.dim,):
         raise WrongRegime(f"guess has shape {guess.shape}, expected ({intg.dim},)")
     reduced, solve = _reduce(intg, alpha, guess[1:])
-    # 1e-10: at find_caustic's alpha_hat, ~1e-11 off the fold, a 1e-12 solve fails (A6)
+    # 1e-10 keeps the n-D sweeps' values: at 1e-12 every n-D golden CSV moves
+    # in its last digits, though the solve also converges there (A6 passes)
     s = find_saddle(reduced, alpha, complex(guess[0]), tol=1e-10)
     x, h = solve(s.z0, alpha)
     h = h[:, :, 0]

@@ -452,9 +452,13 @@ def test_one_derive_per_point(monkeypatch, solve):
     # so a solver or formula asks at most once per (z, alpha), whichever
     # module asks: approx_tilde takes its jet at z_tilde from the Newton step
     # that found it, and corrected-nd solves z_tilde(alpha) alone, with no
-    # joint solve for alpha_hat
+    # solve for alpha_hat
     intg = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
-    c = find_caustic(intg)
+    # z_tilde(alpha) = 0 for every alpha on the perturbed cubic, where one
+    # derive finds it: the continuation runs on an integrand whose z_tilde
+    # moves with alpha
+    toy = dataclasses.replace(registry_get("mean-field-toy", {"m": 0.1}), analytic_derivs=None)
+    c = find_caustic(toy)
     nd = registry_get("nd-perturbed-cubic", {"dim": "2"})
     s = find_saddle_nd(nd, 0.3, nd.saddle_guess(0.3))
     asked, caustic_solves = [], []
@@ -473,8 +477,8 @@ def test_one_derive_per_point(monkeypatch, solve):
     {
         "find_saddle": lambda: find_saddle(intg, 0.3, intg.saddle_guess(0.3)),
         "find_caustic": lambda: find_caustic(intg),
-        "z_tilde_at": lambda: c.z_tilde_at(0.3),
-        "approx_tilde": lambda: approx_tilde(intg, 0.3, 100.0, c),
+        "z_tilde_at": lambda: c.z_tilde_at(1.5),
+        "approx_tilde": lambda: approx_tilde(toy, 1.5, 100.0, c),
         "approx_corrected_nd": lambda: approx_corrected_nd(nd, 0.3, 100.0, s),
     }[solve]()
     assert len(asked) > 1

@@ -411,7 +411,8 @@ def test_sweep_wkb_divergent_at_caustic(runner, tmp_path):
 
 def test_sweep_mean_field_below_window_exit_3(runner, tmp_path):
     # the z_tilde continuation on the mean-field toy used to overflow in
-    # cosh here; now the sweep ends with a typed error
+    # cosh here; now the sweep ends with a typed error: below the coupling
+    # window there is no real f'' = 0 point, and the damped Newton stalls
     cfg = tmp_path / "sweep.ini"
     _write_config(
         cfg,
@@ -429,7 +430,7 @@ def test_sweep_mean_field_below_window_exit_3(runner, tmp_path):
     out = tmp_path / "o.csv"
     result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
     assert result.exit_code == 3, result.output
-    assert out.read_text().splitlines()[-1].startswith("# error: WrongRegime: ")
+    assert out.read_text().splitlines()[-1].startswith("# error: NoConvergence: ")
 
 
 def test_sweep_method_error_exit_3(runner, tmp_path):

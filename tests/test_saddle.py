@@ -74,6 +74,22 @@ def test_cubic_caustic_at_origin():
     assert c.f3_tilde == pytest.approx(2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("analytic", [True, False])
+@pytest.mark.parametrize("name", ["cubic", "perturbed-cubic"])
+def test_cubic_family_caustic_is_exact(name, analytic):
+    # f = z^3/3 - alpha z + eps z^4: f'' = 2z + 12 eps z^2 vanishes at z = 0,
+    # where f' = -alpha, so the fold is at (0, 0) to rounding
+    intg = registry_get(name)
+    if not analytic:
+        intg = dataclasses.replace(intg, analytic_derivs=None)
+    c = find_caustic(intg)
+    assert c.alpha_hat == 0.0
+    assert abs(c.z_tilde) <= 1e-16
+    # at alpha_hat the pair is a double root at 0, which the default tol finds
+    s = find_saddle(intg, c.alpha_hat, intg.saddle_guess(c.alpha_hat))
+    assert abs(s.z0) <= 1e-5
+
+
 def test_bessel_caustic():
     c = find_caustic(registry_get("bessel-sinh"))
     assert abs(c.z_tilde) < 1e-6
@@ -112,10 +128,19 @@ def test_z_tilde_continuation_overflow_is_no_convergence():
 
 
 def test_caustic_far_guess_is_no_convergence():
-    # from (50, -100) the damped joint Newton, capped at 0.5 per step, does
-    # not reach the fold at (0, 0) within its iterations
+    # from (50, -100) the damped Newton for z_tilde, capped at unit steps,
+    # does not reach the fold at z = 0 within its iterations
     intg = dataclasses.replace(registry_get("cubic"), caustic_guess=(50 + 0j, -100.0))
-    with pytest.raises(NoConvergence, match="joint Newton did not converge"):
+    with pytest.raises(NoConvergence, match="find_caustic stalled"):
+        find_caustic(intg)
+
+
+def test_caustic_alpha_free_integrand_is_no_convergence():
+    # f' at z_tilde does not move with alpha, so there is no secant step
+    intg = dataclasses.replace(
+        registry_get("cubic"), f=lambda z, a: z**3 / 3.0 - 0.5 * z, analytic_derivs=None
+    )
+    with pytest.raises(NoConvergence, match="find_caustic: f' = .* stalls"):
         find_caustic(intg)
 
 
