@@ -9,8 +9,7 @@ from about x = 2^20 up, so from 2^19 on two terms of the asymptotic series
 formula is built on the
 recessive solution Ai; Bi is here for checks against tabulated values.
 The recovery factor R interpolates between 0 at the caustic and 1 deep in
-the Gaussian-saddle regime; ``_recovery`` builds it from a scaled Ai that
-the caller already took, as over an N grid in one call.
+the Gaussian-saddle regime.
 """
 
 from __future__ import annotations
@@ -90,15 +89,10 @@ def recovery_factor(zeta_prime: float) -> float:
 
     Normalized so R -> 1 as zeta_prime -> infinity, R(inf) = 1 and R(0) = 0
     exactly (the zeta_prime^{1/4} suppression; caustic values must come from
-    the cancelled forms in asym1d/asymnd).  Evaluated by ``_recovery``.
+    the cancelled forms in asym1d/asymnd).
     """
     if zeta_prime < 0:
         raise NegativeArgument("negative fold argument: two-complex-saddle side is unsupported")
     if zeta_prime == math.inf:  # the limit, where inf^{1/4} * 0 is NaN
         return 1.0
-    return _recovery(zeta_prime, airy_ai_scaled(zeta_prime))
-
-
-def _recovery(zeta_prime: float, ai_scaled: float) -> float:
-    """R at zeta_prime >= 0 from ai_scaled, the scaled Ai taken there (R(0) = 0)."""
-    return 2.0 * math.sqrt(math.pi) * zeta_prime ** 0.25 * ai_scaled
+    return 2.0 * math.sqrt(math.pi) * zeta_prime ** 0.25 * airy_ai_scaled(zeta_prime)

@@ -11,7 +11,7 @@ per-alpha work (expansion-point and saddle data, descent phase, branch
 candidates, the checks that raise) is done once for the whole sequence, and
 the result is one ApproxValue per N, each equal to the call at that N alone.
 Per N only arithmetic is left: one ``airy_ai_scaled_pair`` call serves the
-grid, and ``saddle``'s WKB * R check reuses ``wkb``'s Gaussian term.
+grid.
 
 An ApproxValue holds the value, the fold parameter zeta' = N^{2/3} zeta,
 the warnings and, for ``tilde`` only, the cube-root branch index; its
@@ -42,7 +42,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Number
 
-from .airy import _recovery, airy_ai_scaled_pair
+from .airy import airy_ai_scaled_pair
 from .errors import BadParameter, CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
 from .integrand import Integrand1D, _derivatives, _jet, _n_grid
 from .saddle import CausticInfo, SaddleInfo, _fold_point
@@ -148,15 +148,6 @@ def approx_wkb(
     whole grid.
     """
     rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
-    values = _gaussian(intg, alpha, N, s, rotation)
-    zeta = None if s.f3 == 0 else _saddle_zeta(s)
-    return [ApproxValue(value, math.inf if zeta is None else n ** (2.0 / 3.0) * zeta)
-            for n, value in zip(N, values)]
-
-
-def _gaussian(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, rotation: complex):
-    """``approx_wkb``'s values over the tuple N, given the descent rotation
-    exp(i theta0); CausticDivergence where f''(z0) is numerically zero."""
     scale = max(1.0, abs(s.f3))
     # at a near-double root the solver stalls with f1 ~ residual and
     # f2^2 ~ 2 f3 f1, so curvature below that floor is numerically zero
@@ -166,8 +157,14 @@ def _gaussian(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, rotation
             f"|f''(z0)| = {abs(s.f2):.2e}: Gaussian prefactor divergent at alpha={alpha}"
         )
     amplitude, curvature = intg.prefactor * intg.g(s.z0), abs(s.f2)
-    return [amplitude * cmath.exp(n * s.f0) * math.sqrt(2.0 * math.pi / (n * curvature)) * rotation
-            for n in N]
+    zeta = None if s.f3 == 0 else _saddle_zeta(s)
+    return [
+        ApproxValue(
+            amplitude * cmath.exp(n * s.f0) * math.sqrt(2.0 * math.pi / (n * curvature)) * rotation,
+            math.inf if zeta is None else n ** (2.0 / 3.0) * zeta,
+        )
+        for n in N
+    ]
 
 
 @_over_grid
@@ -265,9 +262,7 @@ def approx_saddle_form(
     N is one number or a sequence of them (then one ApproxValue per N, in
     order); z_tilde is found once, Ai over the grid comes from one Airy
     call, and DegenerateCubic depends on alpha only and raises for the whole
-    grid.  Where Re f(z0) <= Re f(z_tilde) and f'' is clear of zero, each
-    value is checked against WKB * R, with ``approx_wkb``'s Gaussian term
-    and R from the same Ai; a relative mismatch above 1e-9 is a warning.
+    grid.
     """
     return _saddle_form(intg, alpha, N, s, c.z_tilde_at(alpha))
 
@@ -276,40 +271,26 @@ def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: c
     """``approx_saddle_form`` over the tuple N, with z_tilde(alpha) given."""
     zeta = _saddle_zeta(s)
 
-    # exponent-sign constant from the consistency identity
-    # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}
-    ft = intg.f(zt, alpha)
-    df = (s.f0 - ft).real
-    sgn = -1.0 if df <= 0.0 else 1.0
-    shift = sgn + 1.0
+    # exponent-sign constant sgn from the consistency identity
+    # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}; shift = sgn + 1
+    shift = 0.0 if (s.f0 - intg.f(zt, alpha)).real <= 0.0 else 2.0
 
     rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
     amplitude = (
         intg.prefactor * 2.0 * math.pi * intg.g(s.z0) * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
     )
-    # cross-check against the naive product form WKB * R
-    naive = None
-    if sgn < 0 and abs(s.f2) > 1e-6 * max(1.0, abs(s.f3)):
-        naive = _gaussian(intg, alpha, N, s, rotation)
-
     xs = [n ** (2.0 / 3.0) * zeta for n in N]
-    out = []
-    for i, (n, x, (aie, _)) in enumerate(zip(N, xs, airy_ai_scaled_pair(xs))):
-        value = (
+    return [
+        ApproxValue(
             amplitude
             * n ** (-1.0 / 3.0)
             * rotation
             * aie
-            * cmath.exp(n * s.f0 - shift * ((2.0 / 3.0) * x ** 1.5))
+            * cmath.exp(n * s.f0 - shift * ((2.0 / 3.0) * x ** 1.5)),
+            x,
         )
-        warnings = []
-        if naive is not None:
-            product = naive[i] * _recovery(x, aie)
-            mismatch = abs(product - value) / max(abs(value), 1e-300)
-            if mismatch > 1e-9:
-                warnings.append(f"saddle-form: cancelled/naive mismatch {mismatch:.2e}")
-        out.append(ApproxValue(value, x, tuple(warnings)))
-    return out
+        for n, x, (aie, _) in zip(N, xs, airy_ai_scaled_pair(xs))
+    ]
 
 
 @_over_grid

@@ -14,6 +14,7 @@ that saddle's own pair, from one Newton solve at this alpha, not alpha_hat.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -24,7 +25,7 @@ from .airy import recovery_factor
 from .airy import airy_ai_scaled  # noqa: F401
 from .asym1d import _over_grid, _saddle_form, approx_wkb
 from .errors import CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
-from .integrand import Integrand1D, IntegrandND, _n_grid
+from .integrand import Integrand1D, IntegrandND, _n_grid, derive
 from .saddle import NdSaddleInfo, SaddleInfo, find_caustic, find_saddle
 from .saddle import _check_fold, _fold_point
 
@@ -90,11 +91,13 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
         if s.f3 == 0:  # no cubic term: the records' zeta' is infinite, no fold
             raise DegenerateCubic("f''' vanishes at the saddle")
         # status of the Gaussian term at the coalescing (fold) saddle,
-        # which depends on alpha only
+        # which depends on alpha only; the probe starts at the fold saddle
+        # z_tilde + sqrt(-2 f'/f''') of the cubic model at z_tilde
         fold_status = "finite"
         try:
             zt = caustic.z_tilde_at(a)
-            fold_s = find_saddle(intg, a, zt + 0.05)
+            f1, _, f3 = derive(intg, zt, a, 3)
+            fold_s = find_saddle(intg, a, zt + cmath.sqrt(-2.0 * f1 / f3))
             approx_wkb(intg, a, N_grid, fold_s)
         except CausticDivergence:
             fold_status = "divergent"

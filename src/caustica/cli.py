@@ -341,9 +341,10 @@ def critical(name, params):
     except CausticaError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(EXIT_SOLVER)
-    click.echo(f"alpha_hat = {c.alpha_hat:.6f}")
-    click.echo(f"z_tilde   = {c.z_tilde.real:.6f} {c.z_tilde.imag:+.6f}i")
-    click.echo(f"f3_tilde  = {c.f3_tilde.real:.6g} {c.f3_tilde.imag:+.6g}i")
+    # + 0.0 turns a signed zero -0.0 into 0.0, so an exact zero prints unsigned
+    click.echo(f"alpha_hat = {c.alpha_hat + 0.0:.6f}")
+    click.echo(f"z_tilde   = {c.z_tilde.real + 0.0:.6f} {c.z_tilde.imag + 0.0:+.6f}i")
+    click.echo(f"f3_tilde  = {c.f3_tilde.real + 0.0:.6g} {c.f3_tilde.imag + 0.0:+.6g}i")
     click.echo("status: fold (f''' nonzero)")
 
 

@@ -269,7 +269,10 @@ def _transverse_solve(intg, alpha, z, seed):
     x[0], x[1:] = z, np.asarray(seed)[:, None]
     for _ in range(_MAX_ITERS):
         grad, h = _transverse_derivatives(intg, x, alpha)
-        step = np.linalg.solve(np.moveaxis(h, -1, 0), -grad.T[:, :, None])[:, :, 0].T
+        try:
+            step = np.linalg.solve(np.moveaxis(h, -1, 0), -grad.T[:, :, None])[:, :, 0].T
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence("transverse Newton: singular transverse Hessian") from exc
         x[1:] += step
         if np.abs(step).max() <= 1e-12 * max(1.0, np.abs(x[1:]).max()):
             return x, h

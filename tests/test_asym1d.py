@@ -134,41 +134,29 @@ def test_tilde_golden_airy_one():
 # cross-form identities
 
 
-@pytest.mark.parametrize("alpha", [0.65, 0.8, 0.9, 0.95])
-def test_saddle_form_equals_wkb_times_recovery(alpha):
-    # on the recessive side the cancelled saddle form must equal WKB * R exactly
-    intg = registry_get("bessel-sinh")
-    c = find_caustic(intg)
-    s = find_saddle(intg, alpha, intg.saddle_guess(alpha))
-    for N in (10.0, 30.0, 100.0, 1000.0):
-        sf = approx_saddle_form(intg, alpha, N, s, c)
-        if not (0.1 <= sf.zeta_prime <= 10.0):
-            continue
-        wkb = approx_wkb(intg, alpha, N, s)
-        naive = wkb.value * recovery_factor(sf.zeta_prime)
-        assert abs(sf.value - naive) <= 1e-9 * abs(sf.value)
-        assert not sf.warnings
-
-
 @pytest.mark.parametrize("name, alpha", [
+    *(pytest.param("bessel-sinh", a, id=str(a)) for a in (0.65, 0.8, 0.9, 0.95)),
     ("cubic", 0.5),
     ("perturbed-cubic", 0.3),
-    ("bessel-sinh", 0.8),
+    ("nd-perturbed-cubic", 0.3),
 ])
-def test_saddle_form_cross_check_flags_mismatch(monkeypatch, name, alpha):
-    # the cancelled form is checked against WKB * R at every N: silent where
-    # the two agree, and a warning on each N once the Gaussian term is off
-    intg = registry_get(name)
-    c = find_caustic(intg)
-    s = find_saddle(intg, alpha, intg.saddle_guess(alpha))
+def test_saddle_form_equals_wkb_times_recovery(name, alpha):
+    # on the recessive side the cancelled saddle form equals WKB * R
+    # exactly, and corrected-nd equals wkb-nd * R (dim 2)
     grid = (10.0, 30.0, 100.0, 300.0, 1000.0)
-    assert all(not v.warnings for v in approx_saddle_form(intg, alpha, grid, s, c))
-    gaussian = asym1d._gaussian
-    monkeypatch.setattr(
-        asym1d, "_gaussian", lambda *args: [v * (1.0 + 1e-6) for v in gaussian(*args)]
-    )
-    for v in approx_saddle_form(intg, alpha, grid, s, c):
-        assert any("cancelled/naive mismatch" in w for w in v.warnings)
+    if name.startswith("nd-"):
+        intg = registry_get(name, {"dim": "2"})
+        s = find_saddle_nd(intg, alpha, intg.saddle_guess(alpha))
+        forms = approx_corrected_nd(intg, alpha, grid, s)
+        wkbs = approx_wkb_nd(intg, alpha, grid, s)
+    else:
+        intg = registry_get(name)
+        s = find_saddle(intg, alpha, intg.saddle_guess(alpha))
+        forms = approx_saddle_form(intg, alpha, grid, s, find_caustic(intg))
+        wkbs = approx_wkb(intg, alpha, grid, s)
+    for sf, wkb in zip(forms, wkbs):
+        assert sf.value != 0
+        assert abs(sf.value - wkb.value * recovery_factor(sf.zeta_prime)) <= 1e-9 * abs(sf.value)
 
 
 def test_saddle_form_matches_tilde_near_caustic():
@@ -565,7 +553,7 @@ def test_empty_n_grid_is_bad_parameter():
     snd = find_saddle_nd(nd, 0.3, nd.saddle_guess(0.3))
     toy = registry_get("mean-field-toy", {"m": "0.1"})
     for N, call in itertools.product(
-        ([], 0, -5, math.nan, math.inf, [30, 0], [[30]], "30", 2j),
+        ([], 0, -5, math.nan, math.inf, [30, 0], [[30]], "30", 2j, object()),
         (
             lambda N: quad_contour(intg, 0.5, N),
             lambda N: cubature_nd(nd, 0.3, N),

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -251,6 +252,16 @@ def test_mean_field_compare_nd():
                 assert abs(math.log(abs(w.value / v.value))) <= 10.0
 
 
+def test_corrected_nd_zero_cubic_at_saddle_is_degenerate():
+    # a saddle whose f''' is exactly zero has no cubic model to solve
+    # z_tilde from
+    nd = _nd(dim=2, c=0.1)
+    s = find_saddle_nd(nd, 0.2, nd.saddle_guess(0.2))
+    flat = dataclasses.replace(s, saddle=dataclasses.replace(s.saddle, f3=0j))
+    with pytest.raises(DegenerateCubic, match="f''' vanishes at the saddle"):
+        approx_corrected_nd(nd, 0.2, 50.0, flat)
+
+
 def test_mean_field_m0_degenerate():
     intg = registry_get("mean-field-toy", {"m": 0.0})
     with pytest.raises(DegenerateCubic):
@@ -303,6 +314,19 @@ def test_mean_field_fold_saddle_solved_once_per_gamma(monkeypatch):
     )
     assert len(rows) == 44
     assert calls == {"find_saddle": 22, "z_tilde_at": 11}
+
+
+@pytest.mark.parametrize("dust", [0.0, 1e-30j, -1e-30j], ids=["exact", "plus", "minus"])
+def test_mean_field_fold_probe_ignores_rounding_dust(monkeypatch, dust):
+    # the fold-saddle probe starts at the cubic model's fold saddle, so an
+    # imaginary part of rounding size in z_tilde does not decide the status
+    z_tilde_at = CausticInfo.z_tilde_at
+    monkeypatch.setattr(
+        CausticInfo, "z_tilde_at", lambda self, alpha: z_tilde_at(self, alpha) + dust
+    )
+    gammas = [1.15, 1.4, 1.45, 1.2978824755046015]  # the last is gamma_hat for m = 0.1
+    rows = mean_field_compare(registry_get("mean-field-toy", {"m": 0.1}), gammas, [50])
+    assert [r["fold_wkb"] for r in rows] == ["finite", "finite", "finite", "divergent"]
 
 
 def test_one_transverse_solve_per_point_and_alpha(monkeypatch):

@@ -717,6 +717,14 @@ def test_critical_mean_field_param(runner):
     assert "alpha_hat = 1.297882" in result.output
 
 
+def test_critical_prints_zero_parts_unsigned(runner):
+    # the analytic f''' of the mean-field toy has imaginary part -0.0 at the
+    # real z_tilde; an exact zero prints as +0, not -0
+    result = runner.invoke(main, ["critical", "mean-field-toy", "--param", "m=0.1"])
+    assert result.exit_code == 0, result.output
+    assert "f3_tilde  = 0.738243 +0i" in result.output.splitlines()
+
+
 def test_critical_degenerate_m0(runner):
     result = runner.invoke(main, ["critical", "mean-field-toy", "--param", "m=0"])
     assert result.exit_code == 0, result.output

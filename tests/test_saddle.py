@@ -32,6 +32,15 @@ def test_cubic_saddles():
     assert s.z0 == pytest.approx(-0.7, abs=1e-10)
 
 
+def test_saddle_from_inflection_takes_cubic_model_step():
+    # at z = 0, f'' = 0 on the cubic: the Newton step is undefined, and the
+    # cubic model's step -sqrt(2 f'/f''') leads to the saddle at -sqrt(alpha)
+    intg = registry_get("cubic")
+    s = find_saddle(intg, 0.25, 0j)
+    assert s.z0 == pytest.approx(-0.5, abs=1e-12)
+    assert abs(s.f2 + 1.0) <= 1e-12 and s.iterations == 9
+
+
 def test_bessel_saddle_is_acosh():
     intg = registry_get("bessel-sinh")
     s = find_saddle(intg, 0.8, intg.saddle_guess(0.8))
@@ -301,6 +310,15 @@ def test_nd_positive_transverse_rejected():
     )
     with pytest.raises(WrongRegime):
         find_saddle_nd(intg, 0.2, np.array([-0.45, 0.0]))
+
+
+def test_nd_singular_transverse_hessian_is_no_convergence():
+    # F linear in x2 has a zero transverse Hessian: the transverse Newton
+    # runs its iterates off (numpy warns of overflow on the way) until the
+    # matrix is exactly singular, and that is a typed error
+    intg = IntegrandND(F=lambda x, a: x[0] ** 3 / 3.0 - a * x[0] + x[1], dim=2)
+    with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="singular transverse"):
+        find_saddle_nd(intg, 0.5, np.array([0.7, 0.0]))
 
 
 def test_nd_bad_guess_shape():
