@@ -7,11 +7,14 @@ the saddle-anchored caustic-safe form, and the two-saddle CFU expansion.
 N^{-1/3}; ``wkb`` and ``saddle`` are leading order.
 
 Each formula takes N as one number or as a sequence of numbers.  The
-per-alpha work (expansion-point and saddle data, descent phase, branch
+per-alpha set-up (expansion-point and saddle data, descent phase, branch
 candidates, the checks that raise) is done once for the whole sequence, and
 the result is one ApproxValue per N, each equal to the call at that N alone.
 Per N only arithmetic is left: one ``airy_ai_scaled_pair`` call serves the
-grid.
+grid.  The set-up is kept in the integrand's memo (``integrand`` module
+docstring), keyed on the bits of every number it reads, so a formula called
+once per N at one alpha builds it on the first call only; a typed error is
+raised again on every call.
 
 An ApproxValue holds the value, the fold parameter zeta' = N^{2/3} zeta,
 the warnings and, for ``tilde`` only, the cube-root branch index; its
@@ -44,7 +47,7 @@ from numbers import Number
 
 from .airy import airy_ai_scaled_pair
 from .errors import BadParameter, CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
-from .integrand import Integrand1D, _derivatives, _jet, _n_grid
+from .integrand import Integrand1D, _bits, _derivatives, _jet, _n_grid
 from .saddle import CausticInfo, SaddleInfo, _fold_point
 # nothing in the package calls these names here; the span tracer (bench/spans.py,
 # TARGETS) wraps them in asym1d by name.  They go when TARGETS drops them.
@@ -147,6 +150,20 @@ def approx_wkb(
     order); CausticDivergence depends on alpha only and raises for the
     whole grid.
     """
+    rotation, amplitude, curvature, zeta = intg._memoized(
+        ("wkb", _bits(s.f2, s.f3, s.residual)), s.z0, alpha, lambda: _wkb_setup(intg, alpha, s)
+    )
+    return [
+        ApproxValue(
+            amplitude * cmath.exp(n * s.f0) * math.sqrt(2.0 * math.pi / (n * curvature)) * rotation,
+            math.inf if zeta is None else n ** (2.0 / 3.0) * zeta,
+        )
+        for n in N
+    ]
+
+
+def _wkb_setup(intg: Integrand1D, alpha: float, s: SaddleInfo):
+    """``approx_wkb``'s rotation, amplitude, curvature and zeta."""
     rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
     scale = max(1.0, abs(s.f3))
     # at a near-double root the solver stalls with f1 ~ residual and
@@ -156,15 +173,8 @@ def approx_wkb(
         raise CausticDivergence(
             f"|f''(z0)| = {abs(s.f2):.2e}: Gaussian prefactor divergent at alpha={alpha}"
         )
-    amplitude, curvature = intg.prefactor * intg.g(s.z0), abs(s.f2)
     zeta = None if s.f3 == 0 else _saddle_zeta(s)
-    return [
-        ApproxValue(
-            amplitude * cmath.exp(n * s.f0) * math.sqrt(2.0 * math.pi / (n * curvature)) * rotation,
-            math.inf if zeta is None else n ** (2.0 / 3.0) * zeta,
-        )
-        for n in N
-    ]
+    return rotation, intg.prefactor * intg.g(s.z0), abs(s.f2), zeta
 
 
 @_over_grid
@@ -188,14 +198,19 @@ def approx_tilde(
     depend on alpha only and raise for the whole grid, as does the
     cube-root branch (module docstring).
     """
+    return _airy_grid(intg, "tilde", N, *intg._memoized(
+        ("tilde", _bits(c.f3_tilde)), c.z_tilde, alpha, lambda: _tilde_setup(intg, alpha, c)
+    ))
+
+
+def _tilde_setup(intg: Integrand1D, alpha: float, c: CausticInfo):
+    """``approx_tilde``'s arguments to ``_airy_grid`` after ``N``."""
     zt, (f1, _, f3, f4) = _fold_point(intg, alpha, c.z_tilde, c.f3_tilde)
     ft = intg.f(zt, alpha)
     if abs(f3) < 1e-8 * max(1.0, abs(c.f3_tilde)):
         raise DegenerateCubic("f''' vanishes at the expansion point")
     g0 = intg.g(zt)
-    g1 = complex(_derivatives(*intg._memoized(
-        "g", zt, alpha, lambda: _jet(lambda s: intg.g(zt + s), max(1.0, abs(zt)))
-    ), 1)[0])
+    g1 = complex(_derivatives(*_jet(lambda s: intg.g(zt + s), max(1.0, abs(zt))), 1)[0])
 
     w, candidates = 2.0 / f3, []
     for k in range(3):
@@ -215,12 +230,12 @@ def approx_tilde(
     k, r, zeta = min(candidates, key=lambda t: abs(t[1].imag) / abs(t[1]))
 
     quartic_c, g1r = f4 * r ** 4 / 24.0, g1 * r
-    return _airy_grid(
-        intg, "tilde", N, zeta, intg.prefactor * 2.0j * math.pi * r, ft,
+    return (
+        zeta, intg.prefactor * 2.0j * math.pi * r, ft,
         lambda n3, x, ai, aip: (
             g0 * (ai + quartic_c * n3 * (2.0 * aip + x * x * ai)) - g1r * n3 * aip
         ),
-        branch=k,
+        k,
     )
 
 
@@ -269,15 +284,9 @@ def approx_saddle_form(
 
 def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: complex):
     """``approx_saddle_form`` over the tuple N, with z_tilde(alpha) given."""
-    zeta = _saddle_zeta(s)
-
-    # exponent-sign constant sgn from the consistency identity
-    # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}; shift = sgn + 1
-    shift = 0.0 if (s.f0 - intg.f(zt, alpha)).real <= 0.0 else 2.0
-
-    rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
-    amplitude = (
-        intg.prefactor * 2.0 * math.pi * intg.g(s.z0) * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
+    zeta, shift, rotation, amplitude = intg._memoized(
+        ("saddle", _bits(s.f0, s.f2, s.f3, zt)), s.z0, alpha,
+        lambda: _saddle_form_setup(intg, alpha, s, zt),
     )
     xs = [n ** (2.0 / 3.0) * zeta for n in N]
     return [
@@ -291,6 +300,21 @@ def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: c
         )
         for n, x, (aie, _) in zip(N, xs, airy_ai_scaled_pair(xs))
     ]
+
+
+def _saddle_form_setup(intg: Integrand1D, alpha: float, s: SaddleInfo, zt: complex):
+    """``_saddle_form``'s zeta, exponent shift, rotation and amplitude."""
+    zeta = _saddle_zeta(s)
+
+    # exponent-sign constant sgn from the consistency identity
+    # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}; shift = sgn + 1
+    shift = 0.0 if (s.f0 - intg.f(zt, alpha)).real <= 0.0 else 2.0
+
+    rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
+    amplitude = (
+        intg.prefactor * 2.0 * math.pi * intg.g(s.z0) * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
+    )
+    return zeta, shift, rotation, amplitude
 
 
 @_over_grid
@@ -313,6 +337,13 @@ def approx_cfu(
     order); a0, b0 and zeta are built once, and BranchAmbiguous depends on
     alpha only and raises for the whole grid.
     """
+    return _airy_grid(intg, "cfu", N, *intg._memoized(
+        ("cfu", _bits(s.f0, s.f2, p.z0, p.f0, p.f2)), s.z0, alpha, lambda: _cfu_setup(intg, s, p)
+    ))
+
+
+def _cfu_setup(intg: Integrand1D, s: SaddleInfo, p: SaddleInfo):
+    """``approx_cfu``'s arguments to ``_airy_grid`` after ``N``."""
     if abs(p.z0 - s.z0) < 1e-12 * max(1.0, abs(s.z0)):
         raise BranchAmbiguous("CFU needs two distinct saddles")
     # label so that f(z0) - f(z0^*) has positive real part, making zeta real
@@ -332,7 +363,7 @@ def approx_cfu(
     b0 = 0.5 * (term_s - term_p) / sq
 
     # A = (f(z0) + f(z0^*))/2, and N A - (2/3) zeta'^{3/2} = N f(z0^*)
-    return _airy_grid(
-        intg, "cfu", N, zeta, intg.prefactor * 2.0j * math.pi, 0.5 * (s.f0 + p.f0),
+    return (
+        zeta, intg.prefactor * 2.0j * math.pi, 0.5 * (s.f0 + p.f0),
         lambda n3, x, ai, aip: a0 * ai + b0 * n3 * aip,
     )

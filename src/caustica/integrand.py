@@ -16,16 +16,22 @@ declared contour translated through the saddle, so f and g must be
 analytic between the declared contour and that translate.
 
 Every field is fixed at construction.  An ``Integrand1D`` also keeps a
-private memo of the pure per-point work that the solvers and formulas
-repeat within one alpha: the Taylor jets of f and g with their error
-bounds, the contour projection of the descent frame and, on a reduced
-n-D integrand, the transverse solve at each point.  It holds one
-alpha at a time, and a call at another alpha empties it first.  Its keys
-are the exact bits of z and alpha, and for pure f and g a hit returns the
-bits a fresh computation would, so callers cannot tell it is there.  The
-objects are still safe to share across parallel workers: a value depends
-only on its key, so a race can at worst compute an entry twice.
-``dataclasses.replace`` starts the new instance with an empty memo.
+private memo of the pure work that the solvers and formulas repeat within
+one alpha: the Taylor jets of f with their error bounds, the contour
+projection of the descent frame, on a reduced n-D integrand the
+transverse solve at each point, the results of ``find_saddle``,
+``find_partner`` and the fold-point Newton, and each 1-D formula's
+per-alpha set-up (everything before its per-N list).  So after the first
+call at an alpha, a formula called once per N does only its per-N
+arithmetic and its Airy call.  The memo holds one alpha at a time, and a
+call at another alpha empties it first.  Its keys are the exact bits of
+alpha and of every number the step reads, and for pure f and g a hit
+returns the bits a fresh computation would, so callers cannot tell it is
+there.  Typed errors are not stored: they are raised again by a fresh
+computation.  The objects are still safe to share across parallel
+workers: a value depends only on its key, so a race can at worst compute
+an entry twice.  ``dataclasses.replace`` starts the new instance with an
+empty memo.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from numbers import Number, Real
-from typing import Callable, Optional
+from typing import Callable, Hashable, Optional
 
 import numpy as np
 
@@ -55,6 +61,12 @@ __all__ = [
 _EPS = np.finfo(float).eps
 _BITS, _BITS_Z = struct.Struct("d").pack, struct.Struct("2d").pack
 _RAY_MAX = 400.0  # the furthest out a ray is followed, by the oracle and by project
+
+
+def _bits(*numbers) -> bytes:
+    """The exact bits of the real and imaginary parts of ``numbers``, as a
+    memo key: unlike ==, they keep 0.0 and -0.0 apart."""
+    return b"".join([_BITS_Z(v.real, v.imag) for v in numbers])
 
 
 @dataclass(frozen=True)
@@ -138,11 +150,13 @@ class Integrand1D:
         if self.analytic_derivs is not None and len(self.analytic_derivs) != 4:
             raise BadParameter("analytic_derivs must provide orders 1..4")
 
-    def _memoized(self, kind: str, z: complex, alpha: float, compute: Callable):
+    def _memoized(self, kind: Hashable, z: complex, alpha: float, compute: Callable):
         """``compute()``, the pure work named ``kind`` at (z, alpha), taken
-        from the memo or stored there.  The memo holds one alpha: a call at
-        another empties it first.  Keys are the exact bits of z and alpha, so
-        0.0 and -0.0 never share an entry."""
+        from the memo or stored there; an exception from ``compute`` is not
+        stored.  ``kind`` is any hashable: a name, or a name with the
+        ``_bits`` of the other numbers the work reads.  The memo holds one
+        alpha: a call at another empties it first.  Keys are the exact bits
+        of z and alpha, so 0.0 and -0.0 never share an entry."""
         entries = self._memo.get(a := _BITS(alpha))
         if entries is None:
             self._memo.clear()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCubic, NoConvergence, PartnerNotFound, StepUnderflow, WrongRegime
-from .integrand import _JET_TOL, Integrand1D, IntegrandND, _jet, derive
+from .integrand import _BITS, _JET_TOL, Integrand1D, IntegrandND, _bits, _jet, derive
 # nothing in the package calls this name here; the only reason the import
 # exists is that the span tracer (bench/spans.py, TARGETS) wraps
 # saddle.derive_nd by name.  It goes when TARGETS drops that entry.
@@ -80,7 +80,14 @@ def _fold_point(
 ):
     """z_tilde(alpha), where |f''(z, alpha)| <= 1e-12 max(1, |f3_scale|), by
     damped Newton from z, and the jet (f', ..., f'''') taken there; its
-    errors name ``solver``."""
+    errors name ``solver``.  Kept in the integrand's memo."""
+    return intg._memoized(
+        ("fold", _bits(f3_scale), solver), z, alpha,
+        lambda: _fold_newton(intg, alpha, z, f3_scale, solver),
+    )
+
+
+def _fold_newton(intg, alpha, z, f3_scale, solver):
     for _ in range(_MAX_ITERS):
         jet = _derive(solver, intg, z, alpha, 4)
         _, r, f3, _ = jet
@@ -133,8 +140,15 @@ def find_saddle(
     tol: float = 1e-12,
 ) -> SaddleInfo:
     """Damped Newton iteration on f'(z, alpha) = 0; NoConvergence also where
-    the derivatives overflow at an iterate or f' there is not finite."""
+    the derivatives overflow at an iterate or f' there is not finite.  The
+    result is kept in the integrand's memo."""
     z = complex(guess)
+    return intg._memoized(
+        ("find_saddle", _BITS(tol)), z, alpha, lambda: _saddle_newton(intg, alpha, z, tol)
+    )
+
+
+def _saddle_newton(intg, alpha, z, tol):
     for it in range(1, _MAX_ITERS + 1):
         f1, f2, f3 = _derive("find_saddle", intg, z, alpha, 3)
         if not cmath.isfinite(f1):
@@ -189,7 +203,15 @@ def find_caustic(intg: Integrand1D) -> CausticInfo:
 
 
 def find_partner(intg: Integrand1D, alpha: float, s: SaddleInfo) -> SaddleInfo:
-    """The other member of the coalescing pair, seeded from the cubic model."""
+    """The other member of the coalescing pair, seeded from the cubic model.
+    The result is kept in the integrand's memo."""
+    return intg._memoized(
+        ("find_partner", _bits(s.f2, s.f3, s.residual)), s.z0, alpha,
+        lambda: _partner(intg, alpha, s),
+    )
+
+
+def _partner(intg, alpha, s):
     if s.f3 == 0:
         raise PartnerNotFound("cubic coefficient vanishes; no local pair")
     seed = s.z0 - 2.0 * s.f2 / s.f3
@@ -273,6 +295,8 @@ def _transverse_solve(intg, alpha, z, seed):
             step = np.linalg.solve(np.moveaxis(h, -1, 0), -grad.T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("transverse Newton: singular transverse Hessian") from exc
+        # damping: no column moves by more than O(1), as in find_saddle
+        step /= np.maximum(np.linalg.norm(step, axis=0), 1.0)
         x[1:] += step
         if np.abs(step).max() <= 1e-12 * max(1.0, np.abs(x[1:]).max()):
             return x, h

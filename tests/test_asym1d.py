@@ -476,10 +476,10 @@ def test_one_derive_per_point(monkeypatch, solve):
 
 def test_one_jet_per_point_and_alpha(monkeypatch):
     # the per-N library path (every formula and find_partner called once per
-    # N) repeats each alpha's solves at the same points; the integrand's memo
-    # serves every repeat, so a finite-difference sweep takes one f jet per
-    # distinct (z, alpha) and one g' jet per alpha, and each per-N cell has
-    # the bits of the grid call on a fresh instance
+    # N) repeats each alpha's solves and formula set-ups; the integrand's
+    # memo serves every repeat, so a finite-difference sweep asks for f's
+    # jet once per distinct (z, alpha) and takes one g' jet per alpha, and
+    # each per-N cell has the bits of the grid call on a fresh instance
     base = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
     calls = {"f": 0, "g": 0}
 
@@ -529,7 +529,7 @@ def test_one_jet_per_point_and_alpha(monkeypatch):
     for a in alphas:
         s = find_saddle(intg, a, intg.saddle_guess(a) if s is None else s.z0)
         per_n.append([cells(intg, a, n, s, c) for n in ns])
-    assert jets.count("f") == len(set(asked)) < len(asked)
+    assert jets.count("f") == len(set(asked)) == len(asked)
     assert jets.count("g") == len(alphas)
 
     fresh, s = dataclasses.replace(intg), None

@@ -10,8 +10,10 @@ import pytest
 from caustica import (
     BadParameter,
     CausticaError,
+    CausticDivergence,
     ContourPath,
     Integrand1D,
+    PartnerNotFound,
     StepUnderflow,
     UnknownIntegrand,
     approx_cfu,
@@ -325,8 +327,9 @@ def test_fd_real_on_real_is_exactly_real():
 
 def test_memo_holds_only_the_last_alpha():
     # a library sweep, each formula called once per N: the memo empties
-    # itself at each new alpha, so it ends with the last alpha's jets of f
-    # and g and its descent-frame projection, and nothing else
+    # itself at each new alpha, so it ends with the last alpha's jets of f,
+    # its descent-frame projection, its saddle, fold-point and partner
+    # solves and the four formulas' set-ups, and nothing else
     intg = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
     c = find_caustic(intg)
     alphas = (0.1, 0.25, 0.4)
@@ -339,7 +342,70 @@ def test_memo_holds_only_the_last_alpha():
             approx_cfu(intg, a, n, s, find_partner(intg, a, s))
     assert list(intg._memo) == [struct.pack("d", alphas[-1])]
     (entries,) = intg._memo.values()
-    assert {kind for kind, _ in entries} == {"f", "g", "project"}
+    kinds = {kind if isinstance(kind, str) else kind[0] for kind, _ in entries}
+    assert kinds == {
+        "f", "project", "find_saddle", "fold", "find_partner", "wkb", "tilde", "saddle", "cfu"
+    }
+
+
+def _entries(intg, kind):
+    """How many entries the memo holds for the step ``kind``."""
+    return sum(
+        isinstance(k, tuple) and k[0] == kind for entries in intg._memo.values() for k, _ in entries
+    )
+
+
+def test_memo_keeps_saddles_with_signed_zero_fields_apart():
+    # two saddles that differ only in the sign of z0's zero imaginary part
+    # are two keys for every step that reads them: the partner seeded from
+    # 0.5 - 0j is -0.5 - 0j, where a shared entry would hand back -0.5 + 0j
+    intg = registry_get("cubic")
+    c = find_caustic(intg)
+    s = find_saddle(intg, 0.25, 0.6)
+    pos, neg = (dataclasses.replace(s, z0=complex(s.z0.real, im)) for im in (0.0, -0.0))
+    for si in (pos, neg):
+        def cells(i):
+            p = find_partner(i, 0.25, si)
+            return (
+                p, approx_wkb(i, 0.25, 30, si), approx_saddle_form(i, 0.25, 30, si, c),
+                approx_cfu(i, 0.25, 30, si, p),
+            )
+
+        assert repr(cells(intg)) == repr(cells(dataclasses.replace(intg)))
+    assert math.copysign(1.0, find_partner(intg, 0.25, neg).z0.imag) == -1.0
+    for kind in ("find_partner", "wkb", "saddle", "cfu"):
+        assert _entries(intg, kind) == 2
+
+
+def test_memo_keeps_cfu_saddle_order_apart():
+    # approx_cfu given (s, p) and given (p, s) are two entries, each with
+    # the bits of a call on a fresh instance
+    intg = registry_get("cubic")
+    s = find_saddle(intg, 0.25, 0.6)
+    p = find_partner(intg, 0.25, s)
+    for pair in ((s, p), (p, s)):
+        fresh = dataclasses.replace(intg)
+        assert repr(approx_cfu(intg, 0.25, 30, *pair)) == repr(approx_cfu(fresh, 0.25, 30, *pair))
+    assert _entries(intg, "cfu") == 2
+
+
+def test_memo_stores_no_typed_error():
+    # at the fold of perturbed-cubic the Gaussian prefactor diverges and the
+    # pair has coalesced: each per-N call computes the step again and raises
+    # the error a fresh instance raises, and the memo keeps no entry for it
+    intg = registry_get("perturbed-cubic")
+    s = find_saddle(intg, 0.0, intg.saddle_guess(0.0))
+    for kind, error, call in (
+        ("wkb", CausticDivergence, lambda i, n: approx_wkb(i, 0.0, n, s)),
+        ("find_partner", PartnerNotFound, lambda i, n: find_partner(i, 0.0, s)),
+    ):
+        with pytest.raises(error) as first:
+            call(dataclasses.replace(intg), 30)
+        for n in (10, 30, 100, 1000):
+            with pytest.raises(error) as again:
+                call(intg, n)
+            assert str(again.value) == str(first.value)
+        assert _entries(intg, kind) == 0
 
 
 def test_replace_gets_the_new_f():

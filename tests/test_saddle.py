@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from caustica import saddle
 from caustica import (
     DegenerateCubic,
     IntegrandND,
@@ -312,13 +314,24 @@ def test_nd_positive_transverse_rejected():
         find_saddle_nd(intg, 0.2, np.array([-0.45, 0.0]))
 
 
-def test_nd_singular_transverse_hessian_is_no_convergence():
-    # F linear in x2 has a zero transverse Hessian: the transverse Newton
-    # runs its iterates off (numpy warns of overflow on the way) until the
-    # matrix is exactly singular, and that is a typed error
+def test_nd_singular_transverse_hessian_is_no_convergence(monkeypatch):
+    # F linear in x2 has a zero transverse Hessian, which the jets read as
+    # rounding noise: each transverse Newton step is damped to length 1, so
+    # the iterates stay near the seed, no jet radius overflows, and the
+    # solve ends in a typed error
     intg = IntegrandND(F=lambda x, a: x[0] ** 3 / 3.0 - a * x[0] + x[1], dim=2)
-    with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="singular transverse"):
-        find_saddle_nd(intg, 0.5, np.array([0.7, 0.0]))
+    scales = []
+
+    def recorded(func, scale, jet=saddle._jet):
+        scales.append(scale)
+        return jet(func, scale)
+
+    monkeypatch.setattr(saddle, "_jet", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="transverse Newton"):
+            find_saddle_nd(intg, 0.5, np.array([0.7, 0.0]))
+    assert scales and max(scales) <= 100.0
 
 
 def test_nd_bad_guess_shape():
