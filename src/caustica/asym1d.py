@@ -11,10 +11,10 @@ per-alpha set-up (expansion-point and saddle data, descent phase, branch
 candidates, the checks that raise) is done once for the whole sequence, and
 the result is one ApproxValue per N, each equal to the call at that N alone.
 Per N only arithmetic is left: one ``airy_ai_scaled_pair`` call serves the
-grid.  The set-up is kept in the integrand's memo (``integrand`` module
-docstring), keyed on the bits of every number it reads, so a formula called
-once per N at one alpha builds it on the first call only; a typed error is
-raised again on every call.
+grid.  The set-up is a step of the integrand's memo (``integrand`` module
+docstring), keyed on the bits of alpha and of every argument, so a formula
+called once per N at one alpha builds it on the first call only; a typed
+error is raised again on every call.
 
 An ApproxValue holds the value, the fold parameter zeta' = N^{2/3} zeta,
 the warnings and, for ``tilde`` only, the cube-root branch index; its
@@ -47,7 +47,7 @@ from numbers import Number
 
 from .airy import airy_ai_scaled_pair
 from .errors import BadParameter, CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
-from .integrand import Integrand1D, _bits, _derivatives, _jet, _n_grid
+from .integrand import Integrand1D, _derivatives, _jet, _n_grid, _per_alpha
 from .saddle import CausticInfo, SaddleInfo, _fold_point
 # nothing in the package calls these names here; the span tracer (bench/spans.py,
 # TARGETS) wraps them in asym1d by name.  They go when TARGETS drops them.
@@ -105,10 +105,11 @@ def classify_regime(zeta_prime: float) -> Regime:
     return Regime.TRANSITION
 
 
+@_per_alpha("project")
 def _descent_phase(intg: Integrand1D, alpha: float, z0: complex, f2: complex) -> float:
     """theta0 = (pi - arg f2)/2, flipped by pi if anti-parallel to the contour."""
     theta = (math.pi - cmath.phase(f2)) / 2.0
-    u = intg._memoized("project", z0, alpha, lambda: intg.contour.project(z0))[2]
+    u = intg.contour.project(z0)[2]
     if math.cos(theta - cmath.phase(u)) < 0.0:
         theta += math.pi
     return theta
@@ -150,9 +151,7 @@ def approx_wkb(
     order); CausticDivergence depends on alpha only and raises for the
     whole grid.
     """
-    rotation, amplitude, curvature, zeta = intg._memoized(
-        ("wkb", _bits(s.f2, s.f3, s.residual)), s.z0, alpha, lambda: _wkb_setup(intg, alpha, s)
-    )
+    rotation, amplitude, curvature, zeta = _wkb_setup(intg, alpha, s)
     return [
         ApproxValue(
             amplitude * cmath.exp(n * s.f0) * math.sqrt(2.0 * math.pi / (n * curvature)) * rotation,
@@ -162,6 +161,7 @@ def approx_wkb(
     ]
 
 
+@_per_alpha("wkb")
 def _wkb_setup(intg: Integrand1D, alpha: float, s: SaddleInfo):
     """``approx_wkb``'s rotation, amplitude, curvature and zeta."""
     rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
@@ -198,16 +198,15 @@ def approx_tilde(
     depend on alpha only and raise for the whole grid, as does the
     cube-root branch (module docstring).
     """
-    return _airy_grid(intg, "tilde", N, *intg._memoized(
-        ("tilde", _bits(c.f3_tilde)), c.z_tilde, alpha, lambda: _tilde_setup(intg, alpha, c)
-    ))
+    return _airy_grid(intg, "tilde", N, *_tilde_setup(intg, alpha, c.z_tilde, c.f3_tilde))
 
 
-def _tilde_setup(intg: Integrand1D, alpha: float, c: CausticInfo):
+@_per_alpha("tilde")
+def _tilde_setup(intg: Integrand1D, alpha: float, z_tilde: complex, f3_tilde: complex):
     """``approx_tilde``'s arguments to ``_airy_grid`` after ``N``."""
-    zt, (f1, _, f3, f4) = _fold_point(intg, alpha, c.z_tilde, c.f3_tilde)
+    zt, (f1, _, f3, f4) = _fold_point(intg, alpha, z_tilde, f3_tilde)
     ft = intg.f(zt, alpha)
-    if abs(f3) < 1e-8 * max(1.0, abs(c.f3_tilde)):
+    if abs(f3) < 1e-8 * max(1.0, abs(f3_tilde)):
         raise DegenerateCubic("f''' vanishes at the expansion point")
     g0 = intg.g(zt)
     g1 = complex(_derivatives(*_jet(lambda s: intg.g(zt + s), max(1.0, abs(zt))), 1)[0])
@@ -279,15 +278,12 @@ def approx_saddle_form(
     call, and DegenerateCubic depends on alpha only and raises for the whole
     grid.
     """
-    return _saddle_form(intg, alpha, N, s, c.z_tilde_at(alpha))
+    return _saddle_form(intg, alpha, N, s, _fold_point(intg, alpha, c.z_tilde, c.f3_tilde)[0])
 
 
 def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: complex):
     """``approx_saddle_form`` over the tuple N, with z_tilde(alpha) given."""
-    zeta, shift, rotation, amplitude = intg._memoized(
-        ("saddle", _bits(s.f0, s.f2, s.f3, zt)), s.z0, alpha,
-        lambda: _saddle_form_setup(intg, alpha, s, zt),
-    )
+    zeta, shift, rotation, amplitude = _saddle_form_setup(intg, alpha, s, zt)
     xs = [n ** (2.0 / 3.0) * zeta for n in N]
     return [
         ApproxValue(
@@ -302,6 +298,7 @@ def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: c
     ]
 
 
+@_per_alpha("saddle")
 def _saddle_form_setup(intg: Integrand1D, alpha: float, s: SaddleInfo, zt: complex):
     """``_saddle_form``'s zeta, exponent shift, rotation and amplitude."""
     zeta = _saddle_zeta(s)
@@ -337,12 +334,11 @@ def approx_cfu(
     order); a0, b0 and zeta are built once, and BranchAmbiguous depends on
     alpha only and raises for the whole grid.
     """
-    return _airy_grid(intg, "cfu", N, *intg._memoized(
-        ("cfu", _bits(s.f0, s.f2, p.z0, p.f0, p.f2)), s.z0, alpha, lambda: _cfu_setup(intg, s, p)
-    ))
+    return _airy_grid(intg, "cfu", N, *_cfu_setup(intg, alpha, s, p))
 
 
-def _cfu_setup(intg: Integrand1D, s: SaddleInfo, p: SaddleInfo):
+@_per_alpha("cfu")
+def _cfu_setup(intg: Integrand1D, alpha: float, s: SaddleInfo, p: SaddleInfo):
     """``approx_cfu``'s arguments to ``_airy_grid`` after ``N``."""
     if abs(p.z0 - s.z0) < 1e-12 * max(1.0, abs(s.z0)):
         raise BranchAmbiguous("CFU needs two distinct saddles")
@@ -354,6 +350,8 @@ def _cfu_setup(intg: Integrand1D, s: SaddleInfo, p: SaddleInfo):
         raise BranchAmbiguous(
             f"no saddle labeling makes the fold parameter real (Im = {w.imag:.2e})"
         )
+    if w == 0:  # b0 would divide by sqrt(zeta) = 0
+        raise BranchAmbiguous("the two saddles have equal f(z0): the fold parameter is zero")
     zeta = w.real ** (2.0 / 3.0)
 
     sq = math.sqrt(zeta)

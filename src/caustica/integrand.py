@@ -16,33 +16,32 @@ declared contour translated through the saddle, so f and g must be
 analytic between the declared contour and that translate.
 
 Every field is fixed at construction.  An ``Integrand1D`` also keeps a
-private memo of the pure work that the solvers and formulas repeat within
-one alpha: the Taylor jets of f with their error bounds, the contour
-projection of the descent frame, on a reduced n-D integrand the
-transverse solve at each point, the results of ``find_saddle``,
-``find_partner`` and the fold-point Newton, and each 1-D formula's
-per-alpha set-up (everything before its per-N list).  So after the first
+private memo of the pure steps that the solvers and formulas repeat within
+one alpha: the jets of f, the contour projection of the descent frame, the
+saddle, fold-point and partner solves, on a reduced n-D integrand the
+transverse solve at each point, and each 1-D formula's per-alpha set-up.
+One rule keys them all (``_per_alpha``): a step is kept under its name and
+the exact bits of alpha and of every argument it takes.  So after the first
 call at an alpha, a formula called once per N does only its per-N
 arithmetic and its Airy call.  The memo holds one alpha at a time, and a
-call at another alpha empties it first.  Its keys are the exact bits of
-alpha and of every number the step reads, and for pure f and g a hit
-returns the bits a fresh computation would, so callers cannot tell it is
-there.  Typed errors are not stored: they are raised again by a fresh
-computation.  The objects are still safe to share across parallel
-workers: a value depends only on its key, so a race can at worst compute
-an entry twice.  ``dataclasses.replace`` starts the new instance with an
-empty memo.
+call at another alpha empties it first.  For pure f and g a hit returns the
+bits a fresh computation would, so callers cannot tell it is there.  Typed
+errors are not stored: they are raised again by a fresh computation.  The
+objects are still safe to share across parallel workers: a value depends
+only on its key, so a race can at worst compute an entry twice.
+``dataclasses.replace`` starts the new instance with an empty memo.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import inspect
 import math
 import struct
 from dataclasses import dataclass, field
 from numbers import Number, Real
-from typing import Callable, Hashable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,7 +65,7 @@ _RAY_MAX = 400.0  # the furthest out a ray is followed, by the oracle and by pro
 def _bits(*numbers) -> bytes:
     """The exact bits of the real and imaginary parts of ``numbers``, as a
     memo key: unlike ==, they keep 0.0 and -0.0 apart."""
-    return b"".join([_BITS_Z(v.real, v.imag) for v in numbers])
+    return np.array(numbers, dtype=complex).tobytes()
 
 
 @dataclass(frozen=True)
@@ -143,29 +142,50 @@ class Integrand1D:
     saddle_guess: Optional[Callable[[float], complex]] = None
     caustic_guess: Optional[tuple[complex, float]] = None
     name: str = ""
-    # {alpha bits: {(kind, z bits): value}} for one alpha; see _memoized
+    # {alpha bits: {(kind, argument key): value}} for one alpha; see _per_alpha
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.analytic_derivs is not None and len(self.analytic_derivs) != 4:
             raise BadParameter("analytic_derivs must provide orders 1..4")
 
-    def _memoized(self, kind: Hashable, z: complex, alpha: float, compute: Callable):
-        """``compute()``, the pure work named ``kind`` at (z, alpha), taken
-        from the memo or stored there; an exception from ``compute`` is not
-        stored.  ``kind`` is any hashable: a name, or a name with the
-        ``_bits`` of the other numbers the work reads.  The memo holds one
-        alpha: a call at another empties it first.  Keys are the exact bits
-        of z and alpha, so 0.0 and -0.0 never share an entry."""
-        entries = self._memo.get(a := _BITS(alpha))
-        if entries is None:
-            self._memo.clear()
-            entries = self._memo.setdefault(a, {})
-        key = (kind, _BITS_Z(z.real, z.imag))
-        value = entries.get(key)
-        if value is None:
-            value = entries[key] = compute()
-        return value
+
+def _arg_key(v) -> "bytes | str":
+    # a str as it is, a record of numbers (a SaddleInfo) by all its fields in
+    # one _bits call, a number by its bits
+    if isinstance(v, str):
+        return v
+    if hasattr(v, "__dataclass_fields__"):
+        return _bits(*vars(v).values())
+    return _BITS_Z(v.real, v.imag)
+
+
+def _per_alpha(kind: str):
+    """Keep ``step(intg, alpha, *args)``, a pure step of an ``Integrand1D``,
+    in ``intg``'s memo under ``kind`` and the exact bits of alpha and of
+    every argument (``_arg_key``), so 0.0 and -0.0 never share an entry.  An
+    argument given by keyword is keyed as the positional one it binds.  The
+    memo holds one alpha: a call at another empties it first.  An exception
+    from ``step`` is not stored."""
+
+    def decorate(step):
+        @functools.wraps(step)
+        def memoized(intg, alpha, *args, **kwargs):
+            if kwargs:
+                args = inspect.signature(step).bind(intg, alpha, *args, **kwargs).args[2:]
+            entries = intg._memo.get(a := _BITS(alpha))
+            if entries is None:
+                intg._memo.clear()
+                entries = intg._memo.setdefault(a, {})
+            key = (kind, tuple([_arg_key(v) for v in args]))
+            value = entries.get(key)
+            if value is None:
+                value = entries[key] = step(intg, alpha, *args)
+            return value
+
+        return memoized
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -300,12 +320,13 @@ def derive(intg: Integrand1D, z: complex, alpha: float, order: int) -> tuple[com
         raise BadParameter(f"order must be 1..4, got {order}")
     if intg.analytic_derivs is not None:
         return tuple(d(z, alpha) for d in intg.analytic_derivs[:order])
+    return _derivatives(*_f_jet(intg, alpha, z), order)
 
-    def jet():
-        values, err = _jet(lambda s: intg.f(z + s, alpha), max(1.0, abs(z)))
-        return tuple(complex(v) for v in values), err.tolist()
 
-    return _derivatives(*intg._memoized("f", z, alpha, jet), order)
+@_per_alpha("f")
+def _f_jet(intg: Integrand1D, alpha: float, z: complex):
+    values, err = _jet(lambda s: intg.f(z + s, alpha), max(1.0, abs(z)))
+    return tuple(complex(v) for v in values), err.tolist()
 
 
 def derive_nd(

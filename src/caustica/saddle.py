@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCubic, NoConvergence, PartnerNotFound, StepUnderflow, WrongRegime
-from .integrand import _BITS, _JET_TOL, Integrand1D, IntegrandND, _bits, _jet, derive
+from .integrand import _JET_TOL, Integrand1D, IntegrandND, _jet, _per_alpha, derive
 # nothing in the package calls this name here; the only reason the import
 # exists is that the span tracer (bench/spans.py, TARGETS) wraps
 # saddle.derive_nd by name.  It goes when TARGETS drops that entry.
@@ -75,19 +75,13 @@ def _derive(solver: str, intg: Integrand1D, z: complex, alpha: float, order: int
         raise NoConvergence(f"{solver}: derivatives overflow at z = {z:.6g}") from exc
 
 
+@_per_alpha("fold")
 def _fold_point(
     intg: Integrand1D, alpha: float, z: complex, f3_scale: complex, solver="z_tilde continuation"
 ):
     """z_tilde(alpha), where |f''(z, alpha)| <= 1e-12 max(1, |f3_scale|), by
     damped Newton from z, and the jet (f', ..., f'''') taken there; its
     errors name ``solver``.  Kept in the integrand's memo."""
-    return intg._memoized(
-        ("fold", _bits(f3_scale), solver), z, alpha,
-        lambda: _fold_newton(intg, alpha, z, f3_scale, solver),
-    )
-
-
-def _fold_newton(intg, alpha, z, f3_scale, solver):
     for _ in range(_MAX_ITERS):
         jet = _derive(solver, intg, z, alpha, 4)
         _, r, f3, _ = jet
@@ -133,6 +127,7 @@ class NdSaddleInfo:
         return self.saddle.iterations
 
 
+@_per_alpha("find_saddle")
 def find_saddle(
     intg: Integrand1D,
     alpha: float,
@@ -143,12 +138,6 @@ def find_saddle(
     the derivatives overflow at an iterate or f' there is not finite.  The
     result is kept in the integrand's memo."""
     z = complex(guess)
-    return intg._memoized(
-        ("find_saddle", _BITS(tol)), z, alpha, lambda: _saddle_newton(intg, alpha, z, tol)
-    )
-
-
-def _saddle_newton(intg, alpha, z, tol):
     for it in range(1, _MAX_ITERS + 1):
         f1, f2, f3 = _derive("find_saddle", intg, z, alpha, 3)
         if not cmath.isfinite(f1):
@@ -202,16 +191,10 @@ def find_caustic(intg: Integrand1D) -> CausticInfo:
     raise NoConvergence(f"find_caustic: secant in alpha did not converge in {_MAX_ITERS} steps")
 
 
+@_per_alpha("find_partner")
 def find_partner(intg: Integrand1D, alpha: float, s: SaddleInfo) -> SaddleInfo:
     """The other member of the coalescing pair, seeded from the cubic model.
     The result is kept in the integrand's memo."""
-    return intg._memoized(
-        ("find_partner", _bits(s.f2, s.f3, s.residual)), s.z0, alpha,
-        lambda: _partner(intg, alpha, s),
-    )
-
-
-def _partner(intg, alpha, s):
     if s.f3 == 0:
         raise PartnerNotFound("cubic coefficient vanishes; no local pair")
     seed = s.z0 - 2.0 * s.f2 / s.f3
@@ -245,7 +228,7 @@ def find_saddle_nd(intg: IntegrandND, alpha: float, guess: np.ndarray) -> NdSadd
     reduced, solve = _reduce(intg, alpha, guess[1:])
     # 1e-10 keeps the n-D sweeps' values: at 1e-12 every n-D golden CSV moves
     # in its last digits, though the solve also converges there (A6 passes)
-    s = find_saddle(reduced, alpha, complex(guess[0]), tol=1e-10)
+    s = find_saddle(reduced, alpha, complex(guess[0]), 1e-10)
     x, h = solve(s.z0, alpha)
     h = h[:, :, 0]
     if np.any(np.linalg.eigvals(h).real >= 0.0):
@@ -264,10 +247,14 @@ def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray):
     point in the reduced integrand's memo: the solvers ask there often.
     """
 
+    @_per_alpha("perp")
+    def solve_point(_, a, z):
+        return _transverse_solve(intg, a, np.ravel(z), seed)
+
     def solve(z, a):
         if np.ndim(z):
             return _transverse_solve(intg, a, np.ravel(z), seed)
-        return reduced._memoized("perp", z, a, lambda: solve(np.ravel(z), a))
+        return solve_point(reduced, a, z)
 
     def f(z, a):
         x, _ = solve(z, a)

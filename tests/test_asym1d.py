@@ -594,6 +594,18 @@ def test_cfu_conjugate_pair_is_branch_ambiguous():
         approx_cfu(intg, 1.05, 30, s, p)
 
 
+def test_cfu_equal_exponents_is_branch_ambiguous():
+    # the symmetric quartic -z^4/4 + alpha z^2/2 has its saddles at
+    # +-sqrt(alpha) with one f(z0): zeta = 0, and b0 would divide by it
+    line = ContourPath((0j,), tail_angle=math.pi, head_angle=0.0)
+    intg = Integrand1D(f=lambda z, a: -z ** 4 / 4.0 + a * z ** 2 / 2.0, g=lambda z: 1.0,
+                       contour=line)
+    s, p = find_saddle(intg, 0.5, 0.7), find_saddle(intg, 0.5, -0.7)
+    assert s.z0 != p.z0 and s.f0 == p.f0
+    with pytest.raises(BranchAmbiguous, match="equal f"):
+        approx_cfu(intg, 0.5, 30, s, p)
+
+
 def test_saddle_form_zero_cubic_coefficient_is_degenerate():
     intg = registry_get("cubic")
     c = find_caustic(intg)

@@ -15,8 +15,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # the RuntimeWarning filter that pyproject gives pytest; numpy's
+    # ComplexWarning cannot be named in a -W option
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

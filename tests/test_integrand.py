@@ -350,9 +350,7 @@ def test_memo_holds_only_the_last_alpha():
 
 def _entries(intg, kind):
     """How many entries the memo holds for the step ``kind``."""
-    return sum(
-        isinstance(k, tuple) and k[0] == kind for entries in intg._memo.values() for k, _ in entries
-    )
+    return sum(k == kind for entries in intg._memo.values() for k, _ in entries)
 
 
 def test_memo_keeps_saddles_with_signed_zero_fields_apart():
@@ -387,6 +385,57 @@ def test_memo_keeps_cfu_saddle_order_apart():
         fresh = dataclasses.replace(intg)
         assert repr(approx_cfu(intg, 0.25, 30, *pair)) == repr(approx_cfu(fresh, 0.25, 30, *pair))
     assert _entries(intg, "cfu") == 2
+
+
+def test_memo_keys_on_every_saddle_field():
+    # a saddle that differs from s in any one field is another key for every
+    # step that takes it, and gets the bits a fresh instance gives it
+    intg = registry_get("cubic")
+    c = find_caustic(intg)
+    s = find_saddle(intg, 0.25, 0.6)
+    p = find_partner(intg, 0.25, s)
+
+    def up(v):  # v with the next double above its real part
+        x = math.nextafter(v.real, math.inf)
+        return x if isinstance(v, float) else complex(x, v.imag)
+
+    variants = [s] + [
+        dataclasses.replace(s, **{name: up(getattr(s, name))})
+        for name in ("z0", "f0", "f2", "f3", "residual")
+    ]
+    for si in variants:
+        def cells(i):
+            return (
+                find_partner(i, 0.25, si), approx_wkb(i, 0.25, 30, si),
+                approx_saddle_form(i, 0.25, 30, si, c), approx_cfu(i, 0.25, 30, si, p),
+            )
+
+        assert repr(cells(intg)) == repr(cells(dataclasses.replace(intg)))
+    for kind in ("find_partner", "wkb", "saddle", "cfu"):
+        assert _entries(intg, kind) == len(variants)
+
+
+def test_memo_keys_a_keyword_argument_as_its_position():
+    intg = registry_get("cubic")
+    by_name = find_saddle(intg, 0.25, 0.6, tol=1e-10)
+    assert find_saddle(intg, 0.25, 0.6, 1e-10) is by_name
+    assert _entries(intg, "find_saddle") == 1
+    with pytest.raises(TypeError):
+        find_saddle(intg, 0.25, 0.6, tolerance=1e-10)
+
+
+def test_saddle_form_solves_z_tilde_on_its_own_integrand():
+    # approx_saddle_form takes z_tilde from the integrand it is given, not
+    # from the one the CausticInfo was found on, and shares that entry with
+    # approx_tilde
+    analytic = registry_get("perturbed-cubic")
+    c = find_caustic(analytic)
+    fd = dataclasses.replace(analytic, analytic_derivs=None)
+    s = find_saddle(fd, 0.25, fd.saddle_guess(0.25))
+    approx_saddle_form(fd, 0.25, 30, s, c)
+    approx_tilde(fd, 0.25, 30, c)
+    assert _entries(fd, "fold") == 1
+    assert struct.pack("d", 0.25) not in analytic._memo
 
 
 def test_memo_stores_no_typed_error():
