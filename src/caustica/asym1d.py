@@ -11,10 +11,11 @@ per-alpha set-up (expansion-point and saddle data, descent phase, branch
 candidates, the checks that raise) is done once for the whole sequence, and
 the result is one ApproxValue per N, each equal to the call at that N alone.
 Per N only arithmetic is left: one ``airy_ai_scaled_pair`` call serves the
-grid.  The set-up is a step of the integrand's memo (``integrand`` module
-docstring), keyed on the bits of alpha and of every argument, so a formula
-called once per N at one alpha builds it on the first call only; a typed
-error is raised again on every call.
+grid.  The set-up's solves, jets and contour projection are steps of the
+integrand's memo (``integrand`` module docstring), as is ``tilde``'s whole
+set-up, so a formula called once per N at one alpha runs them on the first
+call only; a typed error is raised again on every call.  Where |I|
+overflows a double the formula raises WrongRegime.
 
 An ApproxValue holds the value, the fold parameter zeta' = N^{2/3} zeta,
 the warnings and, for ``tilde`` only, the cube-root branch index; its
@@ -128,14 +129,20 @@ def _over_grid(formula):
     The formula does its per-alpha work, and raises its per-alpha errors,
     once for the whole grid and returns one ApproxValue per N; a single N
     is a one-element grid and gets its ApproxValue back unwrapped.
-    BadParameter where alpha is not finite or N is not a grid (``_n_grid``).
+    BadParameter where alpha is not finite or N is not a grid (``_n_grid``),
+    WrongRegime where a value overflows a double.
     """
 
     @functools.wraps(formula)
     def over_grid(intg, alpha, N, *args, **kwargs):
         if not math.isfinite(alpha):
             raise BadParameter(f"alpha must be finite, got {alpha}")
-        values = formula(intg, alpha, _n_grid(N), *args, **kwargs)
+        try:
+            values = formula(intg, alpha, _n_grid(N), *args, **kwargs)
+        except OverflowError as exc:
+            raise WrongRegime(
+                f"{formula.__name__}: |I| overflows a double at alpha={alpha}, N={N}"
+            ) from exc
         return values[0] if isinstance(N, Number) else tuple(values)
 
     return over_grid
@@ -151,19 +158,6 @@ def approx_wkb(
     order); CausticDivergence depends on alpha only and raises for the
     whole grid.
     """
-    rotation, amplitude, curvature, zeta = _wkb_setup(intg, alpha, s)
-    return [
-        ApproxValue(
-            amplitude * cmath.exp(n * s.f0) * math.sqrt(2.0 * math.pi / (n * curvature)) * rotation,
-            math.inf if zeta is None else n ** (2.0 / 3.0) * zeta,
-        )
-        for n in N
-    ]
-
-
-@_per_alpha("wkb")
-def _wkb_setup(intg: Integrand1D, alpha: float, s: SaddleInfo):
-    """``approx_wkb``'s rotation, amplitude, curvature and zeta."""
     rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
     scale = max(1.0, abs(s.f3))
     # at a near-double root the solver stalls with f1 ~ residual and
@@ -174,7 +168,14 @@ def _wkb_setup(intg: Integrand1D, alpha: float, s: SaddleInfo):
             f"|f''(z0)| = {abs(s.f2):.2e}: Gaussian prefactor divergent at alpha={alpha}"
         )
     zeta = None if s.f3 == 0 else _saddle_zeta(s)
-    return rotation, intg.prefactor * intg.g(s.z0), abs(s.f2), zeta
+    amplitude, curvature = intg.prefactor * intg.g(s.z0), abs(s.f2)
+    return [
+        ApproxValue(
+            amplitude * cmath.exp(n * s.f0) * math.sqrt(2.0 * math.pi / (n * curvature)) * rotation,
+            math.inf if zeta is None else n ** (2.0 / 3.0) * zeta,
+        )
+        for n in N
+    ]
 
 
 @_over_grid
@@ -283,7 +284,16 @@ def approx_saddle_form(
 
 def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: complex):
     """``approx_saddle_form`` over the tuple N, with z_tilde(alpha) given."""
-    zeta, shift, rotation, amplitude = _saddle_form_setup(intg, alpha, s, zt)
+    zeta = _saddle_zeta(s)
+
+    # exponent-sign constant sgn from the consistency identity
+    # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}; shift = sgn + 1
+    shift = 0.0 if (s.f0 - intg.f(zt, alpha)).real <= 0.0 else 2.0
+
+    rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
+    amplitude = (
+        intg.prefactor * 2.0 * math.pi * intg.g(s.z0) * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
+    )
     xs = [n ** (2.0 / 3.0) * zeta for n in N]
     return [
         ApproxValue(
@@ -296,22 +306,6 @@ def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: c
         )
         for n, x, (aie, _) in zip(N, xs, airy_ai_scaled_pair(xs))
     ]
-
-
-@_per_alpha("saddle")
-def _saddle_form_setup(intg: Integrand1D, alpha: float, s: SaddleInfo, zt: complex):
-    """``_saddle_form``'s zeta, exponent shift, rotation and amplitude."""
-    zeta = _saddle_zeta(s)
-
-    # exponent-sign constant sgn from the consistency identity
-    # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}; shift = sgn + 1
-    shift = 0.0 if (s.f0 - intg.f(zt, alpha)).real <= 0.0 else 2.0
-
-    rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
-    amplitude = (
-        intg.prefactor * 2.0 * math.pi * intg.g(s.z0) * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
-    )
-    return zeta, shift, rotation, amplitude
 
 
 @_over_grid
@@ -334,12 +328,6 @@ def approx_cfu(
     order); a0, b0 and zeta are built once, and BranchAmbiguous depends on
     alpha only and raises for the whole grid.
     """
-    return _airy_grid(intg, "cfu", N, *_cfu_setup(intg, alpha, s, p))
-
-
-@_per_alpha("cfu")
-def _cfu_setup(intg: Integrand1D, alpha: float, s: SaddleInfo, p: SaddleInfo):
-    """``approx_cfu``'s arguments to ``_airy_grid`` after ``N``."""
     if abs(p.z0 - s.z0) < 1e-12 * max(1.0, abs(s.z0)):
         raise BranchAmbiguous("CFU needs two distinct saddles")
     # label so that f(z0) - f(z0^*) has positive real part, making zeta real
@@ -361,7 +349,7 @@ def _cfu_setup(intg: Integrand1D, alpha: float, s: SaddleInfo, p: SaddleInfo):
     b0 = 0.5 * (term_s - term_p) / sq
 
     # A = (f(z0) + f(z0^*))/2, and N A - (2/3) zeta'^{3/2} = N f(z0^*)
-    return (
-        zeta, intg.prefactor * 2.0j * math.pi, 0.5 * (s.f0 + p.f0),
+    return _airy_grid(
+        intg, "cfu", N, zeta, intg.prefactor * 2.0j * math.pi, 0.5 * (s.f0 + p.f0),
         lambda n3, x, ai, aip: a0 * ai + b0 * n3 * aip,
     )

@@ -25,7 +25,9 @@ max(tol, 1e-8) in n-D.  The oracle runs once per alpha over the whole N
 grid; where it fails at any N of an alpha (its error estimate misses the
 tolerance, or the value leaves the double range), the sweep stops before
 that alpha's rows, writes an ``# error: oracle failed:`` trailer and exits
-4.  A solver error ends the sweep the same way with exit 3.
+4.  A solver error, or a method error other than a divergent cell (such as
+``WrongRegime`` where a value overflows a double), ends the sweep the same
+way with exit 3.
 
 CSV output is byte-deterministic: fixed column order, %.17g floats, '\\n'
 line endings, alpha-major / N-minor row order, versioned header line.

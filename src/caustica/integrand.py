@@ -18,11 +18,12 @@ analytic between the declared contour and that translate.
 Every field is fixed at construction.  An ``Integrand1D`` also keeps a
 private memo of the pure steps that the solvers and formulas repeat within
 one alpha: the jets of f, the contour projection of the descent frame, the
-saddle, fold-point and partner solves, on a reduced n-D integrand the
-transverse solve at each point, and each 1-D formula's per-alpha set-up.
-One rule keys them all (``_per_alpha``): a step is kept under its name and
-the exact bits of alpha and of every argument it takes.  So after the first
-call at an alpha, a formula called once per N does only its per-N
+saddle and fold-point solves (the partner's solve is a saddle solve), on a
+reduced n-D integrand the transverse solve at each point, and ``tilde``'s
+set-up (its g' jet and cube-root branch).  One rule keys them all
+(``_per_alpha``): a step is kept under its name and the exact bits of alpha
+and of every argument it takes.  So after the first call at an alpha, a
+formula called once per N repeats no solve, jet or projection, only its
 arithmetic and its Airy call.  The memo holds one alpha at a time, and a
 call at another alpha empties it first.  For pure f and g a hit returns the
 bits a fresh computation would, so callers cannot tell it is there.  Typed
@@ -60,12 +61,6 @@ __all__ = [
 _EPS = np.finfo(float).eps
 _BITS, _BITS_Z = struct.Struct("d").pack, struct.Struct("2d").pack
 _RAY_MAX = 400.0  # the furthest out a ray is followed, by the oracle and by project
-
-
-def _bits(*numbers) -> bytes:
-    """The exact bits of the real and imaginary parts of ``numbers``, as a
-    memo key: unlike ==, they keep 0.0 and -0.0 apart."""
-    return np.array(numbers, dtype=complex).tobytes()
 
 
 @dataclass(frozen=True)
@@ -150,23 +145,14 @@ class Integrand1D:
             raise BadParameter("analytic_derivs must provide orders 1..4")
 
 
-def _arg_key(v) -> "bytes | str":
-    # a str as it is, a record of numbers (a SaddleInfo) by all its fields in
-    # one _bits call, a number by its bits
-    if isinstance(v, str):
-        return v
-    if hasattr(v, "__dataclass_fields__"):
-        return _bits(*vars(v).values())
-    return _BITS_Z(v.real, v.imag)
-
-
 def _per_alpha(kind: str):
     """Keep ``step(intg, alpha, *args)``, a pure step of an ``Integrand1D``,
     in ``intg``'s memo under ``kind`` and the exact bits of alpha and of
-    every argument (``_arg_key``), so 0.0 and -0.0 never share an entry.  An
-    argument given by keyword is keyed as the positional one it binds.  The
-    memo holds one alpha: a call at another empties it first.  An exception
-    from ``step`` is not stored."""
+    every argument, a number by its real and imaginary parts and a str as it
+    is, so 0.0 and -0.0 never share an entry.  An argument given by keyword
+    is keyed as the positional one it binds.  The memo holds one alpha: a
+    call at another empties it first.  An exception from ``step`` is not
+    stored."""
 
     def decorate(step):
         @functools.wraps(step)
@@ -177,7 +163,8 @@ def _per_alpha(kind: str):
             if entries is None:
                 intg._memo.clear()
                 entries = intg._memo.setdefault(a, {})
-            key = (kind, tuple([_arg_key(v) for v in args]))
+            key = (kind, tuple([v if isinstance(v, str) else _BITS_Z(v.real, v.imag)
+                                for v in args]))
             value = entries.get(key)
             if value is None:
                 value = entries[key] = step(intg, alpha, *args)

@@ -46,6 +46,7 @@ import numpy as np
 from scipy.special import jv
 
 from .errors import (
+    BadParameter,
     CausticaError,
     DimensionTooLarge,
     RayDivergence,
@@ -114,7 +115,8 @@ def quad_contour(
     Without a guess, or where the solve raises, the declared contour is used
     as it is, graded from its node of largest Re f.  Each ray is cut where
     N (Re f - Re f(z_s)) drops below log(tol 1e-3) for good, judged on a
-    geometric grid of radii; the panels run to the smallest N's cuts, and
+    geometric grid of radii, and never before the first radius past a
+    saddle on it; the panels run to the smallest N's cuts, and
     each N starts on those that reach into its own.  Panel breakpoints lie
     at arc distances N^(-1/2) 2^k from the saddle, at the largest N, and at
     the contour's corners; each panel gets the Gauss–Kronrod rule K21, and
@@ -128,7 +130,8 @@ def quad_contour(
     at most 10 tol |I| at every N, ToleranceNotMet is raised: the rounding
     term turns cancellation, where |I| is far below the integrand's size on
     the contour, into that error rather than a wrong value.  It is raised
-    too where |I| over- or underflows a normal double at some N.
+    too where |I| over- or underflows a normal double at some N, or where
+    the cuts leave no panel.  BadParameter unless 0 < tol < inf.
 
     N is one number or a grid; for a grid, ``value`` and
     ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
@@ -155,7 +158,10 @@ def quad_contour(
 def _cuts(r, e, tol):
     """Per row of ``e`` (along its last axis), N (Re f - ref) at the radii
     ``r`` along one ray: the first radius from which it stays below
-    log(tol 1e-3)."""
+    log(tol 1e-3).  BadParameter unless 0 < tol < inf: both oracles read
+    ``tol`` here first."""
+    if not 0.0 < tol < math.inf:
+        raise BadParameter(f"tol must be finite and > 0, got {tol}")
     above = ~(e < math.log(tol * _TRUNC_FACTOR))
     if above[..., -1].any():
         raise RayDivergence("integrand does not decay along a ray")
@@ -196,13 +202,17 @@ def _contour_sum(contour, anchor, f, amplitude, ns, tol, prefactor=1.0):
         contour = replace(contour, nodes=tuple(z + (z_s - p) for z in contour.nodes))
 
     # cut each ray, per N, at the first radius of the grid from which
-    # N (Re f - ref) stays below the cutoff; both rays in one call of f.  The
-    # smallest N reaches furthest and sets the panels' span; each N starts
-    # on the panels that reach into its own span
+    # N (Re f - ref) stays below the cutoff; both rays in one call of f.  A
+    # saddle on a ray has a peak that can fall between two radii, so each
+    # cut reaches at least the first radius past the saddle.  The smallest N
+    # reaches furthest and sets the panels' span; each N starts on the
+    # panels that reach into its own span
     r = np.concatenate(([0.0], _RAY_MAX * 2.0 ** (np.arange(-25, 1) / 2.0)))
     u = np.exp(1j * np.array([[contour.tail_angle], [contour.head_angle]]))
     ends = np.array([[contour.nodes[0]], [contour.nodes[-1]]])
     cut = _cuts(r, ns[:, None, None] * (f(ends + r * u).real - ref), tol)
+    on_rays = np.array([-s_c, s_c - np.abs(np.diff(contour.nodes)).sum()])
+    cut = np.maximum(cut, r[np.searchsorted(r, on_rays).clip(max=len(r) - 1)])
     v, s = contour.polyline(*cut.max(axis=0))
     span_lo, span_hi = -cut[:, 0, None], s[-2] + cut[:, 1, None]
 
@@ -217,6 +227,8 @@ def _contour_sum(contour, anchor, f, amplitude, ns, tol, prefactor=1.0):
     a, b = zb[:-1], zb[1:]
 
     K = len(ns)
+    if not len(a):
+        raise ToleranceNotMet("the ray cuts leave no panel to integrate")
     live = (bp[:-1] < span_hi) & (bp[1:] > span_lo)
     total = np.zeros(K, dtype=complex)
     err, absum, inner = np.zeros(K), np.zeros(K), np.zeros(K)

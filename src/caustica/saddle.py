@@ -191,10 +191,8 @@ def find_caustic(intg: Integrand1D) -> CausticInfo:
     raise NoConvergence(f"find_caustic: secant in alpha did not converge in {_MAX_ITERS} steps")
 
 
-@_per_alpha("find_partner")
 def find_partner(intg: Integrand1D, alpha: float, s: SaddleInfo) -> SaddleInfo:
-    """The other member of the coalescing pair, seeded from the cubic model.
-    The result is kept in the integrand's memo."""
+    """The other member of the coalescing pair, seeded from the cubic model."""
     if s.f3 == 0:
         raise PartnerNotFound("cubic coefficient vanishes; no local pair")
     seed = s.z0 - 2.0 * s.f2 / s.f3

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -582,6 +583,21 @@ def test_non_finite_alpha_is_bad_parameter():
     toy = registry_get("mean-field-toy", {"m": "0.1"})
     with pytest.raises(BadParameter, match="alpha must be finite, got -inf"):
         mean_field_compare(toy, [-math.inf], [30])
+
+
+@pytest.mark.parametrize("method, N", [("wkb", 1e4), ("wkb", (30, 1e4)), ("cfu", 1e5)])
+def test_value_beyond_double_range_is_wrong_regime(method, N):
+    # at gamma = 1.5, N = 1e4 the toy's |I| is about e^2029, and cfu's
+    # exponent leaves the double range by N = 1e5: a typed error, not
+    # cmath.exp's OverflowError
+    intg = registry_get("mean-field-toy", {"m": "0.1"})
+    s = find_saddle(intg, 1.5, intg.saddle_guess(1.5))
+    call = {
+        "wkb": lambda: approx_wkb(intg, 1.5, N, s),
+        "cfu": lambda: approx_cfu(intg, 1.5, N, s, find_partner(intg, 1.5, s)),
+    }[method]
+    with pytest.raises(WrongRegime, match=re.escape(f"overflows a double at alpha=1.5, N={N}")):
+        call()
 
 
 def test_cfu_conjugate_pair_is_branch_ambiguous():

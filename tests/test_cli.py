@@ -433,6 +433,36 @@ def test_sweep_mean_field_below_window_exit_3(runner, tmp_path):
     assert out.read_text().splitlines()[-1].startswith("# error: NoConvergence: ")
 
 
+@pytest.mark.parametrize("n, oracle, code", [(3000, "true", 0), (10000, "false", 3)])
+def test_sweep_mean_field_saddle_on_the_contour(runner, tmp_path, n, oracle, code):
+    # the toy's saddle lies on its contour, the real line: at N = 3000 the
+    # oracle's ray cuts must reach its peak, and at N = 10^4 |I| ~ e^2029
+    # overflows, a typed error with exit 3, not a traceback with exit 1
+    cfg = tmp_path / "sweep.ini"
+    _write_config(
+        cfg,
+        f"""\
+        [integrand]
+        name = mean-field-toy
+        m = 0.1
+
+        [sweep]
+        alpha = 1.5
+        N = {n}
+        methods = wkb
+        oracle = {oracle}
+        """,
+    )
+    out = tmp_path / "o.csv"
+    result = runner.invoke(main, ["sweep", "-c", str(cfg), "-o", str(out)])
+    assert result.exit_code == code, result.output
+    last = out.read_text().splitlines()[-1]
+    if code:
+        assert last.startswith("# error: WrongRegime: approx_wkb: |I| overflows a double")
+    else:
+        assert float(last.split(",")[-2]) < 1e-3  # rel_err_wkb against the oracle
+
+
 def test_sweep_method_error_exit_3(runner, tmp_path):
     # alpha < 0 is the complex-saddle side of the cubic: approx_tilde raises
     # WrongRegime, a method failure, while no oracle runs

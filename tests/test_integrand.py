@@ -328,8 +328,8 @@ def test_fd_real_on_real_is_exactly_real():
 def test_memo_holds_only_the_last_alpha():
     # a library sweep, each formula called once per N: the memo empties
     # itself at each new alpha, so it ends with the last alpha's jets of f,
-    # its descent-frame projection, its saddle, fold-point and partner
-    # solves and the four formulas' set-ups, and nothing else
+    # its descent-frame projection, its saddle (the partner's too) and
+    # fold-point solves and tilde's set-up, and nothing else
     intg = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
     c = find_caustic(intg)
     alphas = (0.1, 0.25, 0.4)
@@ -343,9 +343,7 @@ def test_memo_holds_only_the_last_alpha():
     assert list(intg._memo) == [struct.pack("d", alphas[-1])]
     (entries,) = intg._memo.values()
     kinds = {kind if isinstance(kind, str) else kind[0] for kind, _ in entries}
-    assert kinds == {
-        "f", "project", "find_saddle", "fold", "find_partner", "wkb", "tilde", "saddle", "cfu"
-    }
+    assert kinds == {"f", "project", "find_saddle", "fold", "tilde"}
 
 
 def _entries(intg, kind):
@@ -355,7 +353,7 @@ def _entries(intg, kind):
 
 def test_memo_keeps_saddles_with_signed_zero_fields_apart():
     # two saddles that differ only in the sign of z0's zero imaginary part
-    # are two keys for every step that reads them: the partner seeded from
+    # get the bits a fresh instance gives them: the partner seeded from
     # 0.5 - 0j is -0.5 - 0j, where a shared entry would hand back -0.5 + 0j
     intg = registry_get("cubic")
     c = find_caustic(intg)
@@ -371,25 +369,11 @@ def test_memo_keeps_saddles_with_signed_zero_fields_apart():
 
         assert repr(cells(intg)) == repr(cells(dataclasses.replace(intg)))
     assert math.copysign(1.0, find_partner(intg, 0.25, neg).z0.imag) == -1.0
-    for kind in ("find_partner", "wkb", "saddle", "cfu"):
-        assert _entries(intg, kind) == 2
-
-
-def test_memo_keeps_cfu_saddle_order_apart():
-    # approx_cfu given (s, p) and given (p, s) are two entries, each with
-    # the bits of a call on a fresh instance
-    intg = registry_get("cubic")
-    s = find_saddle(intg, 0.25, 0.6)
-    p = find_partner(intg, 0.25, s)
-    for pair in ((s, p), (p, s)):
-        fresh = dataclasses.replace(intg)
-        assert repr(approx_cfu(intg, 0.25, 30, *pair)) == repr(approx_cfu(fresh, 0.25, 30, *pair))
-    assert _entries(intg, "cfu") == 2
 
 
 def test_memo_keys_on_every_saddle_field():
-    # a saddle that differs from s in any one field is another key for every
-    # step that takes it, and gets the bits a fresh instance gives it
+    # a saddle that differs from s in any one field gets the bits a fresh
+    # instance gives it from every step that takes it
     intg = registry_get("cubic")
     c = find_caustic(intg)
     s = find_saddle(intg, 0.25, 0.6)
@@ -411,8 +395,6 @@ def test_memo_keys_on_every_saddle_field():
             )
 
         assert repr(cells(intg)) == repr(cells(dataclasses.replace(intg)))
-    for kind in ("find_partner", "wkb", "saddle", "cfu"):
-        assert _entries(intg, kind) == len(variants)
 
 
 def test_memo_keys_a_keyword_argument_as_its_position():

@@ -430,3 +430,32 @@ def test_kronrod_table():
     assert np.all(w_g[::2] == 0.0)
     assert np.all(w_k > 0.0) and np.all(w_g[1::2] > 0.0)
     assert np.all(x == -x[::-1]) and np.all(w_k == w_k[::-1]) and np.all(w_g == w_g[::-1])
+
+
+def test_saddle_on_a_ray_against_mpmath():
+    # the mean-field toy's saddle z0 = 1.3408 lies on the real line, its
+    # contour, so the contour is not moved; the radii 1.10 and 1.56 of the
+    # ray grid both miss the peak at N = 3000, and the ray cut must still
+    # reach past it.  The reference is mpmath at 30 digits along the real
+    # line with breakpoints at z0 -+ 1
+    intg = registry_get("mean-field-toy", {"m": 0.1})
+    s = find_saddle(intg, 1.5, intg.saddle_guess(1.5))
+    r = quad_contour(intg, 1.5, 3000)
+    ref = 0.0670792215566637911
+    assert abs(r.value * math.exp(-3000 * s.f0.real) - ref) <= 1e-9 * ref
+
+
+def test_no_panel_left_is_typed(monkeypatch):
+    # ray cuts that leave no panel raise a typed error, not numpy's
+    intg = dataclasses.replace(registry_get("mean-field-toy", {"m": 0.1}), saddle_guess=None)
+    monkeypatch.setattr(oracle, "_cuts", lambda r, e, tol: np.zeros(e.shape[:-1]))
+    with pytest.raises(ToleranceNotMet, match="no panel"):
+        quad_contour(intg, 1.5, 30)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.inf, math.nan])
+def test_oracles_reject_bad_tol(tol):
+    with pytest.raises(BadParameter, match="tol must be finite and > 0"):
+        quad_contour(registry_get("cubic"), 0.5, 30, tol=tol)
+    with pytest.raises(BadParameter, match="tol must be finite and > 0"):
+        cubature_nd(registry_get("nd-perturbed-cubic"), 0.25, 30, tol=tol)
