@@ -5,8 +5,11 @@ module in caustica that decides how Ai and Bi are evaluated.  There is no
 range limit: the scaled Ai and Ai' stay finite for any finite x >= 0, which
 is what overflow-free fold corrections need.  ``airye`` (AMOS) returns NaN
 from about x = 2^20 up, so from 2^19 on two terms of the asymptotic series
-(DLMF 9.7.5-9.7.6) take over; there they are exact to rounding.  Every
-formula is built on the
+(DLMF 9.7.5-9.7.6) take over; there they are exact to rounding.  The scaled
+pair of one real x in [0, 2^19), given alone or as a one-entry sequence (a
+formula's single N), is one scalar ``airye`` call without numpy's array
+wrapping; each AMOS value does not depend on the batch it is computed in, so
+the bits are those of the array call.  Every formula is built on the
 recessive solution Ai; Bi is here for checks against tabulated values.
 The recovery factor R interpolates between 0 at the caustic and 1 deep in
 the Gaussian-saddle regime.
@@ -31,6 +34,9 @@ __all__ = [
 ]
 
 _SERIES_MIN = 2.0 ** 19  # from here on the asymptotic series, not airye
+# the real scalars the scalar path takes; each goes to airye as a float, as
+# the array path converts it, since airye keeps float32 (and int8) in single
+_SCALAR = (float, int, np.floating, np.integer)
 
 
 def airy_ai(x: float) -> float:
@@ -60,8 +66,16 @@ def airy_ai_scaled_pair(
     and, from x = 2^19 on, two terms of the asymptotic series.
 
     For a sequence of x, a tuple of such pairs, one per entry and each equal
-    to the pair for that entry alone.
+    to the pair for that entry alone.  A real scalar in [0, 2^19), alone or
+    as the one entry of a list or tuple, takes one scalar airye call; every
+    other input (negative, NaN, from 2^19 on, arrays, longer sequences)
+    takes the array path, with the same bits.
     """
+    one = x[0] if isinstance(x, (list, tuple)) and len(x) == 1 else x
+    if isinstance(one, _SCALAR) and 0.0 <= one < _SERIES_MIN:
+        ai, aip, _, _ = airye(float(one))
+        pair = float(ai), float(aip)
+        return pair if one is x else (pair,)
     xs = np.asarray(x, dtype=float)
     if (xs < 0).any():
         raise NegativeArgument("scaled Ai defined for x >= 0 only")

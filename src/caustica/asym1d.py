@@ -11,7 +11,8 @@ per-alpha set-up (expansion-point and saddle data, descent phase, branch
 candidates, the checks that raise) is done once for the whole sequence, and
 the result is one ApproxValue per N, each equal to the call at that N alone.
 Per N only arithmetic is left: one ``airy_ai_scaled_pair`` call serves the
-grid.  The set-up's solves, jets and contour projection are steps of the
+grid, and for a single N it is one scalar ``airye`` call (``airy`` module
+docstring).  The set-up's solves, jets and contour projection are steps of the
 integrand's memo (``integrand`` module docstring), as is ``tilde``'s whole
 set-up, so a formula called once per N at one alpha runs them on the first
 call only; a typed error is raised again on every call.  Where |I|
@@ -44,11 +45,10 @@ import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Number
 
 from .airy import airy_ai_scaled_pair
 from .errors import BadParameter, CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
-from .integrand import Integrand1D, _derivatives, _jet, _n_grid, _per_alpha
+from .integrand import _NUMBER, Integrand1D, _derivatives, _jet, _n_grid, _per_alpha
 from .saddle import CausticInfo, SaddleInfo, _fold_point
 # nothing in the package calls these names here; the span tracer (bench/spans.py,
 # TARGETS) wraps them in asym1d by name.  They go when TARGETS drops them.
@@ -143,7 +143,7 @@ def _over_grid(formula):
             raise WrongRegime(
                 f"{formula.__name__}: |I| overflows a double at alpha={alpha}, N={N}"
             ) from exc
-        return values[0] if isinstance(N, Number) else tuple(values)
+        return values[0] if isinstance(N, _NUMBER) else tuple(values)
 
     return over_grid
 

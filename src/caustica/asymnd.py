@@ -76,8 +76,9 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
 
     Demonstrates that both share the mean-field exponent while only the
     corrected prefactor stays finite through the caustic.  Takes a 1-D
-    integrand (the mean-field toy) and raises WrongRegime for anything else;
-    N_grid is one N or a grid of them, as for the formulas.
+    integrand (the mean-field toy) and raises WrongRegime for anything else,
+    and where a wkb value underflows to zero; N_grid is one N or a grid of
+    them, as for the formulas.
     """
     if not isinstance(intg, Integrand1D):
         raise WrongRegime("mean_field_compare needs an Integrand1D")
@@ -104,6 +105,10 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
         except CausticaError:
             fold_status = "unavailable"
         for N, wkb in zip(N_grid, wkbs):
+            if wkb.value == 0:  # e^{N f0} below the double range: no exponent to read
+                raise WrongRegime(
+                    f"mean_field_compare: |wkb| underflows a double at alpha={a}, N={N}"
+                )
             corr = wkb.value * recovery_factor(wkb.zeta_prime)
             log_corr = math.log(abs(corr)) if corr != 0 else -math.inf
             rows.append(

@@ -204,9 +204,11 @@ class IntegrandND:
         return self.soft_contour or ContourPath((0j,), tail_angle=math.pi, head_angle=0.0)
 
 
-# the real types of an N: the concrete ones first, since an isinstance
-# check against numbers.Real alone is slow and runs on every formula call
+# the real types of an N, and the types of one N: the concrete ones first,
+# since an isinstance check against an ABC alone is slow and runs on every
+# formula call
 _REAL = (int, float, np.integer, np.floating, Real)
+_NUMBER = (int, float, Number)
 
 
 def _n_grid(N) -> tuple:
@@ -214,7 +216,7 @@ def _n_grid(N) -> tuple:
     array, is a one-element grid.  BadParameter unless the grid is non-empty
     and every N is real, finite and > 0."""
     try:
-        if isinstance(N, Number):
+        if isinstance(N, _NUMBER):
             ns = (N,)
         else:
             ns = tuple(np.atleast_1d(N) if isinstance(N, np.ndarray) else N)
@@ -241,6 +243,7 @@ _JET_RADIUS = 0.25
 _JET_HALVINGS = 8
 _JET_TOL = 1e-7  # largest accepted error bound, relative to max(1, |value|)
 _FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0])
+_ORDERS = np.arange(5)
 
 
 def _jet(func, scale):
@@ -269,11 +272,9 @@ def _jet(func, scale):
         tail = np.abs(c[..., _JET_M // 2:]).max()
         if tail <= floor:
             # the first sample's test skips the full one where it must fail
-            if samples.flat[0].imag == 0.0 and np.array_equal(
-                samples[..., _JET_CONJ], samples.conj()
-            ):
+            if samples.flat[0].imag == 0.0 and (samples[..., _JET_CONJ] == samples.conj()).all():
                 c = c.real
-            powers = r ** np.arange(5)
+            powers = r ** _ORDERS
             return _FACTORIALS * c[..., :5] / powers, _FACTORIALS * (tail + floor) / powers
         r /= 2.0
     raise StepUnderflow(

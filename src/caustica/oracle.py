@@ -78,6 +78,7 @@ _GH_X_ERR, _GH_W_ERR = np.polynomial.hermite.hermgauss(10)  # and its error boun
 _MAX_ROUNDS = 10  # rounds of quad_contour, each halving the panels it rejects
 _ROUNDING = 8.0  # c in the rounding term c eps sum |w h|
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # the smallest normal double
 _MAX_POINTS = 2 ** 18  # integrand points per call of F in cubature_nd
 
 
@@ -276,7 +277,7 @@ def _contour_sum(contour, anchor, f, amplitude, ns, tol, prefactor=1.0):
                 f"quadrature error {e:.2e} exceeds 10 tol |I| for |I|={t:.2e}"
                 f" at N={N:g} (scaled by the exponent shift)"
             )
-        if not np.finfo(float).tiny <= t * sc < math.inf:
+        if not _TINY <= t * sc < math.inf:
             raise ToleranceNotMet(
                 f"|I| = {t:.2e} e^({ls:.4g}) at N={N:g} is outside the double range"
             )

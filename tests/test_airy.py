@@ -116,11 +116,30 @@ def test_recovery_factor_guards():
         recovery_factor(-0.1)
 
 
+def _bits(pair):
+    return tuple(np.float64(v).view(np.uint64) for v in pair)
+
+
 def test_scaled_pair_over_sequence_equals_scalar_calls():
     xs = [0.0, 1e-300, 1e-3, 0.5, 4.6, 6.1, 25.0, 100.00000000000028, 1e4]
     for seq in (xs, tuple(xs), np.array(xs)):
         assert airy_ai_scaled_pair(seq) == tuple(airy_ai_scaled_pair(x) for x in xs)
     assert airy_ai_scaled_pair([]) == ()
+    # the scalar path (a real scalar in [0, 2^19), alone or as a one-entry
+    # list or tuple) and the array path around it give the same bits
+    edges = [-0.0, math.nextafter(2.0 ** 19, 0.0), 2.0 ** 19, 1e15, math.inf, math.nan]
+    scalars = [0.5, np.float64(4.6), 3, np.asarray(6.1)] + edges
+    for x in scalars:
+        ref = airy_ai_scaled_pair(np.asarray([x], dtype=float))
+        assert len(ref) == 1
+        got = [airy_ai_scaled_pair(x), *(airy_ai_scaled_pair(seq)[0] for seq in ([x], (x,)))]
+        for pair in got:
+            assert all(type(v) is float for v in pair), x
+            assert _bits(pair) == _bits(ref[0]), x
+    for x in (-1e-300, -2.0, -math.inf):
+        for arg in (x, [x], (x,)):
+            with pytest.raises(NegativeArgument):
+                airy_ai_scaled_pair(arg)
 
 
 def test_scaled_pair_sequence_rejects_any_negative_entry():

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.special import airy
+from scipy.special import airy, airye
 
 from caustica import (
     ApproxValue,
@@ -37,6 +37,7 @@ from caustica import (
     recovery_factor,
     registry_get,
 )
+import caustica.airy
 from caustica import asym1d, asymnd, integrand, saddle
 from caustica.airy import airy_ai
 
@@ -331,10 +332,15 @@ def _outcome(formula, N):
         # tilde takes the most nearly real r, once for the whole grid
         ("bessel-sinh", {}, 1.0),
         ("mean-field-toy", {"m": "0.1"}, 1.35),
+        # finite-difference clones: derivatives from the Taylor jet
+        ("fd-perturbed-cubic", {"eps": "0.05"}, 0.3),
+        ("fd-bessel-sinh", {}, 0.999),
     ],
 )
 def test_formulas_over_grid_equal_scalar_calls(name, params, alpha):
-    intg = registry_get(name, params)
+    intg = registry_get(name.removeprefix("fd-"), params)
+    if name.startswith("fd-"):
+        intg = dataclasses.replace(intg, analytic_derivs=None)
     c = find_caustic(intg)
     s = find_saddle(intg, alpha, intg.saddle_guess(alpha))
     formulas = {
@@ -376,6 +382,30 @@ def test_formula_single_n_is_not_wrapped():
     s = find_saddle(intg, 0.3, intg.saddle_guess(0.3))
     assert isinstance(approx_wkb(intg, 0.3, 30, s), ApproxValue)
     assert approx_wkb(intg, 0.3, [30], s) == (approx_wkb(intg, 0.3, 30, s),)
+
+
+def test_one_n_formula_makes_one_scalar_airye_call(monkeypatch):
+    # a single N takes airye's scalar path, a grid one array call
+    shapes = []
+
+    def recorded(x):
+        shapes.append(np.shape(x))
+        return airye(x)
+
+    monkeypatch.setattr(caustica.airy, "airye", recorded)
+    intg = registry_get("cubic")
+    c = find_caustic(intg)
+    s = find_saddle(intg, 0.3, intg.saddle_guess(0.3))
+    p = find_partner(intg, 0.3, s)
+    for formula in (
+        lambda N: approx_tilde(intg, 0.3, N, c),
+        lambda N: approx_saddle_form(intg, 0.3, N, s, c),
+        lambda N: approx_cfu(intg, 0.3, N, s, p),
+    ):
+        for N, want in ((30, [()]), (list(GRID), [(len(GRID),)])):
+            shapes.clear()
+            formula(N)
+            assert shapes == want, N
 
 
 def _library_sweep(intg, alphas, grid):

@@ -273,6 +273,13 @@ def test_mean_field_compare_type_guard():
         mean_field_compare("not an integrand", [1.0], [10])
 
 
+def test_mean_field_compare_wkb_underflow_is_wrong_regime():
+    # cubic at alpha = 1: e^{N f0} = e^{-2000} at N = 3000 is 0.0 in a double
+    # and has no logarithm
+    with pytest.raises(WrongRegime, match=r"alpha=1\.0, N=3000"):
+        mean_field_compare(registry_get("cubic"), [1.0], [3000])
+
+
 def test_mean_field_fold_check_typed_error_is_unavailable(monkeypatch):
     def no_convergence(self, alpha, tol=1e-12):
         raise NoConvergence("z_tilde continuation stalled")
