@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from .airy import airy_ai_scaled_pair
 from .errors import BadParameter, CausticDivergence, BranchAmbiguous, DegenerateCubic, WrongRegime
 from .integrand import _NUMBER, Integrand1D, _derivatives, _jet, _n_grid, _per_alpha
-from .saddle import CausticInfo, SaddleInfo, _fold_point
+from .saddle import CausticInfo, NdSaddleInfo, SaddleInfo, _fold_point
 # nothing in the package calls these names here; the span tracer (bench/spans.py,
 # TARGETS) wraps them in asym1d by name.  They go when TARGETS drops them.
 from .airy import airy_ai_scaled, recovery_factor  # noqa: F401
@@ -129,14 +129,22 @@ def _over_grid(formula):
     The formula does its per-alpha work, and raises its per-alpha errors,
     once for the whole grid and returns one ApproxValue per N; a single N
     is a one-element grid and gets its ApproxValue back unwrapped.
-    BadParameter where alpha is not finite or N is not a grid (``_n_grid``),
-    WrongRegime where a value overflows a double.
+    BadParameter where alpha is not finite, N is not a grid (``_n_grid``)
+    or a saddle argument (a ``SaddleInfo``, or an ``NdSaddleInfo``'s
+    ``saddle``) was solved at another alpha; WrongRegime where a value
+    overflows a double.
     """
 
     @functools.wraps(formula)
     def over_grid(intg, alpha, N, *args, **kwargs):
         if not math.isfinite(alpha):
             raise BadParameter(f"alpha must be finite, got {alpha}")
+        for s in (*args, *kwargs.values()):
+            s = s.saddle if isinstance(s, NdSaddleInfo) else s
+            if isinstance(s, SaddleInfo) and s.alpha != alpha:
+                raise BadParameter(
+                    f"{formula.__name__}: saddle solved at alpha={s.alpha}, not at alpha={alpha}"
+                )
         try:
             values = formula(intg, alpha, _n_grid(N), *args, **kwargs)
         except OverflowError as exc:

@@ -24,7 +24,7 @@ from .airy import recovery_factor
 # asymnd.airy_ai_scaled by name.  It goes when TARGETS drops that entry.
 from .airy import airy_ai_scaled  # noqa: F401
 from .asym1d import _over_grid, _saddle_form, approx_wkb
-from .errors import CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
+from .errors import BadParameter, CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
 from .integrand import Integrand1D, IntegrandND, _n_grid, derive
 from .saddle import NdSaddleInfo, SaddleInfo, find_caustic, find_saddle
 from .saddle import _check_fold, _fold_point
@@ -77,17 +77,19 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
     Demonstrates that both share the mean-field exponent while only the
     corrected prefactor stays finite through the caustic.  Takes a 1-D
     integrand (the mean-field toy) and raises WrongRegime for anything else,
-    and where a wkb value underflows to zero; N_grid is one N or a grid of
-    them, as for the formulas.
+    and where a wkb value underflows to zero; BadParameter where it has no
+    ``saddle_guess`` to solve from.  N_grid is one N or a grid of them, as
+    for the formulas.
     """
     if not isinstance(intg, Integrand1D):
         raise WrongRegime("mean_field_compare needs an Integrand1D")
+    if intg.saddle_guess is None:
+        raise BadParameter("mean_field_compare needs the integrand's saddle_guess")
     N_grid = _n_grid(N_grid)
     rows = []
     caustic = find_caustic(intg)
     for a in alpha_grid:
-        guess = intg.saddle_guess(a) if intg.saddle_guess else 1.0 + 0.0j
-        s = find_saddle(intg, a, guess)
+        s = find_saddle(intg, a, intg.saddle_guess(a))
         wkbs = approx_wkb(intg, a, N_grid, s)
         if s.f3 == 0:  # no cubic term: the records' zeta' is infinite, no fold
             raise DegenerateCubic("f''' vanishes at the saddle")

@@ -17,19 +17,19 @@ analytic between the declared contour and that translate.
 
 Every field is fixed at construction.  An ``Integrand1D`` also keeps a
 private memo of the pure steps that the solvers and formulas repeat within
-one alpha: the jets of f, the contour projection of the descent frame, the
-saddle and fold-point solves (the partner's solve is a saddle solve), on a
-reduced n-D integrand the transverse solve at each point, and ``tilde``'s
-set-up (its g' jet and cube-root branch).  One rule keys them all
-(``_per_alpha``): a step is kept under its name and the exact bits of alpha
-and of every argument it takes.  So after the first call at an alpha, a
-formula called once per N repeats no solve, jet or projection, only its
-arithmetic and its Airy call.  The memo holds one alpha at a time, and a
-call at another alpha empties it first.  For pure f and g a hit returns the
-bits a fresh computation would, so callers cannot tell it is there.  Typed
-errors are not stored: they are raised again by a fresh computation.  The
-objects are still safe to share across parallel workers: a value depends
-only on its key, so a race can at worst compute an entry twice.
+one alpha: the contour projection of the descent frame, the saddle and
+fold-point solves (the partner's solve is a saddle solve), on a reduced n-D
+integrand the transverse solve at each point, and ``tilde``'s set-up (its
+g' jet and cube-root branch).  One rule keys them all (``_per_alpha``): a
+step is kept under its name and the exact bits of alpha and of every
+argument it takes.  So after the first call at an alpha, a formula called
+once per N repeats no solve, jet or projection, only its arithmetic and its
+Airy call.  The memo holds one alpha at a time, and a call at another alpha
+empties it first.  For pure f and g a hit returns the bits a fresh
+computation would, so callers cannot tell it is there.  Typed errors are not
+stored: they are raised again by a fresh computation.  The objects are still
+safe to share across parallel workers: a value depends only on its key, so a
+race can at worst compute an entry twice.
 ``dataclasses.replace`` starts the new instance with an empty memo.
 """
 
@@ -296,25 +296,19 @@ def derive(intg: Integrand1D, z: complex, alpha: float, order: int) -> tuple[com
     """The complex derivatives (f', ..., f^(order)) of f at z, order 1..4.
 
     Uses the analytic providers when available, otherwise one Taylor jet of
-    f on a circle around z, which gives every order at once.  The jet is
-    kept in the integrand's memo (module docstring), so a repeated ask at
-    one (z, alpha), at any order, costs a lookup and the error-bound check.
-    f must be analytic near z and accept complex arguments; where it is
-    not, or where the error bound of any returned order is too large,
-    StepUnderflow is raised.  At a real z, an f that is real on the real
-    axis gives exactly real derivatives.
+    f on a circle around z, which gives every order at once.  It keeps
+    nothing: the solvers that ask at one point often keep their results in
+    the integrand's memo (module docstring).  f must be analytic near z and
+    accept complex arguments; where it is not, or where the error bound of
+    any returned order is too large, StepUnderflow is raised.  At a real z,
+    an f that is real on the real axis gives exactly real derivatives.
     """
     if order not in (1, 2, 3, 4):
         raise BadParameter(f"order must be 1..4, got {order}")
     if intg.analytic_derivs is not None:
         return tuple(d(z, alpha) for d in intg.analytic_derivs[:order])
-    return _derivatives(*_f_jet(intg, alpha, z), order)
-
-
-@_per_alpha("f")
-def _f_jet(intg: Integrand1D, alpha: float, z: complex):
-    values, err = _jet(lambda s: intg.f(z + s, alpha), max(1.0, abs(z)))
-    return tuple(complex(v) for v in values), err.tolist()
+    jet = _jet(lambda s: intg.f(z + s, alpha), max(1.0, abs(z)))
+    return tuple(complex(v) for v in _derivatives(*jet, order))
 
 
 def derive_nd(

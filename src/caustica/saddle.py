@@ -42,7 +42,9 @@ _MAX_ITERS = 50
 
 @dataclass(frozen=True)
 class SaddleInfo:
-    """A converged saddle with the derivative data the formulas need."""
+    """A converged saddle with the derivative data the formulas need, and
+    the alpha it was solved at: a formula given it at another alpha raises
+    BadParameter."""
 
     z0: complex
     f0: complex
@@ -50,6 +52,7 @@ class SaddleInfo:
     f3: complex
     residual: float
     iterations: int
+    alpha: float
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,8 @@ def find_saddle(
             scale = max(1.0, abs(f1))
         if abs(f1) <= tol * scale:
             return SaddleInfo(
-                z0=z, f0=intg.f(z, alpha), f2=f2, f3=f3, residual=abs(f1), iterations=it
+                z0=z, f0=intg.f(z, alpha), f2=f2, f3=f3, residual=abs(f1), iterations=it,
+                alpha=alpha,
             )
         if f2 == 0:
             # fall back to the cubic model at an exact caustic point

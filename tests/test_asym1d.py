@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from scipy.special import airy, airye
+from scipy.special import airy, airye, jv
 
 from caustica import (
     ApproxValue,
@@ -570,6 +570,34 @@ def test_one_jet_per_point_and_alpha(monkeypatch):
         grid = cells(fresh, a, ns, s, c)
         for k, column in enumerate(zip(*rows)):
             assert repr(column) == repr(grid[k])
+
+
+def test_saddle_from_another_alpha_is_bad_parameter():
+    # a saddle solved at alpha = 0.8 and used at 0.9 gave a plausible wrong
+    # value with no error: wkb read 4.64e-6 where J_100(90) is 2.60e-3, and
+    # wkb-nd at 0.4 from the 0.3 saddle read the 0.3 value, 8.51e-3i
+    # against 1.48e-3i.  Every formula now refuses it
+    b = registry_get("bessel-sinh")
+    c = find_caustic(b)
+    s8 = find_saddle(b, 0.8, b.saddle_guess(0.8))
+    s9 = find_saddle(b, 0.9, b.saddle_guess(0.9))
+    p8 = find_partner(b, 0.8, s8)
+    assert (s8.alpha, s9.alpha, p8.alpha) == (0.8, 0.9, 0.8)
+    nd = registry_get("nd-perturbed-cubic", {"dim": "2"})
+    s3, s4 = (find_saddle_nd(nd, a, nd.saddle_guess(a)) for a in (0.3, 0.4))
+    for call in (
+        lambda: approx_wkb(b, 0.9, 100, s8),
+        lambda: approx_wkb(b, 0.9, 100, s=s8),
+        lambda: approx_saddle_form(b, 0.9, [30, 100], s8, c),
+        lambda: approx_cfu(b, 0.9, 100, s8, p8),
+        lambda: approx_cfu(b, 0.9, 100, s9, p8),
+        lambda: approx_wkb_nd(nd, 0.4, 30, s3),
+        lambda: approx_corrected_nd(nd, 0.4, 30, s3),
+    ):
+        with pytest.raises(BadParameter, match="solved at alpha="):
+            call()
+    assert abs(approx_wkb(b, 0.9, 100, s9).value - jv(100, 90)) <= 0.03 * jv(100, 90)
+    assert abs(approx_wkb_nd(nd, 0.4, 30, s4).value - 1.48e-3j) <= 1e-5
 
 
 def test_empty_n_grid_is_bad_parameter():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from caustica import (
+    BadParameter,
     CausticDivergence,
     DegenerateCubic,
     IntegrandND,
@@ -271,6 +272,14 @@ def test_mean_field_m0_degenerate():
 def test_mean_field_compare_type_guard():
     with pytest.raises(WrongRegime):
         mean_field_compare("not an integrand", [1.0], [10])
+
+
+def test_mean_field_compare_needs_a_saddle_guess():
+    # without the integrand's guess there is no saddle to start from; it
+    # used to solve from the placeholder 1.0
+    toy = dataclasses.replace(registry_get("mean-field-toy", {"m": 0.1}), saddle_guess=None)
+    with pytest.raises(BadParameter, match="saddle_guess"):
+        mean_field_compare(toy, [1.6], [50])
 
 
 def test_mean_field_compare_wkb_underflow_is_wrong_regime():

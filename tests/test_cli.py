@@ -749,10 +749,16 @@ def test_critical_mean_field_param(runner):
 
 def test_critical_prints_zero_parts_unsigned(runner):
     # the analytic f''' of the mean-field toy has imaginary part -0.0 at the
-    # real z_tilde; an exact zero prints as +0, not -0
-    result = runner.invoke(main, ["critical", "mean-field-toy", "--param", "m=0.1"])
-    assert result.exit_code == 0, result.output
-    assert "f3_tilde  = 0.738243 +0i" in result.output.splitlines()
+    # real z_tilde; an exact zero prints as +0, not -0.  The cubic family's
+    # fold is at alpha = 0 exactly, with no sign from rounding
+    for args, line in (
+        (["mean-field-toy", "--param", "m=0.1"], "f3_tilde  = 0.738243 +0i"),
+        (["cubic"], "alpha_hat = 0.000000"),
+        (["perturbed-cubic"], "alpha_hat = 0.000000"),
+    ):
+        result = runner.invoke(main, ["critical", *args])
+        assert result.exit_code == 0, result.output
+        assert line in result.output.splitlines()
 
 
 def test_critical_degenerate_m0(runner):

@@ -327,8 +327,8 @@ def test_fd_real_on_real_is_exactly_real():
 
 def test_memo_holds_only_the_last_alpha():
     # a library sweep, each formula called once per N: the memo empties
-    # itself at each new alpha, so it ends with the last alpha's jets of f,
-    # its descent-frame projection, its saddle (the partner's too) and
+    # itself at each new alpha, so it ends with the last alpha's
+    # descent-frame projection, its saddle (the partner's too) and
     # fold-point solves and tilde's set-up, and nothing else
     intg = dataclasses.replace(registry_get("perturbed-cubic"), analytic_derivs=None)
     c = find_caustic(intg)
@@ -343,7 +343,7 @@ def test_memo_holds_only_the_last_alpha():
     assert list(intg._memo) == [struct.pack("d", alphas[-1])]
     (entries,) = intg._memo.values()
     kinds = {kind if isinstance(kind, str) else kind[0] for kind, _ in entries}
-    assert kinds == {"f", "project", "find_saddle", "fold", "tilde"}
+    assert kinds == {"project", "find_saddle", "fold", "tilde"}
 
 
 def _entries(intg, kind):
@@ -441,30 +441,30 @@ def test_memo_stores_no_typed_error():
 
 def test_replace_gets_the_new_f():
     # dataclasses.replace builds a new instance with an empty memo, so the
-    # jet of the old f at the same (z, alpha) is never served
+    # saddle of the old f from the same (guess, alpha) is never served
     intg = _fd_clone(registry_get("cubic"))
-    z, a = 0.7 + 0.2j, 0.4
-    derive(intg, z, a, 4)
-    quartic = dataclasses.replace(intg, f=lambda z, a: z ** 4)
-    ref = (4.0 * z ** 3, 12.0 * z ** 2, 24.0 * z, 24.0)
-    for v, r in zip(derive(quartic, z, a, 4), ref):
-        assert abs(v - r) <= 1e-7 * max(1.0, abs(r))
-    fresh = Integrand1D(f=quartic.f, g=intg.g, contour=intg.contour)
-    assert derive(quartic, z, a, 4) == derive(fresh, z, a, 4)
+    a, guess = 0.4, 0.7 + 0.2j
+    old = find_saddle(intg, a, guess)
+    shifted = dataclasses.replace(intg, f=lambda z, a: (z - 2.0) ** 2 / 2.0 - a * z)
+    s = find_saddle(shifted, a, guess)
+    assert abs(old.z0 - math.sqrt(a)) <= 1e-10
+    assert abs(s.z0 - (2.0 + a)) <= 1e-10 and abs(s.f2 - 1.0) <= 1e-7
+    fresh = Integrand1D(f=shifted.f, g=intg.g, contour=intg.contour)
+    assert repr(s) == repr(find_saddle(fresh, a, guess))
 
 
 def test_memo_keeps_signed_zero_alpha_apart():
     # 0.0 == -0.0, but the memo keys on bits: a family that reads the sign
-    # of a zero alpha gets its -0.0 jet, not the cached 0.0 one
+    # of a zero alpha gets its -0.0 saddle, not the cached 0.0 one
     c = ContourPath((0j,), tail_angle=math.pi, head_angle=0.0)
     f = lambda z, a: math.copysign(1.0, a) * z * z
     used = Integrand1D(f=f, g=lambda z: 1.0, contour=c)
     fresh = Integrand1D(f=f, g=lambda z: 1.0, contour=c)
-    z = 0.5 + 0.0j
-    at_zero = derive(used, z, 0.0, 4)
-    at_minus_zero = derive(used, z, -0.0, 4)
-    assert repr(at_minus_zero) == repr(derive(fresh, z, -0.0, 4))
-    assert at_minus_zero[0] == -at_zero[0] == -1.0
+    at_zero = find_saddle(used, 0.0, 0.5)
+    at_minus_zero = find_saddle(used, -0.0, 0.5)
+    assert repr(at_minus_zero) == repr(find_saddle(fresh, -0.0, 0.5))
+    assert at_zero.f2 == -at_minus_zero.f2
+    assert abs(at_minus_zero.f2 + 2.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +497,12 @@ def test_derive_nd_requires_unit_direction():
     intg = registry_get("nd-separable", {"dim": "2"})
     with pytest.raises(BadParameter):
         derive_nd(intg, np.zeros(2), 0.2, np.array([1.0, 1.0]), 1)
+
+
+def test_derive_nd_order_guard():
+    intg = registry_get("nd-separable", {"dim": "2"})
+    with pytest.raises(BadParameter, match="order must be 1..2, got 3"):
+        derive_nd(intg, np.zeros(2), 0.2, np.array([1.0, 0.0]), 3)
 
 
 @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
