@@ -213,8 +213,7 @@ def approx_tilde(
 @_per_alpha("tilde")
 def _tilde_setup(intg: Integrand1D, alpha: float, z_tilde: complex, f3_tilde: complex):
     """``approx_tilde``'s arguments to ``_airy_grid`` after ``N``."""
-    zt, (f1, _, f3, f4) = _fold_point(intg, alpha, z_tilde, f3_tilde)
-    ft = intg.f(zt, alpha)
+    zt, ft, (f1, _, f3, f4) = _fold_point(intg, alpha, z_tilde, f3_tilde)
     if abs(f3) < 1e-8 * max(1.0, abs(f3_tilde)):
         raise DegenerateCubic("f''' vanishes at the expansion point")
     g0 = intg.g(zt)
@@ -287,16 +286,16 @@ def approx_saddle_form(
     call, and DegenerateCubic depends on alpha only and raises for the whole
     grid.
     """
-    return _saddle_form(intg, alpha, N, s, _fold_point(intg, alpha, c.z_tilde, c.f3_tilde)[0])
+    return _saddle_form(intg, alpha, N, s, _fold_point(intg, alpha, c.z_tilde, c.f3_tilde)[1])
 
 
-def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, zt: complex):
-    """``approx_saddle_form`` over the tuple N, with z_tilde(alpha) given."""
+def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, ft: complex):
+    """``approx_saddle_form`` over the tuple N, with f(z_tilde(alpha)) given."""
     zeta = _saddle_zeta(s)
 
     # exponent-sign constant sgn from the consistency identity
     # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}; shift = sgn + 1
-    shift = 0.0 if (s.f0 - intg.f(zt, alpha)).real <= 0.0 else 2.0
+    shift = 0.0 if (s.f0 - ft).real <= 0.0 else 2.0
 
     rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
     amplitude = (

@@ -25,7 +25,7 @@ from .airy import recovery_factor
 from .airy import airy_ai_scaled  # noqa: F401
 from .asym1d import _over_grid, _saddle_form, approx_wkb
 from .errors import BadParameter, CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
-from .integrand import Integrand1D, IntegrandND, _n_grid, derive
+from .integrand import Integrand1D, IntegrandND, _n_grid
 from .saddle import NdSaddleInfo, SaddleInfo, find_caustic, find_saddle
 from .saddle import _check_fold, _fold_point
 
@@ -66,9 +66,9 @@ def approx_corrected_nd(intg: IntegrandND, alpha: float, N, s: NdSaddleInfo):
     sd = _soft_saddle(intg, s)
     if sd.f3 == 0:
         raise DegenerateCubic("f''' vanishes at the saddle")
-    zt, (_, f2, f3, f4) = _fold_point(s.reduced, alpha, sd.z0 - sd.f2 / sd.f3, sd.f3)
+    _, ft, (_, f2, f3, f4) = _fold_point(s.reduced, alpha, sd.z0 - sd.f2 / sd.f3, sd.f3)
     _check_fold(f3, f4, abs(f2), order=2)
-    return _with_gaussians(intg, N, _saddle_form(s.reduced, alpha, N, sd, zt))
+    return _with_gaussians(intg, N, _saddle_form(s.reduced, alpha, N, sd, ft))
 
 
 def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
@@ -93,13 +93,11 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
         wkbs = approx_wkb(intg, a, N_grid, s)
         if s.f3 == 0:  # no cubic term: the records' zeta' is infinite, no fold
             raise DegenerateCubic("f''' vanishes at the saddle")
-        # status of the Gaussian term at the coalescing (fold) saddle,
-        # which depends on alpha only; the probe starts at the fold saddle
-        # z_tilde + sqrt(-2 f'/f''') of the cubic model at z_tilde
+        # the Gaussian term's status at the coalescing (fold) saddle depends on
+        # alpha only; the probe starts at the cubic model's z_tilde + sqrt(-2 f'/f''')
         fold_status = "finite"
         try:
-            zt = caustic.z_tilde_at(a)
-            f1, _, f3 = derive(intg, zt, a, 3)
+            zt, _, (f1, _, f3, _) = _fold_point(intg, a, caustic.z_tilde, caustic.f3_tilde)
             fold_s = find_saddle(intg, a, zt + cmath.sqrt(-2.0 * f1 / f3))
             approx_wkb(intg, a, N_grid, fold_s)
         except CausticDivergence:

@@ -132,12 +132,15 @@ def quad_contour(
     term turns cancellation, where |I| is far below the integrand's size on
     the contour, into that error rather than a wrong value.  It is raised
     too where |I| over- or underflows a normal double at some N, or where
-    the cuts leave no panel.  BadParameter unless 0 < tol < inf.
+    the cuts leave no panel.  BadParameter where alpha is not finite, and
+    unless 0 < tol < inf.
 
     N is one number or a grid; for a grid, ``value`` and
     ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
     integrand points.
     """
+    if not math.isfinite(alpha):
+        raise BadParameter(f"alpha must be finite, got {alpha}")
     ns = np.asarray(_n_grid(N), dtype=float)
     anchor = None
     if intg.saddle_guess is not None:
@@ -326,8 +329,10 @@ def cubature_nd(
 
     N is one number or a grid; for a grid, ``value`` and
     ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
-    integrand points.
+    integrand points.  BadParameter where alpha is not finite.
     """
+    if not math.isfinite(alpha):
+        raise BadParameter(f"alpha must be finite, got {alpha}")
     ns = np.asarray(_n_grid(N), dtype=float)
     n = intg.dim
     if n > 4:

@@ -1,8 +1,8 @@
 """Saddle-point, caustic, and partner-saddle solvers.
 
 One complex variable: damped Newton on f'(z)=0; one damped Newton on
-f''(z, alpha) = 0 at fixed alpha for the fold point z_tilde(alpha), which
-hands the jet of its last step to its caller; the expansion point
+f''(z, alpha) = 0 at fixed alpha for the fold point z_tilde(alpha), whose
+record holds every value taken there (f and its jet); the expansion point
 (z_tilde, alpha_hat), where f' and f'' vanish together, as the root in alpha
 of f'(z_tilde(alpha), alpha), by secant steps over that Newton; and the
 partner saddle seeded from the local cubic model.  Several variables: the
@@ -57,17 +57,16 @@ class SaddleInfo:
 
 @dataclass(frozen=True)
 class CausticInfo:
-    """Expansion point z_tilde(alpha_hat) and the critical parameter."""
+    """The fold at the critical parameter: z_tilde, alpha_hat and f''' there."""
 
     z_tilde: complex
     alpha_hat: float
     f3_tilde: complex
-    intg: Integrand1D
 
-    def z_tilde_at(self, alpha: float) -> complex:
-        """z with f''(z, alpha) = 0, continued from the critical point by
-        damped Newton."""
-        return _fold_point(self.intg, alpha, self.z_tilde, self.f3_tilde)[0]
+    def z_tilde_at(self, intg: Integrand1D, alpha: float) -> complex:
+        """z with f''(z, alpha) = 0 for ``intg``, continued from the critical
+        point by damped Newton."""
+        return _fold_point(intg, alpha, self.z_tilde, self.f3_tilde)[0]
 
 
 def _derive(solver: str, intg: Integrand1D, z: complex, alpha: float, order: int):
@@ -82,14 +81,17 @@ def _derive(solver: str, intg: Integrand1D, z: complex, alpha: float, order: int
 def _fold_point(
     intg: Integrand1D, alpha: float, z: complex, f3_scale: complex, solver="z_tilde continuation"
 ):
-    """z_tilde(alpha), where |f''(z, alpha)| <= 1e-12 max(1, |f3_scale|), by
-    damped Newton from z, and the jet (f', ..., f'''') taken there; its
-    errors name ``solver``.  Kept in the integrand's memo."""
+    """The record (z_tilde, f, (f', ..., f'''') there) at alpha, by damped Newton
+    from z to |f''| <= 1e-12 max(1, |f3_scale|); errors name ``solver``, and
+    an f that overflows at z_tilde is WrongRegime.  Kept in the integrand's memo."""
     for _ in range(_MAX_ITERS):
         jet = _derive(solver, intg, z, alpha, 4)
         _, r, f3, _ = jet
         if abs(r) <= 1e-12 * max(1.0, abs(f3_scale)):
-            return z, jet
+            try:
+                return z, intg.f(z, alpha), jet
+            except OverflowError as exc:
+                raise WrongRegime(f"{solver}: f overflows a double at z = {z:.6g}") from exc
         if f3 == 0:
             raise NoConvergence(f"{solver}: f''' vanishes at alpha={alpha}")
         step = r / f3
@@ -169,21 +171,21 @@ def find_caustic(intg: Integrand1D) -> CausticInfo:
     together, from the integrand's ``caustic_guess``.
 
     A secant iteration in alpha on h(alpha) = f'(z_tilde(alpha), alpha), with
-    z_tilde(alpha) and its jet from the damped Newton of ``z_tilde_at``,
+    z_tilde(alpha) and its jet from the fold point's damped Newton,
     continued from one alpha to the next.  alpha moves by the real part of
     the secant step, at most 0.5, until |h| <= 1e-14 max(1, |f'''|).
-    NoConvergence also where the derivatives overflow at an iterate, and
-    DegenerateCubic where the point found is a cusp, not a fold.
+    NoConvergence also where the derivatives overflow at an iterate, WrongRegime
+    where f does at a z_tilde, and DegenerateCubic where the point is a cusp.
     """
     if intg.caustic_guess is None:
         raise NoConvergence("find_caustic needs a guess for this integrand")
     z, a = complex(intg.caustic_guess[0]), float(intg.caustic_guess[1])
     f3, a_prev, h_prev = 1.0, None, None
     for _ in range(_MAX_ITERS):
-        z, (h, _, f3, f4) = _fold_point(intg, a, z, f3, "find_caustic")
+        z, _, (h, _, f3, f4) = _fold_point(intg, a, z, f3, "find_caustic")
         if abs(h) <= 1e-14 * max(1.0, abs(f3)):
             _check_fold(f3, f4, abs(h), order=1)
-            return CausticInfo(z_tilde=z, alpha_hat=a, f3_tilde=f3, intg=intg)
+            return CausticInfo(z_tilde=z, alpha_hat=a, f3_tilde=f3)
         if h_prev is None:
             step = 1e-6
         elif h == h_prev:

@@ -496,13 +496,46 @@ def test_one_derive_per_point(monkeypatch, solve):
     {
         "find_saddle": lambda: find_saddle(intg, 0.3, intg.saddle_guess(0.3)),
         "find_caustic": lambda: find_caustic(intg),
-        "z_tilde_at": lambda: c.z_tilde_at(1.5),
+        "z_tilde_at": lambda: c.z_tilde_at(toy, 1.5),
         "approx_tilde": lambda: approx_tilde(toy, 1.5, 100.0, c),
         "approx_corrected_nd": lambda: approx_corrected_nd(nd, 0.3, 100.0, s),
     }[solve]()
     assert len(asked) > 1
     assert len(set(asked)) == len(asked)
     assert caustic_solves == []
+
+
+@pytest.mark.parametrize(
+    "name, alpha, analytic",
+    [("perturbed-cubic", 0.3, False), ("bessel-sinh", 0.9, True)],
+    ids=["finite-difference", "analytic"],
+)
+def test_one_f_per_fold_point(name, alpha, analytic):
+    # f(z_tilde) is part of the fold-point record: tilde's set-up, the saddle
+    # form over a grid and each one-N saddle-form call read it from the one
+    # solve of z_tilde at this alpha
+    base = registry_get(name)
+    base = base if analytic else dataclasses.replace(base, analytic_derivs=None)
+    asked = []
+
+    def f(z, a):
+        if not isinstance(z, np.ndarray):
+            asked.append((z, a))
+        return base.f(z, a)
+
+    intg = dataclasses.replace(base, f=f)
+    c = find_caustic(intg)
+    s = find_saddle(intg, alpha, intg.saddle_guess(alpha))
+    # on bessel-sinh z_tilde = 0 at every alpha, and find_caustic's first
+    # secant step is at alpha = 0.9: count from here
+    asked.clear()
+    ns = [10, 100, 1000]
+    approx_tilde(intg, alpha, ns, c)
+    approx_saddle_form(intg, alpha, ns, s, c)
+    for n in ns:
+        approx_saddle_form(intg, alpha, n, s, c)
+    zt = saddle._fold_point(intg, alpha, c.z_tilde, c.f3_tilde)[0]
+    assert asked.count((zt, alpha)) == 1
 
 
 def test_one_jet_per_point_and_alpha(monkeypatch):
@@ -701,9 +734,25 @@ def test_tilde_zero_cubic_coefficient_is_degenerate():
             lambda z, a: 2.0 + 0.0 * z,
         ),
     )
-    c = CausticInfo(z_tilde=0j, alpha_hat=0.0, f3_tilde=0j, intg=intg)
+    c = CausticInfo(z_tilde=0j, alpha_hat=0.0, f3_tilde=0j)
     with pytest.raises(DegenerateCubic, match="vanishes at the expansion point"):
         approx_tilde(intg, 0.0, 30, c)
+
+
+def test_f_overflow_at_the_fold_point_is_wrong_regime():
+    # f overflows where its derivatives do not: the fold-point record takes f
+    # at z_tilde, so find_caustic raises a typed error there too, and tilde
+    # and the saddle form keep the WrongRegime they raise for any overflow
+    cubic = registry_get("cubic")
+    intg = dataclasses.replace(cubic, f=lambda z, a: cubic.f(z, a) * cmath.exp(800.0))
+    with pytest.raises(WrongRegime, match="find_caustic: f overflows"):
+        find_caustic(intg)
+    c = CausticInfo(z_tilde=0j, alpha_hat=0.0, f3_tilde=2 + 0j)
+    s = find_saddle(cubic, 0.3, cubic.saddle_guess(0.3))
+    with pytest.raises(WrongRegime):
+        approx_tilde(intg, 0.3, 30, c)
+    with pytest.raises(WrongRegime):
+        approx_saddle_form(intg, 0.3, [30, 100], s, c)
 
 
 def test_tilde_mirrored_cubic_takes_the_real_branch():

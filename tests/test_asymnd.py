@@ -22,9 +22,8 @@ from caustica import (
     mean_field_compare,
     registry_get,
 )
-from caustica import asymnd, saddle
+from caustica import asymnd, integrand, saddle
 from caustica.airy import airy_ai
-from caustica.saddle import CausticInfo
 
 
 def _nd(dim=2, eps=0.05, c=0.0, **extra):
@@ -290,28 +289,28 @@ def test_mean_field_compare_wkb_underflow_is_wrong_regime():
 
 
 def test_mean_field_fold_check_typed_error_is_unavailable(monkeypatch):
-    def no_convergence(self, alpha, tol=1e-12):
+    def no_convergence(intg, alpha, z, f3_scale):
         raise NoConvergence("z_tilde continuation stalled")
 
-    monkeypatch.setattr(CausticInfo, "z_tilde_at", no_convergence)
+    monkeypatch.setattr(asymnd, "_fold_point", no_convergence)
     rows = mean_field_compare(registry_get("mean-field-toy", {"m": 0.1}), [1.4], [50])
     assert [r["fold_wkb"] for r in rows] == ["unavailable"]
 
 
 def test_mean_field_fold_check_untyped_error_propagates(monkeypatch):
     # only a typed CausticaError means "unavailable"; a bug must surface
-    def broken(self, alpha, tol=1e-12):
+    def broken(intg, alpha, z, f3_scale):
         raise ZeroDivisionError("not a solver failure")
 
-    monkeypatch.setattr(CausticInfo, "z_tilde_at", broken)
+    monkeypatch.setattr(asymnd, "_fold_point", broken)
     with pytest.raises(ZeroDivisionError):
         mean_field_compare(registry_get("mean-field-toy", {"m": 0.1}), [1.4], [50])
 
 
 def test_mean_field_fold_saddle_solved_once_per_gamma(monkeypatch):
-    # the fold-saddle check depends on gamma only: one z_tilde solve and two
-    # saddle solves (the anchor and the fold saddle) per gamma, whatever N
-    calls = {"find_saddle": 0, "z_tilde_at": 0}
+    # the fold-saddle check depends on gamma only: one fold-point solve and
+    # two saddle solves (the anchor and the fold saddle) per gamma, whatever N
+    calls = {"find_saddle": 0, "_fold_point": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -320,29 +319,62 @@ def test_mean_field_fold_saddle_solved_once_per_gamma(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(asymnd, "find_saddle", counted("find_saddle", asymnd.find_saddle))
-    monkeypatch.setattr(
-        CausticInfo, "z_tilde_at", counted("z_tilde_at", CausticInfo.z_tilde_at)
-    )
+    for name in calls:
+        monkeypatch.setattr(asymnd, name, counted(name, getattr(asymnd, name)))
     gammas = np.linspace(1.1, 1.6, 11).tolist()
     rows = mean_field_compare(
         registry_get("mean-field-toy", {"m": 0.1}), gammas, [25, 50, 100, 200]
     )
     assert len(rows) == 44
-    assert calls == {"find_saddle": 22, "z_tilde_at": 11}
+    assert calls == {"find_saddle": 22, "_fold_point": 11}
 
 
 @pytest.mark.parametrize("dust", [0.0, 1e-30j, -1e-30j], ids=["exact", "plus", "minus"])
 def test_mean_field_fold_probe_ignores_rounding_dust(monkeypatch, dust):
     # the fold-saddle probe starts at the cubic model's fold saddle, so an
     # imaginary part of rounding size in z_tilde does not decide the status
-    z_tilde_at = CausticInfo.z_tilde_at
-    monkeypatch.setattr(
-        CausticInfo, "z_tilde_at", lambda self, alpha: z_tilde_at(self, alpha) + dust
-    )
+    fold_point = asymnd._fold_point
+
+    def dusty(*args):
+        zt, ft, jet = fold_point(*args)
+        return zt + dust, ft, jet
+
+    monkeypatch.setattr(asymnd, "_fold_point", dusty)
     gammas = [1.15, 1.4, 1.45, 1.2978824755046015]  # the last is gamma_hat for m = 0.1
     rows = mean_field_compare(registry_get("mean-field-toy", {"m": 0.1}), gammas, [50])
     assert [r["fold_wkb"] for r in rows] == ["finite", "finite", "finite", "divergent"]
+
+
+def test_mean_field_probe_reads_the_fold_point_record(monkeypatch):
+    # the probe takes z_tilde, f' and f''' from the fold-point record: no
+    # derive call outside a fold-point solve asks at a z_tilde it returned
+    folds, outside, solving = set(), [], []
+
+    def fold_point(fn):
+        def wrapper(intg, alpha, *args):
+            solving.append(True)
+            try:
+                record = fn(intg, alpha, *args)
+            finally:
+                solving.pop()
+            folds.add((record[0], alpha))
+            return record
+
+        return wrapper
+
+    def derive(intg, z, alpha, order, fn=integrand.derive):
+        if not solving:
+            outside.append((z, alpha))
+        return fn(intg, z, alpha, order)
+
+    # asymnd imports no derive; one set there catches any call made through it
+    for module in (saddle, asymnd):
+        monkeypatch.setattr(module, "_fold_point", fold_point(module._fold_point))
+        monkeypatch.setattr(module, "derive", derive, raising=False)
+    gammas = [1.15, 1.4, 1.45]
+    mean_field_compare(registry_get("mean-field-toy", {"m": 0.1}), gammas, [25, 50])
+    assert {a for _, a in folds} >= set(gammas)
+    assert not folds & set(outside)
 
 
 def test_one_transverse_solve_per_point_and_alpha(monkeypatch):

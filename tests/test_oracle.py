@@ -17,6 +17,7 @@ from caustica import (
     ToleranceNotMet,
     bessel_ref,
     cubature_nd,
+    find_caustic,
     find_saddle,
     find_saddle_nd,
     quad_contour,
@@ -236,9 +237,9 @@ def test_quad_rejects_ray_growth():
 def test_bessel_nonpositive_alpha_is_typed():
     # bessel-sinh has no real saddle at alpha <= 0: the guess raises
     # BadParameter, the oracle falls back to the declared contour, and what
-    # that meets is a typed error too
+    # that meets is a typed error too; a non-finite alpha is refused first
     intg = registry_get("bessel-sinh")
-    for alpha, error in ((-0.5, RayDivergence), (-math.inf, RayDivergence),
+    for alpha, error in ((-0.5, RayDivergence), (-math.inf, BadParameter),
                          (0.0, ToleranceNotMet)):
         with pytest.raises(BadParameter, match="alpha > 0"):
             intg.saddle_guess(alpha)
@@ -488,6 +489,75 @@ def test_quad_matches_curie_weiss():
     assert misses == CURIE_WEISS_KNOWN_MISSES
 
 
+def njl_exact(alpha, N):
+    """log |I| and the sign of the NJL-type model's integral
+    I(alpha, N) = int exp(N f(s, alpha)) ds over the real line, with
+    f = -s^2/2 + log(2 alpha + i s), for integer N:
+    I = sqrt(2 pi / N) N^(-N/2) He_N(2 alpha sqrt(N)).  h_n = N^(-n/2) He_n
+    runs the Hermite recurrence as h_(n+1) = 2 alpha h_n - (n/N) h_(n-1),
+    and is rescaled into log_scale before it can overflow."""
+    h_prev, h, log_scale = 1.0, 2.0 * alpha, 0.0
+    for n in range(1, N):
+        h_prev, h = h, 2.0 * alpha * h - (n / N) * h_prev
+        if abs(h) > 1e100:
+            log_scale += math.log(abs(h))
+            h_prev, h = h_prev / abs(h), math.copysign(1.0, h)
+    return 0.5 * math.log(2.0 * math.pi / N) + log_scale + math.log(abs(h)), math.copysign(1.0, h)
+
+
+def _njl_guess(alpha):
+    # the saddle nearer the real line: on the imaginary axis above the fold
+    # at alpha = 1, and the right one of the pair +-sqrt(1 - alpha^2) + i alpha below
+    if alpha >= 1.0:
+        return 1j * (alpha - math.sqrt(alpha * alpha - 1.0))
+    return complex(math.sqrt(1.0 - alpha * alpha), alpha)
+
+
+def njl():
+    """The NJL-type model as an ``Integrand1D``, with finite-difference derivatives."""
+    return Integrand1D(
+        f=lambda z, a: -z * z / 2.0 + np.log(2.0 * a + 1j * z),
+        g=lambda z: 1.0 + 0.0 * z,
+        contour=ContourPath((0j,), tail_angle=math.pi, head_angle=0.0),
+        saddle_guess=_njl_guess,
+        caustic_guess=(0.9j, 0.9),
+        name="njl",
+    )
+
+
+@pytest.mark.parametrize("alpha, N", [(0.3, 1000), (0.8, 10), (0.99, 100), (1.0, 1000),
+                                      (1.2, 2), (15.0, 1000)])
+def test_njl_exact_against_mpmath(alpha, N):
+    mpmath = pytest.importorskip("mpmath")
+    log_abs, sign = njl_exact(alpha, N)
+    with mpmath.workdps(40):
+        y = 2 * mpmath.mpf(alpha) * mpmath.sqrt(N)
+        # He_N(y) = 2^(-N/2) H_N(y / sqrt(2)), with mpmath's physicists' H_N
+        he = mpmath.hermite(N, y / mpmath.sqrt(2)) / mpmath.mpf(2) ** (mpmath.mpf(N) / 2)
+        ref = mpmath.sqrt(2 * mpmath.pi / N) * mpmath.mpf(N) ** (-mpmath.mpf(N) / 2) * he
+        assert sign == mpmath.sign(ref)
+        assert abs(log_abs - mpmath.log(abs(ref))) <= 1e-12
+
+
+def test_quad_matches_njl_exact():
+    # both sides of the fold at alpha = 1
+    intg, ns = njl(), (10, 30, 100, 300)
+    for alpha in np.linspace(0.8, 1.5, 15).tolist():
+        values = quad_contour(intg, alpha, ns, tol=1e-12).value
+        for n, v in zip(ns, values):
+            log_abs, sign = njl_exact(alpha, n)
+            exact = sign * math.exp(log_abs)
+            assert abs(v - exact) <= 1e-12 * abs(exact), (alpha, n)
+
+
+def test_njl_caustic_is_exact():
+    # f' = f'' = 0 at s = i, alpha = 1, found here with finite-difference
+    # derivatives
+    c = find_caustic(njl())
+    assert abs(c.alpha_hat - 1.0) <= 1e-12
+    assert abs(c.z_tilde - 1j) <= 1e-12
+
+
 def test_kronrod_table():
     # K21 integrates x^k over [-1, 1] exactly for k <= 31, and the G10 rule
     # on its odd-indexed nodes for k <= 19
@@ -532,3 +602,12 @@ def test_oracles_reject_bad_tol(tol):
         quad_contour(registry_get("cubic"), 0.5, 30, tol=tol)
     with pytest.raises(BadParameter, match="tol must be finite and > 0"):
         cubature_nd(registry_get("nd-perturbed-cubic"), 0.25, 30, tol=tol)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_oracles_reject_non_finite_alpha(alpha):
+    # as the formulas do
+    with pytest.raises(BadParameter, match="alpha must be finite"):
+        quad_contour(registry_get("cubic"), alpha, 30)
+    with pytest.raises(BadParameter, match="alpha must be finite"):
+        cubature_nd(registry_get("nd-separable"), alpha, 30)

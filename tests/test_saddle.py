@@ -132,10 +132,10 @@ def test_caustic_overflow_is_no_convergence():
 
 
 def test_z_tilde_continuation_overflow_is_no_convergence():
-    c = find_caustic(registry_get("mean-field-toy", {"m": "0.1"}))
-    far = dataclasses.replace(c, z_tilde=-1e6 + 0j)
+    intg = registry_get("mean-field-toy", {"m": "0.1"})
+    far = dataclasses.replace(find_caustic(intg), z_tilde=-1e6 + 0j)
     with pytest.raises(NoConvergence, match="z_tilde continuation: derivatives overflow"):
-        far.z_tilde_at(1.3)
+        far.z_tilde_at(intg, 1.3)
 
 
 def test_caustic_far_guess_is_no_convergence():
@@ -164,7 +164,7 @@ def test_caustic_needs_a_guess():
 def test_z_tilde_continuation():
     intg = registry_get("bessel-sinh")
     c = find_caustic(intg)
-    zt = c.z_tilde_at(0.8)
+    zt = c.z_tilde_at(intg, 0.8)
     f1, f2 = derive(intg, zt, 0.8, 2)
     assert abs(f2) < 1e-10
     # f' at the expansion point is the fold displacement, nonzero off-caustic
@@ -175,9 +175,10 @@ def test_z_tilde_continuation_runs_off_typed():
     # on the mean-field toy below the coupling window the Newton iteration
     # for f'' = 0 wanders off; damped, it ends in NoConvergence instead of
     # an OverflowError from cosh
-    c = find_caustic(registry_get("mean-field-toy", {"m": 0.1}))
+    toy = registry_get("mean-field-toy", {"m": 0.1})
+    c = find_caustic(toy)
     with pytest.raises(NoConvergence):
-        c.z_tilde_at(0.95)
+        c.z_tilde_at(toy, 0.95)
 
 
 def test_z_tilde_continuation_flat_third_derivative():
@@ -192,9 +193,9 @@ def test_z_tilde_continuation_flat_third_derivative():
             lambda z, a: 0.0 * z,
         ),
     )
-    c = dataclasses.replace(find_caustic(cubic), intg=quadratic)
+    c = find_caustic(cubic)
     with pytest.raises(NoConvergence):
-        c.z_tilde_at(0.1)
+        c.z_tilde_at(quadratic, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def test_tilde_point_between_saddles():
     intg = registry_get("bessel-sinh")
     c = find_caustic(intg)
     s = find_saddle(intg, 0.9, intg.saddle_guess(0.9))
-    gap = abs(c.z_tilde_at(0.9) - s.z0)
+    gap = abs(c.z_tilde_at(intg, 0.9) - s.z0)
     est = abs(s.f2 / s.f3)
     assert abs(gap - est) <= 0.2 * est
 
