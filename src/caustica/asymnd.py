@@ -1,11 +1,12 @@
 """Multivariable asymptotics on the one-variable engine.
 
 ``find_saddle_nd`` integrates the transverse coordinates out by Laplace's
-method (the splitting lemma) and leaves a one-variable integrand in the
-soft coordinate.  ``wkb-nd`` and ``corrected-nd`` are ``approx_wkb`` and
-``approx_saddle_form`` on that integrand, at its saddle, times the
-transverse Gaussian factor (2 pi / N)^((n-1)/2).  The saddle is the one the
-soft contour passes through: the recessive one on the registry families.
+method (the splitting lemma), leaves a one-variable integrand in the soft
+coordinate and alone decides if its saddle is usable.  ``wkb-nd`` and
+``corrected-nd`` are ``approx_wkb`` and ``approx_saddle_form`` on that
+integrand, at that saddle, times the transverse Gaussian factor
+(2 pi / N)^((n-1)/2).  The saddle is the one the soft contour passes
+through: the recessive one on the registry families.
 ``corrected-nd`` reads its exponent sign at the fold point z_tilde(alpha) of
 that saddle's own pair, from one Newton solve at this alpha, not alpha_hat.
 
@@ -26,18 +27,9 @@ from .airy import airy_ai_scaled  # noqa: F401
 from .asym1d import _over_grid, _saddle_form, approx_wkb
 from .errors import BadParameter, CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
 from .integrand import Integrand1D, IntegrandND, _n_grid
-from .saddle import NdSaddleInfo, SaddleInfo, find_caustic, find_saddle
-from .saddle import _check_fold, _fold_point
+from .saddle import NdSaddleInfo, _check_fold, _fold_point, find_caustic, find_saddle
 
 __all__ = ["approx_wkb_nd", "approx_corrected_nd", "mean_field_compare"]
-
-
-def _soft_saddle(intg: IntegrandND, s: NdSaddleInfo) -> SaddleInfo:
-    """The reduced saddle; WrongRegime where the soft coordinate is real and
-    the saddle is a minimum along it."""
-    if intg.soft_contour is None and s.saddle.f2.real > 0.0:
-        raise WrongRegime("soft minimum on a real soft coordinate: not a fold")
-    return s.saddle
 
 
 def _with_gaussians(intg: IntegrandND, N, values):
@@ -53,7 +45,7 @@ def approx_wkb_nd(intg: IntegrandND, alpha: float, N, s: NdSaddleInfo):
     """``approx_wkb`` on the reduced integrand, times the transverse
     Gaussians.  N is one number or a sequence of them, as for the 1-D
     formulas; CausticDivergence raises for the whole grid."""
-    return _with_gaussians(intg, N, approx_wkb(s.reduced, alpha, N, _soft_saddle(intg, s)))
+    return _with_gaussians(intg, N, approx_wkb(s.reduced, alpha, N, s.saddle))
 
 
 @_over_grid
@@ -63,7 +55,7 @@ def approx_corrected_nd(intg: IntegrandND, alpha: float, N, s: NdSaddleInfo):
     pair is solved at this alpha from the inflection z0 - f''/f''' of its
     cubic model (no alpha_hat), and DegenerateCubic raised where f''' is
     zero there.  N is one number or a sequence of them, as for 1-D."""
-    sd = _soft_saddle(intg, s)
+    sd = s.saddle
     if sd.f3 == 0:
         raise DegenerateCubic("f''' vanishes at the saddle")
     _, ft, (_, f2, f3, f4) = _fold_point(s.reduced, alpha, sd.z0 - sd.f2 / sd.f3, sd.f3)

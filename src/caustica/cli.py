@@ -170,8 +170,8 @@ class _Sweep1D:
 
 
 class _SweepND:
-    """The n-variable methods and the oracle share one saddle, and with it
-    one reduced integrand, per alpha."""
+    """The n-variable methods share the saddle solved once per alpha; the
+    oracle solves from the same guess and gets it from the integrand's memo."""
 
     calls = {
         "wkb-nd": lambda sw, a, ns: asymnd.approx_wkb_nd(sw.intg, a, ns, sw.saddle),
@@ -185,7 +185,7 @@ class _SweepND:
         self.saddle = find_saddle_nd(self.intg, a, self.intg.saddle_guess(a))
 
     def oracle(self, a, ns):
-        return cubature_nd(self.intg, a, ns, tol=max(self.tol, 1e-8), saddle=self.saddle).value
+        return cubature_nd(self.intg, a, ns, tol=max(self.tol, 1e-8)).value
 
 
 def _sweep_kind(intg):

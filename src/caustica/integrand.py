@@ -20,17 +20,17 @@ private memo of the pure steps that the solvers and formulas repeat within
 one alpha: the contour projection of the descent frame, the saddle and
 fold-point solves (the partner's solve is a saddle solve), on a reduced n-D
 integrand the transverse solve at each point, and ``tilde``'s set-up (its
-g' jet and cube-root branch).  One rule keys them all (``_per_alpha``): a
-step is kept under its name and the exact bits of alpha and of every
-argument it takes.  So after the first call at an alpha, a formula called
-once per N repeats no solve, jet or projection, only its arithmetic and its
-Airy call.  The memo holds one alpha at a time, and a call at another alpha
-empties it first.  For pure f and g a hit returns the bits a fresh
-computation would, so callers cannot tell it is there.  Typed errors are not
-stored: they are raised again by a fresh computation.  The objects are still
-safe to share across parallel workers: a value depends only on its key, so a
-race can at worst compute an entry twice.
-``dataclasses.replace`` starts the new instance with an empty memo.
+g' jet and cube-root branch); an ``IntegrandND``, its n-D saddle.  One
+rule keys them all (``_per_alpha``): a step is kept under its name and the
+exact bits of alpha and of every argument it takes.  So after the first
+call at an alpha, a formula called once per N repeats no solve, jet or
+projection, only its arithmetic and its Airy call.  The memo holds one
+alpha at a time, and a call at another alpha empties it first.  For pure
+f, g and F a hit returns the bits a fresh computation would, so callers
+cannot tell it is there.  Typed errors are not stored: they are raised
+again by a fresh computation.  The objects are safe to share across
+parallel workers: a value depends only on its key, so a race at worst
+computes an entry twice.  ``dataclasses.replace`` starts an empty memo.
 """
 
 from __future__ import annotations
@@ -146,10 +146,10 @@ class Integrand1D:
 
 
 def _per_alpha(kind: str):
-    """Keep ``step(intg, alpha, *args)``, a pure step of an ``Integrand1D``,
-    in ``intg``'s memo under ``kind`` and the exact bits of alpha and of
-    every argument, a number by its real and imaginary parts and a str as it
-    is, so 0.0 and -0.0 never share an entry.  An argument given by keyword
+    """Keep ``step(intg, alpha, *args)``, a pure step of an integrand, in
+    ``intg``'s memo under ``kind`` and the exact bits of alpha and of every
+    argument, a number by its real and imaginary parts and a str as it is,
+    so 0.0 and -0.0 never share an entry.  An argument given by keyword
     is keyed as the positional one it binds.  The memo holds one alpha: a
     call at another empties it first.  An exception from ``step`` is not
     stored."""
@@ -180,9 +180,9 @@ class IntegrandND:
     """n-variable integrand exp(N F(x, alpha)) over a real region, with an
     optional complex contour replacing the first (soft) coordinate.
 
-    F takes a point x of shape (n,) or an array of shape (n, M) whose
-    columns are points, and returns one value per point.  It must be
-    analytic and accept complex points: the reduction to the soft
+    F takes an array of shape (n, M) whose columns are points, and returns
+    one value per column; the package never calls it on one point alone.
+    It must be analytic and accept complex points: the reduction to the soft
     coordinate solves for the transverse coordinates at complex soft
     points, and the oracle evaluates F on its whole node mesh in one call.
     """
@@ -193,6 +193,7 @@ class IntegrandND:
     alpha_range: tuple[float, float] = (0.0, 1.0)
     saddle_guess: Optional[Callable[[float], np.ndarray]] = None
     name: str = ""
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -331,10 +332,9 @@ def derive_nd(
     if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
         raise BadParameter("direction must be a unit vector")
     x = np.asarray(x, dtype=float)
-    val = _derivatives(*_jet(
-        lambda s: [intg.F(x + si * direction, alpha) for si in s.tolist()],
-        max(1.0, float(np.linalg.norm(x))),
-    ), order)[-1]
+    jet = _jet(lambda s: intg.F(x[:, None] + direction[:, None] * s, alpha),
+               max(1.0, float(np.linalg.norm(x))))
+    val = _derivatives(*jet, order)[-1]
     if abs(val.imag) > _JET_TOL * max(1.0, abs(val)):
         raise BadParameter(f"F is not real at real points: derivative {val:.3e}")
     return float(val.real)

@@ -20,19 +20,19 @@ exp(N (f - shift)) itself, with one shift per pass, the largest Re f over
 the first round's nodes; an oracle supplies only the integrand over
 exp(N f), so ``cubature_nd``'s values do not depend on how it chunks points.
 
-Both oracles take N as one number or as a grid, like the formulas, and
-serve the whole grid from one pass per alpha: one saddle solve and one
-contour move; rays cut at the smallest N, where they reach furthest; panel
-breakpoints graded at the largest N, where the saddle's width N^(-1/2) is
-smallest; f and g evaluated once per node, and exp(N (f - shift)) per N,
-with one shift for every N.  Each panel stays open for the N that have not
-accepted it yet, and every N starts on the panels that reach into its own
-ray cuts and keeps its own totals, error test and range check, so each N
-gets the value and error estimate a pass of its own would give, to within
-those estimates.  ``cubature_nd`` shares the soft panels the same way but
-gives each N its own transverse scale, from the ray cuts at that N: the
-transverse peak narrows as N^(-1/2), and a rule of fixed size fits one width
-only.
+Both oracles take N as one number or as a grid, like the formulas, and serve
+the whole grid from one pass per alpha: one saddle solve from
+``saddle_guess`` (``find_saddle``, ``find_saddle_nd``) and one contour move;
+rays cut at the smallest N, where they reach furthest; panel breakpoints
+graded at the largest N, where the saddle's width N^(-1/2) is smallest; f
+and g evaluated once per node, and exp(N (f - shift)) per N, with one shift
+for every N.  Each panel stays open for the N that have not accepted it yet,
+and every N starts on the panels that reach into its own ray cuts and keeps
+its own totals, error test and range check, so each N gets the value and
+error estimate a pass of its own would give, to within those estimates.
+``cubature_nd`` shares the soft panels the same way but gives each N its own
+transverse scale, from the ray cuts at that N: the transverse peak narrows
+as N^(-1/2), and a rule of fixed size fits one width only.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .integrand import _RAY_MAX, Integrand1D, IntegrandND, _n_grid
-from .saddle import NdSaddleInfo, find_saddle, find_saddle_nd
+from .saddle import find_saddle, find_saddle_nd
 
 __all__ = ["QuadResult", "quad_contour", "cubature_nd", "bessel_ref"]
 
@@ -131,9 +131,9 @@ def quad_contour(
     at most 10 tol |I| at every N, ToleranceNotMet is raised: the rounding
     term turns cancellation, where |I| is far below the integrand's size on
     the contour, into that error rather than a wrong value.  It is raised
-    too where |I| over- or underflows a normal double at some N, or where
-    the cuts leave no panel.  BadParameter where alpha is not finite, and
-    unless 0 < tol < inf.
+    too where f or |I| (at some N) leaves the range of a normal double, or
+    where the cuts leave no panel.  BadParameter where alpha is not finite,
+    and unless 0 < tol < inf.
 
     N is one number or a grid; for a grid, ``value`` and
     ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
@@ -153,9 +153,11 @@ def quad_contour(
     def amplitude(z, fz, kk, pp):
         return np.broadcast_to(intg.g(z), z.shape)[pp], None
 
-    res = _contour_sum(
-        intg.contour, anchor, lambda z: intg.f(z, alpha), amplitude, ns, tol, intg.prefactor
-    )
+    try:
+        res = _contour_sum(intg.contour, anchor, lambda z: intg.f(z, alpha), amplitude, ns, tol,
+                           intg.prefactor)
+    except OverflowError as exc:
+        raise ToleranceNotMet(f"f overflows a double on the contour: {exc}") from exc
     return _as_given(res, N)
 
 
@@ -304,28 +306,28 @@ def cubature_nd(
     alpha: float,
     N: "float | Sequence[float]",
     tol: float = 1e-8,
-    saddle: "NdSaddleInfo | None" = None,
 ) -> QuadResult:
     """Reference value of the n-D integral, within ``10 tol |I|``.
 
     The soft coordinate runs the panel loop of ``quad_contour`` along
-    ``soft_path``, through ``saddle``, or where it is None the saddle from
-    ``find_saddle_nd`` started at ``saddle_guess(alpha)``, or graded from
-    the node of largest Re F where there is neither, with the transverse
-    coordinates held at the saddle's (the guess's) for the ray cuts.  At
-    each soft node the transverse coordinates are summed by a tensor
-    Gauss–Hermite rule per N, centred on the saddle's: each axis is cut in
-    both directions where N (Re F - Re F(saddle)) drops below
-    L = log(tol 1e-3) for good, on a grid of ratio 2^(1/8), and the larger
-    cut over sqrt(-L) scales its nodes, about sqrt(2) times the peak's
-    standard deviation where it is Gaussian.  The integrand is weighted by
-    e^(t^2), so a Gaussian peak is integrated almost exactly.  The 16-node
-    tensor sum is the value at the node, its difference from the 10-node
-    sum plus a rounding term its error bound, which enters that N's error
-    estimate.  Both sums are taken relative to e^(N F) at the soft node on
-    the axis.  A transverse peak that moves away from the saddle's with the
-    soft node is followed only as far as the fixed centre allows; beyond
-    that the error bound grows and ToleranceNotMet is raised.
+    ``soft_path``, through the saddle from ``find_saddle_nd`` started at
+    ``saddle_guess(alpha)`` as given (kept in the integrand's memo), or
+    graded from the node of largest Re F without a guess or where the solve
+    raises, with the transverse coordinates held at the saddle's (the real
+    part of the guess's) for the ray cuts.  At each soft node the transverse
+    coordinates are summed by a tensor Gauss–Hermite rule per N, centred on
+    the saddle's: each axis is cut in both directions where
+    N (Re F - Re F(saddle)) drops below L = log(tol 1e-3) for good, on a
+    grid of ratio 2^(1/8), and the larger cut over sqrt(-L) scales its
+    nodes, about sqrt(2) times the peak's standard deviation where it is
+    Gaussian.  The integrand is weighted by e^(t^2), so a Gaussian peak is
+    integrated almost exactly.  The 16-node tensor sum is the value at the
+    node, its difference from the 10-node sum plus a rounding term its error
+    bound, which enters that N's error estimate.  Both sums are taken
+    relative to e^(N F) at the soft node on the axis.  A transverse peak
+    that moves away from the saddle's with the soft node is followed only as
+    far as the fixed centre allows; beyond that the error bound grows and
+    ToleranceNotMet is raised.
 
     N is one number or a grid; for a grid, ``value`` and
     ``abs_error_estimate`` are arrays in its order.  ``evaluations`` counts
@@ -338,20 +340,20 @@ def cubature_nd(
     if n > 4:
         raise DimensionTooLarge(f"cubature supports n <= 4, got {n}")
     center, anchor = np.zeros(n), None
-    if saddle is None and intg.saddle_guess is not None:
-        center = np.asarray(intg.saddle_guess(alpha), dtype=float)
+    if intg.saddle_guess is not None:
+        center = np.asarray(guess := intg.saddle_guess(alpha)).real
         try:
-            saddle = find_saddle_nd(intg, alpha, center)
+            s = find_saddle_nd(intg, alpha, guess)
+            center, anchor = s.x0.real, (s.x0[0], s.saddle.f0.real)
         except CausticaError:
             pass
-    if saddle is not None:
-        center, anchor = saddle.x0.real, (saddle.x0[0], float(intg.F(saddle.x0, alpha).real))
 
     # each N's transverse scales, from cuts on the same rays
     r = np.concatenate(([0.0], _RAY_MAX * 2.0 ** (np.arange(-160, 1) / 8.0)))
     axes = np.concatenate((np.eye(n)[1:], -np.eye(n)[1:]))
     x = (center[:, None, None] + axes.T[:, :, None] * r).reshape(n, -1)
-    d = intg.F(x, alpha).real.reshape(len(axes), -1) - intg.F(center, alpha).real
+    e = intg.F(x, alpha).real.reshape(len(axes), -1)
+    d = e - e[:, :1]  # r[0] = 0: each axis's first column is the centre
     rules = []
     for cut in _cuts(r, ns[:, None, None] * d, tol):
         scale = np.maximum(cut[:n - 1], cut[n - 1:]) / math.sqrt(-math.log(tol * _TRUNC_FACTOR))

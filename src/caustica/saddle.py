@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCubic, NoConvergence, PartnerNotFound, StepUnderflow, WrongRegime
+from .errors import (BadParameter, DegenerateCubic, NoConvergence, PartnerNotFound,
+                     StepUnderflow, WrongRegime)
 from .integrand import _JET_TOL, Integrand1D, IntegrandND, _jet, _per_alpha, derive
 # nothing in the package calls this name here; the only reason the import
 # exists is that the span tracer (bench/spans.py, TARGETS) wraps
@@ -77,6 +78,14 @@ def _derive(solver: str, intg: Integrand1D, z: complex, alpha: float, order: int
         raise NoConvergence(f"{solver}: derivatives overflow at z = {z:.6g}") from exc
 
 
+def _value(solver: str, intg: Integrand1D, z: complex, alpha: float) -> complex:
+    """f at a solution of ``solver``; WrongRegime where it overflows a double."""
+    try:
+        return intg.f(z, alpha)
+    except OverflowError as exc:
+        raise WrongRegime(f"{solver}: f overflows a double at z = {z:.6g}") from exc
+
+
 @_per_alpha("fold")
 def _fold_point(
     intg: Integrand1D, alpha: float, z: complex, f3_scale: complex, solver="z_tilde continuation"
@@ -88,10 +97,7 @@ def _fold_point(
         jet = _derive(solver, intg, z, alpha, 4)
         _, r, f3, _ = jet
         if abs(r) <= 1e-12 * max(1.0, abs(f3_scale)):
-            try:
-                return z, intg.f(z, alpha), jet
-            except OverflowError as exc:
-                raise WrongRegime(f"{solver}: f overflows a double at z = {z:.6g}") from exc
+            return z, _value(solver, intg, z, alpha), jet
         if f3 == 0:
             raise NoConvergence(f"{solver}: f''' vanishes at alpha={alpha}")
         step = r / f3
@@ -115,12 +121,9 @@ def _check_fold(f3: complex, f4: complex, residual: float, order: int) -> None:
 @dataclass(frozen=True)
 class NdSaddleInfo:
     """An n-D saddle as the saddle of the integrand reduced to the soft
-    coordinate.
-
-    ``reduced`` is that one-variable integrand at this alpha, ``saddle`` its
-    saddle, ``x0`` the n-D point (z0, x_perp*(z0)) and ``hessian`` the
-    transverse Hessian there.
-    """
+    coordinate: ``reduced`` is that one-variable integrand at this alpha,
+    ``saddle`` its saddle, ``x0`` the n-D point (z0, x_perp*(z0)) and
+    ``hessian`` the transverse Hessian there, as ``find_saddle_nd`` vetted."""
 
     x0: np.ndarray
     hessian: np.ndarray
@@ -140,8 +143,8 @@ def find_saddle(
     tol: float = 1e-12,
 ) -> SaddleInfo:
     """Damped Newton iteration on f'(z, alpha) = 0; NoConvergence also where
-    the derivatives overflow at an iterate or f' there is not finite.  The
-    result is kept in the integrand's memo."""
+    the derivatives overflow at an iterate or f' there is not finite,
+    WrongRegime where f overflows at the saddle.  Kept in the integrand's memo."""
     z = complex(guess)
     for it in range(1, _MAX_ITERS + 1):
         f1, f2, f3 = _derive("find_saddle", intg, z, alpha, 3)
@@ -150,10 +153,7 @@ def find_saddle(
         if it == 1:
             scale = max(1.0, abs(f1))
         if abs(f1) <= tol * scale:
-            return SaddleInfo(
-                z0=z, f0=intg.f(z, alpha), f2=f2, f3=f3, residual=abs(f1), iterations=it,
-                alpha=alpha,
-            )
+            return SaddleInfo(z, _value("find_saddle", intg, z, alpha), f2, f3, abs(f1), it, alpha)
         if f2 == 0:
             # fall back to the cubic model at an exact caustic point
             step = -(2.0 * f1 / f3) ** 0.5 if f3 != 0 else 0.1
@@ -220,23 +220,30 @@ def find_partner(intg: Integrand1D, alpha: float, s: SaddleInfo) -> SaddleInfo:
 def find_saddle_nd(intg: IntegrandND, alpha: float, guess: np.ndarray) -> NdSaddleInfo:
     """The saddle of the integrand reduced to the soft coordinate, by
     ``find_saddle`` from guess[0], the transverse coordinates solved from
-    guess[1:].
+    guess[1:], complex entries as given; kept in the integrand's memo.
 
-    WrongRegime where the transverse Hessian at the saddle has an eigenvalue
-    with non-negative real part: the transverse integrals are then not
-    Gaussian peaks.
+    BadParameter where the guess is not of shape (n,).  WrongRegime where
+    the transverse Hessian there has an eigenvalue with non-negative real
+    part (no Gaussian peaks), or a real soft coordinate a minimum (no fold).
     """
     guess = np.asarray(guess)
     if guess.shape != (intg.dim,):
-        raise WrongRegime(f"guess has shape {guess.shape}, expected ({intg.dim},)")
-    reduced, solve = _reduce(intg, alpha, guess[1:])
+        raise BadParameter(f"guess has shape {guess.shape}, expected ({intg.dim},)")
+    return _saddle_nd(intg, alpha, *guess)
+
+
+@_per_alpha("find_saddle_nd")
+def _saddle_nd(intg: IntegrandND, alpha: float, z: complex, *perp) -> NdSaddleInfo:
+    reduced, solve = _reduce(intg, alpha, np.array(perp))
     # 1e-10 keeps the n-D sweeps' values: at 1e-12 every n-D golden CSV moves
     # in its last digits, though the solve also converges there (A6 passes)
-    s = find_saddle(reduced, alpha, complex(guess[0]), 1e-10)
+    s = find_saddle(reduced, alpha, complex(z), 1e-10)
     x, h = solve(s.z0, alpha)
     h = h[:, :, 0]
     if np.any(np.linalg.eigvals(h).real >= 0.0):
         raise WrongRegime(f"transverse Hessian must be negative definite, got {h}")
+    if intg.soft_contour is None and s.f2.real > 0.0:
+        raise WrongRegime("soft minimum on a real soft coordinate: not a fold")
     return NdSaddleInfo(x0=x[:, 0], hessian=h, reduced=reduced, saddle=s)
 
 
@@ -260,15 +267,14 @@ def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray):
             return _transverse_solve(intg, a, np.ravel(z), seed)
         return solve_point(reduced, a, z)
 
-    def f(z, a):
-        x, _ = solve(z, a)
-        v = intg.F(x, a)
+    def shaped(z, v):  # values at the columns of z's points, in z's shape
         return v.reshape(np.shape(z)) if np.ndim(z) else complex(v[0])
 
+    def f(z, a):
+        return shaped(z, intg.F(solve(z, a)[0], a))
+
     def g(z):
-        _, h = solve(z, alpha)
-        v = np.linalg.det(np.moveaxis(-h, -1, 0)) ** -0.5
-        return v.reshape(np.shape(z)) if np.ndim(z) else complex(v[0])
+        return shaped(z, np.linalg.det(np.moveaxis(-solve(z, alpha)[1], -1, 0)) ** -0.5)
 
     reduced = Integrand1D(f=f, g=g, contour=intg.soft_path, name=f"{intg.name} reduced")
     return reduced, solve

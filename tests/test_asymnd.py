@@ -205,9 +205,9 @@ def test_positive_soft_without_contour_rejected():
         F=lambda x, a: 0.5 * 0.3 * x[0] ** 2 - 0.5 * x[1] ** 2 + 0.05 * x[0] ** 3,
         dim=2,
     )
-    s = find_saddle_nd(intg, 0.0, np.array([0.01, 0.0]))
-    with pytest.raises(WrongRegime):
-        approx_wkb_nd(intg, 0.0, 30.0, s)
+    # find_saddle_nd is the one place that refuses the soft minimum
+    with pytest.raises(WrongRegime, match="soft minimum"):
+        find_saddle_nd(intg, 0.0, np.array([0.01, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_mean_field_compare_nd():
     grid = [50, 100]
     for alpha, bound in [(a, 1e-4), (0.2, 1e-2), (0.4, 1e-2)]:
         s = find_saddle_nd(nd, alpha, nd.saddle_guess(alpha))
-        refs = cubature_nd(nd, alpha, grid, saddle=s).value
+        refs = cubature_nd(nd, alpha, grid).value
         corrs = approx_corrected_nd(nd, alpha, grid, s)
         for v, ref in zip(corrs, refs):
             assert abs(v.value - ref) <= bound * abs(ref)
@@ -400,3 +400,34 @@ def test_one_transverse_solve_per_point_and_alpha(monkeypatch):
         x, h = fresh(intg, a, np.array([s.saddle.z0]), intg.saddle_guess(a)[1:])
         assert np.array_equal(s.x0, x[:, 0]) and np.array_equal(s.hessian, h[:, :, 0])
     assert len(solves) == len(set(solves)) == 2 * len(alphas)
+
+
+def test_mean_field_compare_zero_cubic_is_degenerate(monkeypatch):
+    # a user integrand whose saddle has f''' = 0 has no fold to compare
+    solve = asymnd.find_saddle
+    monkeypatch.setattr(
+        asymnd, "find_saddle", lambda *args: dataclasses.replace(solve(*args), f3=0j)
+    )
+    with pytest.raises(DegenerateCubic, match="f''' vanishes at the saddle"):
+        mean_field_compare(registry_get("mean-field-toy", {"m": 0.1}), [1.1], [50])
+
+
+def test_nd_path_calls_F_on_columns_only():
+    # an F that refuses anything but an (n, M) array of columns serves the
+    # whole n-D path, with the registry F's values
+    nd = _nd(dim=2, c=0.1)
+
+    def F(x, a):
+        if np.ndim(x) != 2 or len(x) != 2:
+            raise AssertionError(f"F called on shape {np.shape(x)}")
+        return nd.F(x, a)
+
+    cols = dataclasses.replace(nd, F=F)
+    x, u = np.array([0.3, 0.2]), np.array([0.6, 0.8])
+    assert integrand.derive_nd(cols, x, 0.2, u, 2) == integrand.derive_nd(nd, x, 0.2, u, 2)
+    s = find_saddle_nd(cols, 0.2, cols.saddle_guess(0.2))
+    ref = find_saddle_nd(nd, 0.2, nd.saddle_guess(0.2))
+    assert s.saddle == ref.saddle
+    for formula in (approx_wkb_nd, approx_corrected_nd):
+        assert formula(cols, 0.2, [30, 100], s) == formula(nd, 0.2, [30, 100], ref)
+    assert np.all(cubature_nd(cols, 0.2, [30, 100]).value == cubature_nd(nd, 0.2, [30, 100]).value)

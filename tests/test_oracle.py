@@ -1,5 +1,7 @@
+import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -611,3 +613,25 @@ def test_oracles_reject_non_finite_alpha(alpha):
         quad_contour(registry_get("cubic"), alpha, 30)
     with pytest.raises(BadParameter, match="alpha must be finite"):
         cubature_nd(registry_get("nd-separable"), alpha, 30)
+
+
+def test_quad_contour_f_overflow_is_tolerance_not_met():
+    # the saddle solve raises WrongRegime, and f overflows on the declared
+    # contour's nodes too
+    cubic = registry_get("cubic")
+    intg = dataclasses.replace(cubic, f=lambda z, a: cubic.f(z, a) * cmath.exp(800.0))
+    with pytest.raises(ToleranceNotMet, match="f overflows a double"):
+        quad_contour(intg, 0.3, 30)
+
+
+def test_cubature_nd_takes_complex_guess():
+    # the guess goes to find_saddle_nd as given: a zero imaginary part keeps
+    # every bit, a small one the value within the tolerance
+    nd = registry_get("nd-perturbed-cubic")
+    ref = cubature_nd(nd, 0.3, [30, 100])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for shift, bound in ((0j, 0.0), (0.05j, 1e-7)):
+            intg = dataclasses.replace(nd, saddle_guess=lambda a: nd.saddle_guess(a) + shift)
+            r = cubature_nd(intg, 0.3, [30, 100])
+            assert np.all(np.abs(r.value - ref.value) <= bound * np.abs(ref.value))

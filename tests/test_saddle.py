@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import warnings
@@ -7,11 +8,16 @@ import pytest
 
 from caustica import saddle
 from caustica import (
+    BadParameter,
+    ContourPath,
     DegenerateCubic,
+    Integrand1D,
     IntegrandND,
     NoConvergence,
     PartnerNotFound,
+    StepUnderflow,
     WrongRegime,
+    cubature_nd,
     derive,
     find_caustic,
     find_partner,
@@ -336,8 +342,9 @@ def test_nd_singular_transverse_hessian_is_no_convergence(monkeypatch):
 
 
 def test_nd_bad_guess_shape():
+    # a guess of the wrong shape is an input error
     intg = registry_get("nd-separable", {"dim": "3"})
-    with pytest.raises(WrongRegime):
+    with pytest.raises(BadParameter, match="guess has shape"):
         find_saddle_nd(intg, 0.2, np.zeros(2))
 
 
@@ -346,3 +353,69 @@ def test_partner_zero_cubic_coefficient():
     s = dataclasses.replace(find_saddle(intg, 0.3, intg.saddle_guess(0.3)), f3=0j)
     with pytest.raises(PartnerNotFound, match="cubic coefficient vanishes"):
         find_partner(intg, 0.3, s)
+
+
+def test_find_saddle_f_overflow_is_wrong_regime():
+    # the derivatives are finite at the saddle, f itself overflows a double
+    cubic = registry_get("cubic")
+    intg = dataclasses.replace(cubic, f=lambda z, a: cubic.f(z, a) * cmath.exp(800.0))
+    with pytest.raises(WrongRegime, match="find_saddle: f overflows"):
+        find_saddle(intg, 0.3, 0.6)
+
+
+def test_find_caustic_step_limit(monkeypatch):
+    # on the cubic the fold-point Newton ends in two steps and the secant in
+    # alpha in three, so a limit of two stops the secant only
+    monkeypatch.setattr(saddle, "_MAX_ITERS", 2)
+    with pytest.raises(NoConvergence, match="did not converge in 2 steps"):
+        find_caustic(registry_get("cubic"))
+
+
+def test_partner_falls_back_onto_saddle():
+    # f' = 1 - e^z has no other root near 0: the cubic model seeds the
+    # partner at -2, from where the damped Newton walks back to 0
+    exp = lambda z, a: -cmath.exp(z)  # noqa: E731
+    intg = Integrand1D(
+        f=lambda z, a: z - np.exp(z),
+        g=lambda z: 1.0 + 0.0 * z,
+        contour=ContourPath((0j,), tail_angle=math.pi, head_angle=0.0),
+        analytic_derivs=(lambda z, a: 1.0 - cmath.exp(z), exp, exp, exp),
+    )
+    s = find_saddle(intg, 0.3, 0.0)
+    with pytest.raises(PartnerNotFound, match="fell back onto the original saddle"):
+        find_partner(intg, 0.3, s)
+
+
+def test_nd_transverse_hessian_exactly_singular():
+    # F that does not depend on x2 samples a constant along it, so the jet
+    # reads a transverse Hessian of exactly zero
+    intg = IntegrandND(F=lambda x, a: x[0] ** 3 / 3.0 - a * x[0], dim=2)
+    with pytest.raises(NoConvergence, match="singular transverse Hessian"):
+        find_saddle_nd(intg, 0.5, np.array([0.7, 0.0]))
+
+
+def test_nd_transverse_derivatives_beyond_tolerance(monkeypatch):
+    # with no error bound accepted, the transverse jets' own check refuses
+    monkeypatch.setattr(saddle, "_JET_TOL", 0.0)
+    intg = registry_get("nd-perturbed-cubic")
+    with pytest.raises(StepUnderflow, match="transverse derivative error bounds"):
+        find_saddle_nd(intg, 0.3, intg.saddle_guess(0.3))
+
+
+def test_nd_saddle_solved_once_per_alpha(monkeypatch):
+    # the oracle takes the saddle that find_saddle_nd solved at this alpha
+    # from the integrand's memo; another alpha solves again
+    reductions = []
+
+    def counted(intg, alpha, seed, reduce=saddle._reduce):
+        reductions.append(alpha)
+        return reduce(intg, alpha, seed)
+
+    monkeypatch.setattr(saddle, "_reduce", counted)
+    intg = registry_get("nd-perturbed-cubic")
+    s = find_saddle_nd(intg, 0.3, intg.saddle_guess(0.3))
+    cubature_nd(intg, 0.3, 30)
+    assert reductions == [0.3]
+    assert find_saddle_nd(intg, 0.3, intg.saddle_guess(0.3)) is s
+    find_saddle_nd(intg, 0.25, intg.saddle_guess(0.25))
+    assert reductions == [0.3, 0.25]
