@@ -6,14 +6,15 @@ contour: ``polyline`` cuts its rays, and ``project`` gives the nearest
 point, its arc position and the travel direction there, which both the
 oracle's contour move and the formulas' descent frame use.
 
-Derivatives of f without analytic providers, and every derivative of F,
-come from the Taylor jet of one FFT over points on a circle around the
-point.  So f, g and F must be analytic and accept complex arguments.  f
-and g also take numpy arrays of complex points and return their values
-element by element: the jet samples its circle in one call, and
-``quad_contour`` its panel nodes.  ``quad_contour`` integrates along the
-declared contour translated through the saddle, so f and g must be
-analytic between the declared contour and that translate.
+Derivatives of f without analytic providers, and every derivative of F
+that ``transverse_derivs`` does not provide, come from the Taylor jet of
+one FFT over points on a circle around the point.  So f, g and F must be
+analytic and accept complex arguments.  f and g also take numpy arrays of
+complex points and return their values element by element: the jet
+samples its circle in one call, and ``quad_contour`` its panel nodes.
+``quad_contour`` integrates along the declared contour translated through
+the saddle, so f and g must be analytic between the declared contour and
+that translate.
 
 Every field is fixed at construction.  An ``Integrand1D`` also keeps a
 private memo of the pure steps that the solvers and formulas repeat within
@@ -185,6 +186,12 @@ class IntegrandND:
     It must be analytic and accept complex points: the reduction to the soft
     coordinate solves for the transverse coordinates at complex soft
     points, and the oracle evaluates F on its whole node mesh in one call.
+
+    ``transverse_derivs``, where given, is the n-D counterpart of
+    ``analytic_derivs``: called on a complex (n, M) array of columns, it
+    returns F's gradient in the transverse coordinates x_2..x_n, of shape
+    (n-1, M), and their Hessian, of shape (n-1, n-1, M).  Without it the
+    reduction takes both from Taylor jets of F.
     """
 
     F: Callable[[np.ndarray, float], complex]
@@ -192,6 +199,9 @@ class IntegrandND:
     soft_contour: Optional[ContourPath] = None
     alpha_range: tuple[float, float] = (0.0, 1.0)
     saddle_guess: Optional[Callable[[float], np.ndarray]] = None
+    transverse_derivs: Optional[
+        Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]]
+    ] = None
     name: str = ""
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -518,6 +528,20 @@ def _build_nd_perturbed_cubic(params, separable=False):
             val = val + c * x1 * x[1] * x[1]
         return val
 
+    # F is quadratic in x_perp: dF/dx_i = lambda_i x_i and H = diag(lambda),
+    # plus 2 c x1 x2 and 2 c x1 for x2.  The gradient is exactly 0 at
+    # x_perp = 0, so the transverse Newton stops at its seed there
+    diag = np.arange(dim - 1)
+
+    def transverse_derivs(x, a):
+        grad = lams[:, None] * x[1:]
+        h = np.zeros((dim - 1, dim - 1, x.shape[1]), dtype=complex)
+        h[diag, diag] = lams[:, None]
+        if c != 0.0:
+            grad[0] += 2.0 * c * x[0] * x[1]
+            h[0, 0] += 2.0 * c * x[0]
+        return grad, h
+
     soft = ContourPath((0.0 + 0.0j,), tail_angle=-math.pi / 3.0, head_angle=math.pi / 3.0)
 
     # the recessive saddle, through which the soft contour passes
@@ -532,6 +556,7 @@ def _build_nd_perturbed_cubic(params, separable=False):
         soft_contour=soft,
         alpha_range=(0.0, 0.5),
         saddle_guess=guess,
+        transverse_derivs=transverse_derivs,
         name="nd-separable" if separable else "nd-perturbed-cubic",
     )
 

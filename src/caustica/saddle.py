@@ -253,9 +253,12 @@ def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray):
     vanishes, and g(z) = det(-H_perp)^(-1/2); times (2 pi / N)^((n-1)/2) its
     integral along the soft contour is the n-D integral to relative order
     1/N, and exactly so where F is quadratic in x_perp.  x_perp* is found
-    by Newton from ``seed``.  f and g accept complex points and arrays.
-    Also returns their transverse solve, which keeps (x, H) at each single
-    point in the reduced integrand's memo: the solvers ask there often.
+    by Newton from ``seed``, on the transverse gradient and Hessian of
+    ``_transverse_derivatives`` (closed-form where the integrand provides
+    them, Taylor jets of F otherwise).  f and g accept complex points and
+    arrays.  Also returns their transverse solve, which keeps (x, H) at each
+    single point in the reduced integrand's memo: the solvers ask there
+    often.
     """
 
     @_per_alpha("perp")
@@ -302,9 +305,12 @@ def _transverse_solve(intg, alpha, z, seed):
 
 def _transverse_derivatives(intg, x, alpha):
     """Gradient (n-1, M) and Hessian (n-1, n-1, M) of F in the transverse
-    coordinates at the columns of the complex (n, M) array x: each diagonal
-    entry from a Taylor jet along a coordinate axis, each off-diagonal one
-    from a jet along the diagonal of two axes."""
+    coordinates at the columns of the complex (n, M) array x: from the
+    integrand's ``transverse_derivs`` where it has one, otherwise each
+    diagonal entry from a Taylor jet along a coordinate axis, each
+    off-diagonal one from a jet along the diagonal of two axes."""
+    if intg.transverse_derivs is not None:
+        return intg.transverse_derivs(x, alpha)
     n, m = x.shape
     scale = max(1.0, float(np.abs(x).max()))
 

@@ -422,12 +422,41 @@ def test_nd_path_calls_F_on_columns_only():
             raise AssertionError(f"F called on shape {np.shape(x)}")
         return nd.F(x, a)
 
-    cols = dataclasses.replace(nd, F=F)
     x, u = np.array([0.3, 0.2]), np.array([0.6, 0.8])
-    assert integrand.derive_nd(cols, x, 0.2, u, 2) == integrand.derive_nd(nd, x, 0.2, u, 2)
-    s = find_saddle_nd(cols, 0.2, cols.saddle_guess(0.2))
-    ref = find_saddle_nd(nd, 0.2, nd.saddle_guess(0.2))
-    assert s.saddle == ref.saddle
-    for formula in (approx_wkb_nd, approx_corrected_nd):
-        assert formula(cols, 0.2, [30, 100], s) == formula(nd, 0.2, [30, 100], ref)
-    assert np.all(cubature_nd(cols, 0.2, [30, 100]).value == cubature_nd(nd, 0.2, [30, 100]).value)
+    # the registry family, and its clone whose transverse solve runs on jets
+    for base in (nd, dataclasses.replace(nd, transverse_derivs=None)):
+        cols = dataclasses.replace(base, F=F)
+        assert integrand.derive_nd(cols, x, 0.2, u, 2) == integrand.derive_nd(nd, x, 0.2, u, 2)
+        s = find_saddle_nd(cols, 0.2, cols.saddle_guess(0.2))
+        ref = find_saddle_nd(base, 0.2, base.saddle_guess(0.2))
+        assert s.saddle == ref.saddle
+        for formula in (approx_wkb_nd, approx_corrected_nd):
+            assert formula(cols, 0.2, [30, 100], s) == formula(base, 0.2, [30, 100], ref)
+        cub = cubature_nd(cols, 0.2, [30, 100]).value
+        assert np.all(cub == cubature_nd(base, 0.2, [30, 100]).value)
+
+
+def test_registry_nd_path_takes_no_transverse_jet(monkeypatch):
+    # the registry families' closed-form transverse derivatives replace the
+    # jets of F along x_perp: one alpha through the whole n-D path samples
+    # no jet on a 2-D array (K points at once), only the reduced f's and
+    # derive_nd's 1-D ones
+    shapes = []
+
+    def recorded(func, scale, jet=integrand._jet):
+        def sampled(s):
+            v = np.asarray(func(s))
+            shapes.append(v.ndim)
+            return v
+
+        return jet(sampled, scale)
+
+    monkeypatch.setattr(saddle, "_jet", recorded)
+    monkeypatch.setattr(integrand, "_jet", recorded)
+    for dim, c in ((2, 0.0), (2, 0.1), (3, 0.0), (3, 0.1)):
+        intg = _nd(dim=dim, c=c)
+        s = find_saddle_nd(intg, 0.2, intg.saddle_guess(0.2))
+        approx_wkb_nd(intg, 0.2, [30, 100], s)
+        approx_corrected_nd(intg, 0.2, [30, 100], s)
+        cubature_nd(intg, 0.2, [30, 100])
+    assert shapes and set(shapes) == {1}

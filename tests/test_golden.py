@@ -18,7 +18,11 @@ the arguments in ``MEANFIELD_ARGS``; it is regenerated with
 ``tests/data/fd-library.csv`` pins the finite-difference derivative path,
 which every sweep golden skips (the registry families have analytic
 derivatives): one-N values of the four 1-D formulas on clones of the
-families without them, from ``_fd_rows``; it is regenerated with
+families without them, from ``_fd_rows``.  ``tests/data/fd-library-nd.csv``
+pins the n-D path's transverse jets in the same way (the registry n-D
+families have a closed-form ``transverse_derivs``): one-N ``wkb-nd`` and
+``corrected-nd`` values and the saddle's x0, f'' and f''' on clones without
+it, from ``_fd_nd_rows``.  This writes both:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -33,12 +37,15 @@ from click.testing import CliRunner
 from caustica import (
     CausticaError,
     approx_cfu,
+    approx_corrected_nd,
     approx_saddle_form,
     approx_tilde,
     approx_wkb,
+    approx_wkb_nd,
     find_caustic,
     find_partner,
     find_saddle,
+    find_saddle_nd,
     registry_get,
 )
 from caustica.cli import _write_csv, main
@@ -125,5 +132,63 @@ def test_fd_library_matches_golden_csv():
     assert _fd_csv() == (DATA / "fd-library.csv").read_text()
 
 
+# (family, parameters): both n-D families at dim 2 and 3; alpha runs down
+# to the fold at 0, where wkb-nd diverges
+FD_ND_FAMILIES = [
+    (name, params)
+    for name in ("nd-perturbed-cubic", "nd-separable")
+    for params in ({}, {"dim": 3, "lambda3": -2})
+]
+FD_ND_ALPHAS = [0.5, 0.3, 0.1, 0.02, 0.0]
+FD_ND_METHODS = {"wkb-nd": approx_wkb_nd, "corrected-nd": approx_corrected_nd}
+
+
+def _jet_clone(intg):
+    # the family with its transverse derivatives taken from Taylor jets
+    return dataclasses.replace(intg, transverse_derivs=None)
+
+
+def _fd_nd_rows():
+    """One row per (family, dim, alpha, N): the saddle's x0 (padded with
+    empty cells to three entries), and f'' and f''' of the reduced
+    integrand there, as re, im; then each formula's value at that one N as
+    re, im, or its error class and an empty cell.  The families are cloned
+    with ``transverse_derivs=None``, and each saddle is solved from
+    ``saddle_guess(alpha)``."""
+    for name, params in FD_ND_FAMILIES:
+        intg = _jet_clone(registry_get(name, params))
+        for a in FD_ND_ALPHAS:
+            s = find_saddle_nd(intg, a, intg.saddle_guess(a))
+            cells = [None] * 6
+            cells[:2 * intg.dim:2], cells[1:2 * intg.dim:2] = s.x0.real, s.x0.imag
+            for v in (s.saddle.f2, s.saddle.f3):
+                cells += [v.real, v.imag]
+            for n in FD_N:
+                row = [name, intg.dim, a, n, *cells]
+                for method in FD_ND_METHODS.values():
+                    try:
+                        v = method(intg, a, n, s).value
+                        row += [v.real, v.imag]
+                    except CausticaError as exc:
+                        row += [type(exc).__name__, None]
+                yield row
+
+
+def _fd_nd_csv() -> str:
+    out = io.StringIO()
+    cols = ["family", "dim", "alpha", "N"] + [
+        f"{c}_{p}"
+        for c in ("x0_1", "x0_2", "x0_3", "f2", "f3", *FD_ND_METHODS)
+        for p in ("re", "im")
+    ]
+    _write_csv(out, cols, _fd_nd_rows())
+    return out.getvalue()
+
+
+def test_fd_library_nd_matches_golden_csv():
+    assert _fd_nd_csv() == (DATA / "fd-library-nd.csv").read_text()
+
+
 if __name__ == "__main__":
     (DATA / "fd-library.csv").write_text(_fd_csv())
+    (DATA / "fd-library-nd.csv").write_text(_fd_nd_csv())

@@ -395,11 +395,34 @@ def test_nd_transverse_hessian_exactly_singular():
 
 
 def test_nd_transverse_derivatives_beyond_tolerance(monkeypatch):
-    # with no error bound accepted, the transverse jets' own check refuses
+    # with no error bound accepted, the transverse jets' own check refuses;
+    # the registry family's closed form skips the jets, so its clone runs them
     monkeypatch.setattr(saddle, "_JET_TOL", 0.0)
-    intg = registry_get("nd-perturbed-cubic")
+    intg = dataclasses.replace(registry_get("nd-perturbed-cubic"), transverse_derivs=None)
     with pytest.raises(StepUnderflow, match="transverse derivative error bounds"):
         find_saddle_nd(intg, 0.3, intg.saddle_guess(0.3))
+
+
+@pytest.mark.parametrize("name", ["nd-perturbed-cubic", "nd-separable"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_nd_transverse_derivs_match_jets(name, dim):
+    # the closed-form transverse gradient and Hessian against the Taylor
+    # jets of a clone without them, at random complex columns, to the 1-D
+    # providers' bound (test_fd_matches_analytic)
+    intg = registry_get(name, {"dim": dim, "lambda3": -2} if dim == 3 else {"dim": dim})
+    jets = dataclasses.replace(intg, transverse_derivs=None)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 1.0, (dim, 12)) + 1j * rng.uniform(-1.0, 1.0, (dim, 12))
+    for exact, fd in zip(saddle._transverse_derivatives(intg, x, 0.3),
+                         saddle._transverse_derivatives(jets, x, 0.3)):
+        assert exact.shape == fd.shape
+        assert np.all(np.abs(fd - exact) <= 1e-7 * np.maximum(1.0, np.abs(exact)))
+    # at x_perp = 0 the gradient is exactly 0, so x_perp* is the seed
+    x[1:] = 0.0
+    grad, _ = saddle._transverse_derivatives(intg, x, 0.3)
+    assert np.all(grad == 0.0)
+    s = find_saddle_nd(intg, 0.3, intg.saddle_guess(0.3))
+    assert np.all(s.x0[1:] == 0.0)
 
 
 def test_nd_saddle_solved_once_per_alpha(monkeypatch):
