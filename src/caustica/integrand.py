@@ -191,7 +191,10 @@ class IntegrandND:
     ``analytic_derivs``: called on a complex (n, M) array of columns, it
     returns F's gradient in the transverse coordinates x_2..x_n, of shape
     (n-1, M), and their Hessian, of shape (n-1, n-1, M).  Without it the
-    reduction takes both from Taylor jets of F.
+    reduction takes both from Taylor jets of F.  Where the gradient it
+    returns is exactly zero in every column, the transverse Newton stops
+    there without a linear solve: an F even in x_perp, seeded at
+    x_perp = 0, costs one call per solve.
     """
 
     F: Callable[[np.ndarray, float], complex]

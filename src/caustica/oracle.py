@@ -75,6 +75,11 @@ _GK_W = np.concatenate((_KR_WK, _KR_WK[-2::-1]))
 _GK_D = _GK_W - np.insert(np.concatenate((_KR_WG, _KR_WG[::-1])), range(11), 0.0)
 _GH_X, _GH_W = np.polynomial.hermite.hermgauss(16)  # transverse value in cubature_nd
 _GH_X_ERR, _GH_W_ERR = np.polynomial.hermite.hermgauss(10)  # and its error bound
+_GH_E, _GH_E_ERR = np.exp(_GH_X * _GH_X), np.exp(_GH_X_ERR * _GH_X_ERR)  # e^(t^2) at the nodes
+# the radii on which _contour_sum cuts the rays (ratio sqrt 2) and cubature_nd
+# the transverse axes (ratio 2^(1/8)), up to _RAY_MAX
+_RAY_RADII = np.concatenate(([0.0], _RAY_MAX * 2.0 ** (np.arange(-25, 1) / 2.0)))
+_CUT_RADII = np.concatenate(([0.0], _RAY_MAX * 2.0 ** (np.arange(-160, 1) / 8.0)))
 _MAX_ROUNDS = 10  # rounds of quad_contour, each halving the panels it rejects
 _ROUNDING = 8.0  # c in the rounding term c eps sum |w h|
 _EPS = np.finfo(float).eps
@@ -213,7 +218,7 @@ def _contour_sum(contour, anchor, f, amplitude, ns, tol, prefactor=1.0):
     # cut reaches at least the first radius past the saddle.  The smallest N
     # reaches furthest and sets the panels' span; each N starts on the
     # panels that reach into its own span
-    r = np.concatenate(([0.0], _RAY_MAX * 2.0 ** (np.arange(-25, 1) / 2.0)))
+    r = _RAY_RADII
     u = np.exp(1j * np.array([[contour.tail_angle], [contour.head_angle]]))
     ends = np.array([[contour.nodes[0]], [contour.nodes[-1]]])
     cut = _cuts(r, ns[:, None, None] * (f(ends + r * u).real - ref), tol)
@@ -291,13 +296,21 @@ def _contour_sum(contour, anchor, f, amplitude, ns, tol, prefactor=1.0):
                       evaluations=nev)
 
 
-def _hermite_rule(center, scale, x, w):
+def _hermite_rule(center, scale, x, w, ex):
     """Nodes (d, P) and weights (P,) of the tensor product of the rule (x, w)
     for the weight e^(-t^2), moved to ``center`` and stretched by ``scale``
-    per axis, with e^(t^2) folded into the weights."""
-    nodes = np.meshgrid(*[c + s * x for c, s in zip(center, scale)], indexing="ij")
-    weights = np.meshgrid(*[s * w * np.exp(x * x) for s in scale], indexing="ij")
-    return np.array([t.ravel() for t in nodes]), np.prod([v.ravel() for v in weights], axis=0)
+    per axis, with ``ex`` = e^(x^2) folded into the weights; the first axis
+    varies slowest.  Each weight is multiplied up in axis order: the
+    sweeps' bits depend on that order."""
+    d, q = len(center), len(x)
+    nodes = np.empty((d,) + (q,) * d)
+    for i, t in enumerate(center[:, None] + scale[:, None] * x):
+        nodes[i] = t.reshape((q,) + (1,) * (d - 1 - i))
+    weights = scale[:, None] * w * ex
+    prod = weights[0]
+    for v in weights[1:]:
+        prod = np.multiply.outer(prod, v)
+    return nodes.reshape(d, -1), prod.ravel()
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
@@ -349,7 +362,7 @@ def cubature_nd(
             pass
 
     # each N's transverse scales, from cuts on the same rays
-    r = np.concatenate(([0.0], _RAY_MAX * 2.0 ** (np.arange(-160, 1) / 8.0)))
+    r = _CUT_RADII
     axes = np.concatenate((np.eye(n)[1:], -np.eye(n)[1:]))
     x = (center[:, None, None] + axes.T[:, :, None] * r).reshape(n, -1)
     e = intg.F(x, alpha).real.reshape(len(axes), -1)
@@ -357,8 +370,8 @@ def cubature_nd(
     rules = []
     for cut in _cuts(r, ns[:, None, None] * d, tol):
         scale = np.maximum(cut[:n - 1], cut[n - 1:]) / math.sqrt(-math.log(tol * _TRUNC_FACTOR))
-        coarse, w_coarse = _hermite_rule(center[1:], scale, _GH_X_ERR, _GH_W_ERR)
-        fine, w_fine = _hermite_rule(center[1:], scale, _GH_X, _GH_W)
+        coarse, w_coarse = _hermite_rule(center[1:], scale, _GH_X_ERR, _GH_W_ERR, _GH_E_ERR)
+        fine, w_fine = _hermite_rule(center[1:], scale, _GH_X, _GH_W, _GH_E)
         rules.append((np.concatenate((coarse, fine), axis=1), w_coarse, w_fine))
     k, size = len(rules[0][1]), rules[0][0].shape[1]
     chunk = max(1, _MAX_POINTS // size)
@@ -388,9 +401,10 @@ def cubature_nd(
                 x[0], x[1:] = zc[:, None], xt[:, None, :]
                 e = intg.F(x.reshape(n, -1), alpha).reshape(-1, size)
                 t = np.exp(nk * (e - fk[i:i + chunk, None]))
-                v[i:i + chunk] = (t[:, k:] * w_fine).sum(axis=1)
+                tw = t[:, k:] * w_fine
+                v[i:i + chunk] = tw.sum(axis=1)
                 b[i:i + chunk] = (np.abs((t[:, :k] * w_coarse).sum(axis=1) - v[i:i + chunk])
-                                  + _ROUNDING * _EPS * np.abs(t[:, k:] * w_fine).sum(axis=1))
+                                  + _ROUNDING * _EPS * np.abs(tw).sum(axis=1))
             value.append(v.reshape(-1, z.shape[1]))
             bound.append(b.reshape(-1, z.shape[1]))
         return np.concatenate(value), np.concatenate(bound)

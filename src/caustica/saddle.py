@@ -277,7 +277,7 @@ def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray):
         return shaped(z, intg.F(solve(z, a)[0], a))
 
     def g(z):
-        return shaped(z, np.linalg.det(np.moveaxis(-solve(z, alpha)[1], -1, 0)) ** -0.5)
+        return shaped(z, np.linalg.det(-solve(z, alpha)[1].transpose(2, 0, 1)) ** -0.5)
 
     reduced = Integrand1D(f=f, g=g, contour=intg.soft_path, name=f"{intg.name} reduced")
     return reduced, solve
@@ -286,13 +286,25 @@ def _reduce(intg: IntegrandND, alpha: float, seed: np.ndarray):
 def _transverse_solve(intg, alpha, z, seed):
     """The columns (z_k, x_perp*(z_k)) of an (n, M) array, with the
     transverse gradient zero by Newton from ``seed``, and the transverse
-    Hessians there, of shape (n-1, n-1, M)."""
+    Hessians there, of shape (n-1, n-1, M).
+
+    Where the gradient is exactly zero in every column (and H finite), the
+    iterate is an exact root and Newton's step exactly zero: it returns
+    (x, H) as they are and solves no linear system, as for an F even in
+    x_perp at x_perp = 0.  NoConvergence where a Hessian is exactly singular
+    (a zero LU pivot), on either path.
+    """
     x = np.empty((intg.dim, z.size), dtype=complex)
     x[0], x[1:] = z, np.asarray(seed)[:, None]
     for _ in range(_MAX_ITERS):
         grad, h = _transverse_derivatives(intg, x, alpha)
+        hm = h.transpose(2, 0, 1)
+        if not grad.any() and np.isfinite(h).all():
+            if np.any(np.linalg.slogdet(hm)[0] == 0):
+                raise NoConvergence("transverse Newton: singular transverse Hessian")
+            return x, h
         try:
-            step = np.linalg.solve(np.moveaxis(h, -1, 0), -grad.T[:, :, None])[:, :, 0].T
+            step = np.linalg.solve(hm, -grad.T[:, :, None])[:, :, 0].T
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("transverse Newton: singular transverse Hessian") from exc
         # damping: no column moves by more than O(1), as in find_saddle

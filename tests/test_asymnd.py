@@ -460,3 +460,29 @@ def test_registry_nd_path_takes_no_transverse_jet(monkeypatch):
         approx_corrected_nd(intg, 0.2, [30, 100], s)
         cubature_nd(intg, 0.2, [30, 100])
     assert shapes and set(shapes) == {1}
+
+
+def test_registry_nd_path_solves_no_linear_system(monkeypatch):
+    # the registry families are even in x_perp, so the transverse gradient
+    # is exactly 0 at the seed x_perp = 0 and the transverse Newton stops
+    # there: one alpha through the whole n-D path solves no linear system,
+    # while the jet clone, whose gradient is rounding noise, does
+    calls = []
+
+    def counted(a, b, solve=np.linalg.solve):
+        calls.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+
+    def run(intg):
+        calls.clear()
+        s = find_saddle_nd(intg, 0.2, intg.saddle_guess(0.2))
+        approx_wkb_nd(intg, 0.2, [30, 100], s)
+        approx_corrected_nd(intg, 0.2, [30, 100], s)
+        cubature_nd(intg, 0.2, [30, 100])
+        return len(calls)
+
+    for intg in (_nd(dim=2, c=0.1), _nd(dim=3, c=0.1), _nd(dim=2)):
+        assert run(intg) == 0, intg.name
+    assert run(dataclasses.replace(_nd(dim=2, c=0.1), transverse_derivs=None)) > 0

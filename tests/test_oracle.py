@@ -635,3 +635,21 @@ def test_cubature_nd_takes_complex_guess():
             intg = dataclasses.replace(nd, saddle_guess=lambda a: nd.saddle_guess(a) + shift)
             r = cubature_nd(intg, 0.3, [30, 100])
             assert np.all(np.abs(r.value - ref.value) <= bound * np.abs(ref.value))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hermite_rule_matches_meshgrid(d):
+    # the broadcast nodes and outer-product weights are the meshgrid
+    # construction's bits, so cubature_nd's values do not move with it
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        center, scale = rng.normal(0.0, 2.0, d), rng.uniform(0.01, 3.0, d)
+        for x, w, ex in ((oracle._GH_X, oracle._GH_W, oracle._GH_E),
+                         (oracle._GH_X_ERR, oracle._GH_W_ERR, oracle._GH_E_ERR)):
+            grid = np.meshgrid(*[c + s * x for c, s in zip(center, scale)], indexing="ij")
+            wgrid = np.meshgrid(*[s * w * np.exp(x * x) for s in scale], indexing="ij")
+            nodes = np.array([t.ravel() for t in grid])
+            weights = np.prod([v.ravel() for v in wgrid], axis=0)
+            got_nodes, got_weights = oracle._hermite_rule(center, scale, x, w, ex)
+            assert np.array_equal(got_nodes, nodes) and got_nodes.shape == nodes.shape
+            assert np.array_equal(got_weights, weights) and got_weights.shape == weights.shape

@@ -394,6 +394,19 @@ def test_nd_transverse_hessian_exactly_singular():
         find_saddle_nd(intg, 0.5, np.array([0.7, 0.0]))
 
 
+def test_nd_exact_root_with_singular_hessian():
+    # a zero transverse gradient ends the Newton without a linear solve,
+    # but a rank-1 transverse Hessian there is still an error
+    def derivs(x, a):
+        h = np.array([[-1.0, 1.0], [1.0, -1.0]], dtype=complex)[:, :, None]
+        return np.zeros((2, x.shape[1]), dtype=complex), np.repeat(h, x.shape[1], axis=2)
+
+    intg = IntegrandND(F=lambda x, a: x[0] ** 3 / 3.0 - a * x[0], dim=3,
+                       transverse_derivs=derivs)
+    with pytest.raises(NoConvergence, match="singular transverse Hessian"):
+        find_saddle_nd(intg, 0.5, np.array([0.7, 0.0, 0.0]))
+
+
 def test_nd_transverse_derivatives_beyond_tolerance(monkeypatch):
     # with no error bound accepted, the transverse jets' own check refuses;
     # the registry family's closed form skips the jets, so its clone runs them
