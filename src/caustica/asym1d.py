@@ -7,20 +7,23 @@ the saddle-anchored caustic-safe form, and the two-saddle CFU expansion.
 N^{-1/3}; ``wkb`` and ``saddle`` are leading order.
 
 Each formula takes N as one number or as a sequence of numbers.  The
-per-alpha set-up (expansion-point and saddle data, descent phase, branch
+per-alpha set-up (expansion-point and saddle data, descent rotation, branch
 candidates, the checks that raise) is done once for the whole sequence, and
 the result is one ApproxValue per N, each equal to the call at that N alone.
-Per N only arithmetic is left: one ``airy_ai_scaled_pair`` call serves the
-grid, and for a single N it is one scalar ``airye`` call (``airy`` module
-docstring).  The set-up's solves, jets and contour projection are steps of the
-integrand's memo (``integrand`` module docstring), as is ``tilde``'s whole
-set-up, so a formula called once per N at one alpha runs them on the first
-call only; a typed error is raised again on every call.  Where |I|
-overflows a double the formula raises WrongRegime.
+Per N only arithmetic is left, and one loop (``_airy_grid``) does it for
+every Airy form, ``tilde``, ``saddle`` and ``cfu`` (and so ``corrected-nd``):
+one ``airy_ai_scaled_pair`` call serves the grid, and for a single N it is
+one scalar ``airye`` call (``airy`` module docstring).  The set-up's solves,
+jets and contour projection are steps of the integrand's memo (``integrand``
+module docstring), as is ``tilde``'s whole set-up, so a formula called once
+per N at one alpha runs them on the first call only; a typed error is raised
+again on every call.  Where |I| overflows a double the formula raises
+WrongRegime.
 
 An ApproxValue holds the value, the fold parameter zeta' = N^{2/3} zeta,
-the warnings and, for ``tilde`` only, the cube-root branch index; its
-``regime`` is derived from zeta'.
+the warnings (an Airy form's value that has a nonzero imaginary part under
+``real_result_hint``) and, for ``tilde`` only, the cube-root branch index;
+its ``regime`` is derived from zeta'.
 
 Phase conventions
 -----------------
@@ -107,13 +110,14 @@ def classify_regime(zeta_prime: float) -> Regime:
 
 
 @_per_alpha("project")
-def _descent_phase(intg: Integrand1D, alpha: float, z0: complex, f2: complex) -> float:
-    """theta0 = (pi - arg f2)/2, flipped by pi if anti-parallel to the contour."""
+def _descent_rotation(intg: Integrand1D, alpha: float, z0: complex, f2: complex) -> complex:
+    """exp(i theta0), theta0 = (pi - arg f2)/2 flipped by pi if anti-parallel
+    to the contour."""
     theta = (math.pi - cmath.phase(f2)) / 2.0
     u = intg.contour.project(z0)[2]
     if math.cos(theta - cmath.phase(u)) < 0.0:
         theta += math.pi
-    return theta
+    return cmath.exp(1j * theta)
 
 
 def _saddle_zeta(s: SaddleInfo) -> float:
@@ -166,7 +170,7 @@ def approx_wkb(
     order); CausticDivergence depends on alpha only and raises for the
     whole grid.
     """
-    rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
+    rotation = _descent_rotation(intg, alpha, s.z0, s.f2)
     scale = max(1.0, abs(s.f3))
     # at a near-double root the solver stalls with f1 ~ residual and
     # f2^2 ~ 2 f3 f1, so curvature below that floor is numerically zero
@@ -239,33 +243,32 @@ def _tilde_setup(intg: Integrand1D, alpha: float, z_tilde: complex, f3_tilde: co
     quartic_c, g1r = f4 * r ** 4 / 24.0, g1 * r
     return (
         zeta, intg.prefactor * 2.0j * math.pi * r, ft,
-        lambda n3, x, ai, aip: (
+        lambda n3, an3, x, ai, aip: an3 * (
             g0 * (ai + quartic_c * n3 * (2.0 * aip + x * x * ai)) - g1r * n3 * aip
         ),
         k,
     )
 
 
-def _airy_grid(intg, name, N, zeta, amplitude, exponent, inner, branch=None):
-    """``tilde``'s and ``cfu``'s values over the tuple N: per N, with
+def _airy_grid(intg, name, N, zeta, amplitude, exponent, inner, branch=None, decay=1.0):
+    """Every Airy form's values over the tuple N.  Per N, with
     zeta' = N^{2/3} zeta, n3 = N^{-1/3} and the scaled Ai, Ai' at zeta' from
-    one Airy call, the log-safe product
-    amplitude * n3 * inner(n3, zeta', Ai, Ai') * exp(N exponent - (2/3) zeta'^{3/2}).
+    one Airy call for the grid, the log-safe product
+    inner(n3, amplitude * n3, zeta', Ai, Ai') * exp(N exponent - decay (2/3) zeta'^{3/2});
+    ``inner`` multiplies in amplitude * n3, and ``decay`` is 1 but for the
+    ``saddle`` form's exponent shift.  A value with a nonzero imaginary part
+    under ``real_result_hint`` carries a warning.
     """
     xs = [n ** (2.0 / 3.0) * zeta for n in N]
     out = []
     for n, x, (ai, aip) in zip(N, xs, airy_ai_scaled_pair(xs)):
         n3 = n ** (-1.0 / 3.0)
-        value = (
-            amplitude
-            * n3
-            * inner(n3, x, ai, aip)
-            * cmath.exp(n * exponent - (2.0 / 3.0) * x ** 1.5)
+        value = inner(n3, amplitude * n3, x, ai, aip) * cmath.exp(
+            n * exponent - decay * ((2.0 / 3.0) * x ** 1.5)
         )
-        warnings = []
-        if intg.real_result_hint and abs(value.imag) > _IM_TOL * abs(value):
-            warnings.append(f"{name}: nonzero imaginary part despite real_result_hint")
-        out.append(ApproxValue(value, x, tuple(warnings), branch))
+        warn = intg.real_result_hint and abs(value.imag) > _IM_TOL * abs(value)
+        warnings = (f"{name}: nonzero imaginary part despite real_result_hint",) if warn else ()
+        out.append(ApproxValue(value, x, warnings, branch))
     return out
 
 
@@ -292,27 +295,15 @@ def approx_saddle_form(
 def _saddle_form(intg: Integrand1D, alpha: float, N: tuple, s: SaddleInfo, ft: complex):
     """``approx_saddle_form`` over the tuple N, with f(z_tilde(alpha)) given."""
     zeta = _saddle_zeta(s)
-
     # exponent-sign constant sgn from the consistency identity
     # N f(z_tilde) = N f(z0) - sgn * (2/3) zeta_prime^{3/2}; shift = sgn + 1
     shift = 0.0 if (s.f0 - ft).real <= 0.0 else 2.0
-
-    rotation = cmath.exp(1j * _descent_phase(intg, alpha, s.z0, s.f2))
-    amplitude = (
-        intg.prefactor * 2.0 * math.pi * intg.g(s.z0) * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
+    rotation = _descent_rotation(intg, alpha, s.z0, s.f2)
+    amplitude = intg.prefactor * 2.0 * math.pi * intg.g(s.z0) * (2.0 / abs(s.f3)) ** (1.0 / 3.0)
+    return _airy_grid(
+        intg, "saddle", N, zeta, amplitude, s.f0,
+        lambda n3, an3, x, ai, aip: an3 * rotation * ai, decay=shift,
     )
-    xs = [n ** (2.0 / 3.0) * zeta for n in N]
-    return [
-        ApproxValue(
-            amplitude
-            * n ** (-1.0 / 3.0)
-            * rotation
-            * aie
-            * cmath.exp(n * s.f0 - shift * ((2.0 / 3.0) * x ** 1.5)),
-            x,
-        )
-        for n, x, (aie, _) in zip(N, xs, airy_ai_scaled_pair(xs))
-    ]
 
 
 @_over_grid
@@ -358,5 +349,5 @@ def approx_cfu(
     # A = (f(z0) + f(z0^*))/2, and N A - (2/3) zeta'^{3/2} = N f(z0^*)
     return _airy_grid(
         intg, "cfu", N, zeta, intg.prefactor * 2.0j * math.pi, 0.5 * (s.f0 + p.f0),
-        lambda n3, x, ai, aip: a0 * ai + b0 * n3 * aip,
+        lambda n3, an3, x, ai, aip: an3 * (a0 * ai + b0 * n3 * aip),
     )

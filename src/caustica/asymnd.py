@@ -24,8 +24,8 @@ from .airy import recovery_factor
 # exists is that the span tracer (bench/spans.py, TARGETS) wraps
 # asymnd.airy_ai_scaled by name.  It goes when TARGETS drops that entry.
 from .airy import airy_ai_scaled  # noqa: F401
-from .asym1d import _over_grid, _saddle_form, approx_wkb
-from .errors import BadParameter, CausticaError, CausticDivergence, DegenerateCubic, WrongRegime
+from .asym1d import _over_grid, _saddle_form, _saddle_zeta, approx_wkb
+from .errors import BadParameter, CausticaError, CausticDivergence, WrongRegime
 from .integrand import Integrand1D, IntegrandND, _n_grid
 from .saddle import NdSaddleInfo, _check_fold, _fold_point, find_caustic, find_saddle
 
@@ -56,8 +56,7 @@ def approx_corrected_nd(intg: IntegrandND, alpha: float, N, s: NdSaddleInfo):
     cubic model (no alpha_hat), and DegenerateCubic raised where f''' is
     zero there.  N is one number or a sequence of them, as for 1-D."""
     sd = s.saddle
-    if sd.f3 == 0:
-        raise DegenerateCubic("f''' vanishes at the saddle")
+    _saddle_zeta(sd)  # DegenerateCubic where f''' is zero at the saddle
     _, ft, (_, f2, f3, f4) = _fold_point(s.reduced, alpha, sd.z0 - sd.f2 / sd.f3, sd.f3)
     _check_fold(f3, f4, abs(f2), order=2)
     return _with_gaussians(intg, N, _saddle_form(s.reduced, alpha, N, sd, ft))
@@ -83,8 +82,7 @@ def mean_field_compare(intg, alpha_grid, N_grid) -> list[dict]:
     for a in alpha_grid:
         s = find_saddle(intg, a, intg.saddle_guess(a))
         wkbs = approx_wkb(intg, a, N_grid, s)
-        if s.f3 == 0:  # no cubic term: the records' zeta' is infinite, no fold
-            raise DegenerateCubic("f''' vanishes at the saddle")
+        _saddle_zeta(s)  # DegenerateCubic: no cubic term, so no fold
         # the Gaussian term's status at the coalescing (fold) saddle depends on
         # alpha only; the probe starts at the cubic model's z_tilde + sqrt(-2 f'/f''')
         fold_status = "finite"

@@ -308,6 +308,50 @@ def test_golden_bessel_value():
     assert bessel_ref(1, 1.0) == pytest.approx(J1_1, abs=1e-12)
 
 
+def _four_forms(intg, alpha, N):
+    """wkb, tilde, saddle and cfu at (alpha, N) from fresh solves on intg."""
+    c = find_caustic(intg)
+    s = find_saddle(intg, alpha, intg.saddle_guess(alpha))
+    p = find_partner(intg, alpha, s)
+    return {
+        "wkb": approx_wkb(intg, alpha, N, s),
+        "tilde": approx_tilde(intg, alpha, N, c),
+        "saddle": approx_saddle_form(intg, alpha, N, s, c),
+        "cfu": approx_cfu(intg, alpha, N, s, p),
+    }
+
+
+def test_real_result_hint_warns_every_airy_form():
+    # on the cubic I = 2 pi i N^{-1/3} Ai(zeta') is imaginary: under
+    # real_result_hint each Airy form warns on every cell, wkb on none
+    intg = dataclasses.replace(registry_get("cubic"), real_result_hint=True)
+    for name, values in _four_forms(intg, 0.3, GRID).items():
+        warning = f"{name}: nonzero imaginary part despite real_result_hint"
+        want = () if name == "wkb" else (warning,)
+        assert [v.warnings for v in values] == [want] * len(GRID), name
+
+
+def test_reversed_contour_cells_are_pinned():
+    # ROADMAP item 12, as it stands: on the cubic's contour traversed the
+    # other way I changes sign.  saddle and wkb read the contour through
+    # their descent rotation and follow it; tilde and cfu do not read it,
+    # so they return the forward contour's bits and are off by 2.  Item 12
+    # flips the tilde and cfu rows of this test
+    intg = registry_get("cubic")
+    fw = intg.contour
+    back = ContourPath(fw.nodes[::-1], tail_angle=fw.head_angle, head_angle=fw.tail_angle)
+    rev = dataclasses.replace(intg, contour=back)
+    for alpha, wkb_err in ((0.3, 1.9e-2), (0.9, 4.0e-3)):
+        ref = quad_contour(rev, alpha, 30, tol=1e-12).value
+        forward, backward = _four_forms(intg, alpha, 30), _four_forms(rev, alpha, 30)
+        err = {m: abs(v.value - ref) / abs(ref) for m, v in backward.items()}
+        assert err["saddle"] < 1e-12
+        assert err["wkb"] == pytest.approx(wkb_err, rel=0.02)
+        for m in ("tilde", "cfu"):
+            assert backward[m] == forward[m]
+            assert err[m] == pytest.approx(2.0, abs=1e-11)
+
+
 # ---------------------------------------------------------------------------
 # one call over an N grid equals one call per N
 
@@ -385,7 +429,9 @@ def test_formula_single_n_is_not_wrapped():
 
 
 def test_one_n_formula_makes_one_scalar_airye_call(monkeypatch):
-    # a single N takes airye's scalar path, a grid one array call
+    # a single N takes airye's scalar path, a grid one array call: tilde,
+    # saddle, cfu and corrected-nd share one per-N loop with one Airy call,
+    # and wkb makes none
     shapes = []
 
     def recorded(x):
@@ -397,15 +443,19 @@ def test_one_n_formula_makes_one_scalar_airye_call(monkeypatch):
     c = find_caustic(intg)
     s = find_saddle(intg, 0.3, intg.saddle_guess(0.3))
     p = find_partner(intg, 0.3, s)
-    for formula in (
-        lambda N: approx_tilde(intg, 0.3, N, c),
-        lambda N: approx_saddle_form(intg, 0.3, N, s, c),
-        lambda N: approx_cfu(intg, 0.3, N, s, p),
+    nd = registry_get("nd-perturbed-cubic", {"dim": "2"})
+    snd = find_saddle_nd(nd, 0.3, nd.saddle_guess(0.3))
+    for formula, calls in (
+        (lambda N: approx_wkb(intg, 0.3, N, s), 0),
+        (lambda N: approx_tilde(intg, 0.3, N, c), 1),
+        (lambda N: approx_saddle_form(intg, 0.3, N, s, c), 1),
+        (lambda N: approx_cfu(intg, 0.3, N, s, p), 1),
+        (lambda N: approx_corrected_nd(nd, 0.3, N, snd), 1),
     ):
         for N, want in ((30, [()]), (list(GRID), [(len(GRID),)])):
             shapes.clear()
             formula(N)
-            assert shapes == want, N
+            assert shapes == want * calls, N
 
 
 def _library_sweep(intg, alphas, grid):

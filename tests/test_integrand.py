@@ -13,9 +13,11 @@ from caustica import (
     CausticDivergence,
     ContourPath,
     Integrand1D,
+    NoConvergence,
     PartnerNotFound,
     StepUnderflow,
     UnknownIntegrand,
+    WrongRegime,
     approx_cfu,
     approx_saddle_form,
     approx_tilde,
@@ -420,15 +422,31 @@ def test_saddle_form_solves_z_tilde_on_its_own_integrand():
     assert struct.pack("d", 0.25) not in analytic._memo
 
 
+def _kinds(intg):
+    """The steps that the memo holds entries for."""
+    return {k for entries in intg._memo.values() for k, _ in entries}
+
+
 def test_memo_stores_no_typed_error():
-    # at the fold of perturbed-cubic the Gaussian prefactor diverges and the
-    # pair has coalesced: each per-N call computes the step again and raises
-    # the error a fresh instance raises, and the memo keeps no entry for it
-    intg = registry_get("perturbed-cubic")
-    s = find_saddle(intg, 0.0, intg.saddle_guess(0.0))
-    for kind, error, call in (
-        ("wkb", CausticDivergence, lambda i, n: approx_wkb(i, 0.0, n, s)),
-        ("find_partner", PartnerNotFound, lambda i, n: find_partner(i, 0.0, s)),
+    # a memoized step that raises keeps no entry: each call computes it
+    # again and raises the error a fresh instance raises.  tilde's set-up
+    # finds no real fold parameter at alpha < 0 on the cubic (its fold
+    # point, solved first, stays), and bessel-sinh's saddle solve continued
+    # past the caustic stalls.  At the fold of perturbed-cubic the Gaussian
+    # prefactor diverges and the pair has coalesced: both raise after the
+    # memoized saddle solve and projection, which stay
+    cubic, bessel, pert = map(registry_get, ("cubic", "bessel-sinh", "perturbed-cubic"))
+    c = find_caustic(cubic)
+    z1 = find_saddle(bessel, 1.0, bessel.saddle_guess(1.0)).z0
+    assert z1 == pytest.approx(7.6e-7, rel=0.01)
+    s = find_saddle(pert, 0.0, pert.saddle_guess(0.0))
+    for intg, alpha, error, call, kinds in (
+        (cubic, -0.2, WrongRegime, lambda i, n: approx_tilde(i, -0.2, n, c), {"fold"}),
+        (bessel, 1.01, NoConvergence, lambda i, n: find_saddle(i, 1.01, z1), set()),
+        (pert, 0.0, CausticDivergence, lambda i, n: approx_wkb(i, 0.0, n, s),
+         {"find_saddle", "project"}),
+        (pert, 0.0, PartnerNotFound, lambda i, n: find_partner(i, 0.0, s),
+         {"find_saddle", "project"}),
     ):
         with pytest.raises(error) as first:
             call(dataclasses.replace(intg), 30)
@@ -436,7 +454,7 @@ def test_memo_stores_no_typed_error():
             with pytest.raises(error) as again:
                 call(intg, n)
             assert str(again.value) == str(first.value)
-        assert _entries(intg, kind) == 0
+            assert list(intg._memo) == [struct.pack("d", alpha)] and _kinds(intg) == kinds
 
 
 def test_replace_gets_the_new_f():

@@ -407,6 +407,20 @@ def test_nd_exact_root_with_singular_hessian():
         find_saddle_nd(intg, 0.5, np.array([0.7, 0.0, 0.0]))
 
 
+def test_nd_singular_hessian_in_the_newton_step():
+    # a nonzero transverse gradient takes the Newton step, whose linear
+    # solve meets an all-zero transverse Hessian
+    def derivs(x, a):
+        m = x.shape[1]
+        return np.ones((1, m), dtype=complex), np.zeros((1, 1, m), dtype=complex)
+
+    intg = IntegrandND(F=lambda x, a: x[0] ** 3 / 3.0 - a * x[0] + x[1], dim=2,
+                       transverse_derivs=derivs)
+    with pytest.raises(NoConvergence, match="singular transverse Hessian") as info:
+        find_saddle_nd(intg, 0.5, np.array([0.7, 0.0]))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
 def test_nd_transverse_derivatives_beyond_tolerance(monkeypatch):
     # with no error bound accepted, the transverse jets' own check refuses;
     # the registry family's closed form skips the jets, so its clone runs them
